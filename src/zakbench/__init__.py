@@ -15,203 +15,27 @@ The package has three mathematical layers and two support layers:
     Finite reproducing pairs: mixed-operator checks, canonical duals,
     head/tail excess identities, and dependent-head reduction.
 ``linalg`` / ``reports``
-    Shared dense linear algebra helpers and frozen report dataclasses
-    with JSON serialisation.
+    Shared dense linear algebra helpers, frozen report dataclasses with
+    JSON serialisation, and the verdict type that pairs a report with
+    its pass rule.
 """
 
-from .errors import (
-    BoundViolated,
-    DimMismatch,
-    EmptyFamily,
-    ExcludedIndex,
-    FamilyMismatch,
-    HeadDependent,
-    IndexOutOfWindow,
-    NoDependence,
-    NotMinimal,
-    NotReproducingPair,
-    RemovedIndex,
-    SingularNode,
-    SpectrumFail,
-    TailNotExact,
-    ThetaDomain,
-    WeightVanishesOnGrid,
-    ZakbenchError,
-)
-from .expsys import (
-    ENERGY_GROWTH_RATIO,
-    NAMED_WEIGHTS,
-    ExpSystem,
-    PeriodicSignal,
-    biorthogonal_dual,
-    biorthogonality_gram,
-    completeness_defect,
-    dual_coefficient,
-    exponential,
-    inverse_weight_energy,
-    load_signal,
-    save_signal,
-    schauder_failure_sweep,
-    shifted_nodes,
-    weighted_exp,
-)
-from .linalg import (
-    frame_bounds_estimate,
-    gram_matrix,
-    inner_product,
-    least_squares,
-    rank_and_span,
-)
-from .reports import (
-    EnkBoundReport,
-    ExcessReport,
-    LadderReport,
-    RpCheckReport,
-    SweepFlags,
-    SweepLevel,
-    SweepReport,
-    ZakValidationReport,
-    dump_report_json,
-    report_payload,
-)
-from .reproducing import (
-    FiniteFamily,
-    ReproducingPairCheck,
-    canonical_dual_frame,
-    excess_n_identities,
-    excess_one_identities,
-    in_span_biorthogonal,
-    normalize_pair,
-    partner_is_biorthogonal,
-    random_excess_pair,
-    random_pair_check,
-    random_spanning_family,
-    reduce_dependent_pair,
-    reproducing_identity_check,
-    s_operator,
-    span_vectors,
-)
-from .zak import (
-    GAUSSIAN_NOME,
-    GROWTH_THRESHOLD,
-    STABILIZATION_THRESHOLD,
-    ConeParams,
-    GridFunction,
-    ThetaParams,
-    center_slope,
-    cone,
-    enk,
-    enk_bound_check,
-    gaussian_atom,
-    gaussian_zak_theta,
-    leading_coefficient,
-    load_grid_function,
-    midpoint_meshgrid,
-    midpoint_nodes,
-    modulated_translate,
-    quotient_integral,
-    save_grid_function,
-    taylor_lower_bound,
-    theta1,
-    theta1_prime_zero,
-    theta_grid,
-    zak_transform,
-)
+from . import errors, expsys, linalg, reports, reproducing, zak
+from .errors import *  # noqa: F401,F403
+from .expsys import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .reports import *  # noqa: F401,F403
+from .reproducing import *  # noqa: F401,F403
+from .zak import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "ZakbenchError",
-    "DimMismatch",
-    "EmptyFamily",
-    "SpectrumFail",
-    "IndexOutOfWindow",
-    "RemovedIndex",
-    "WeightVanishesOnGrid",
-    "ThetaDomain",
-    "ExcludedIndex",
-    "SingularNode",
-    "BoundViolated",
-    "FamilyMismatch",
-    "NotMinimal",
-    "TailNotExact",
-    "NotReproducingPair",
-    "NoDependence",
-    "HeadDependent",
-    # linalg
-    "inner_product",
-    "gram_matrix",
-    "frame_bounds_estimate",
-    "rank_and_span",
-    "least_squares",
-    # reports
-    "SweepLevel",
-    "SweepFlags",
-    "SweepReport",
-    "LadderReport",
-    "EnkBoundReport",
-    "ExcessReport",
-    "RpCheckReport",
-    "ZakValidationReport",
-    "report_payload",
-    "dump_report_json",
-    # expsys
-    "NAMED_WEIGHTS",
-    "ENERGY_GROWTH_RATIO",
-    "PeriodicSignal",
-    "ExpSystem",
-    "shifted_nodes",
-    "exponential",
-    "weighted_exp",
-    "dual_coefficient",
-    "biorthogonal_dual",
-    "biorthogonality_gram",
-    "inverse_weight_energy",
-    "schauder_failure_sweep",
-    "completeness_defect",
-    "save_signal",
-    "load_signal",
-    # zak
-    "GAUSSIAN_NOME",
-    "STABILIZATION_THRESHOLD",
-    "GROWTH_THRESHOLD",
-    "ThetaParams",
-    "ConeParams",
-    "GridFunction",
-    "midpoint_nodes",
-    "midpoint_meshgrid",
-    "gaussian_atom",
-    "modulated_translate",
-    "zak_transform",
-    "theta1",
-    "theta1_prime_zero",
-    "gaussian_zak_theta",
-    "theta_grid",
-    "leading_coefficient",
-    "center_slope",
-    "cone",
-    "enk",
-    "enk_bound_check",
-    "quotient_integral",
-    "taylor_lower_bound",
-    "save_grid_function",
-    "load_grid_function",
-    # reproducing
-    "FiniteFamily",
-    "ReproducingPairCheck",
-    "s_operator",
-    "reproducing_identity_check",
-    "normalize_pair",
-    "canonical_dual_frame",
-    "in_span_biorthogonal",
-    "partner_is_biorthogonal",
-    "excess_one_identities",
-    "excess_n_identities",
-    "reduce_dependent_pair",
-    "span_vectors",
-    "random_spanning_family",
-    "random_excess_pair",
-    "random_pair_check",
+    *errors.__all__,
+    *linalg.__all__,
+    *reports.__all__,
+    *expsys.__all__,
+    *zak.__all__,
+    *reproducing.__all__,
 ]

@@ -1,26 +1,19 @@
 """Command-line front end for the diagnostic experiments.
 
-Each subcommand runs one experiment, writes a JSON report (and an
-optional CSV of level/value/flag rows) under the output directory, and
-asserts the experiment's expected outcome:
+Each subcommand makes one library call, which runs the experiment and
+applies its pass rule, then writes the JSON report (and an optional CSV
+of level/value/flag rows) under the output directory and prints one
+verdict line:
 
-    expsys-sweep      dual-expansion partial sums; asserts the
-                      no-norm-convergence flag and constant term norms
-    zak-validate      Zak transform unitarity, covariance, and the
-                      theta cross-check; asserts all tolerances
-    quotient-ladder   refinement ladder of a quotient integral; asserts
-                      convergence for the cone numerator, divergence
-                      for the constant numerator
-    rp-check          random reproducing-pair normalisation; asserts
-                      identity deviation and adjoint symmetry
-    excess-n          head/tail excess identities on random pairs;
-                      asserts all residuals within ten times the
-                      working tolerance
+    expsys-sweep      expsys.sweep_verdict
+    zak-validate      zak.validate_verdict
+    quotient-ladder   zak.ladder_verdict
+    rp-check          reproducing.random_pair_check
+    excess-n          reproducing.excess_n_verdict
 
 Exit status: 0 when the asserted outcome holds, 2 when it fails, 1 on
 usage or configuration errors.  Reports are deterministic for a fixed
-seed; the only run-dependent content is the "metadata" field.  The env
-var ZAKBENCH_THREADS caps worker threads for ladder levels.
+seed; the only run-dependent content is the "metadata" field.
 """
 
 from __future__ import annotations
@@ -29,83 +22,51 @@ import argparse
 import csv
 import datetime
 import json
-import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ZakbenchError
-from .expsys import (
-    ExpSystem,
-    PeriodicSignal,
-    load_signal,
-    save_signal,
-    schauder_failure_sweep,
-)
-from .reports import ZakValidationReport, dump_report_json
-from .reproducing import excess_n_identities, random_excess_pair, random_pair_check
+from .expsys import ExpSystem, PeriodicSignal, load_signal, save_signal, sweep_verdict
+from .reports import Verdict, dump_report_json
+from .reproducing import DEFAULT_TOL, excess_n_verdict, random_pair_check
 from .zak import (
-    ConeParams,
+    NAMED_NUMERATORS,
     ThetaParams,
-    cone,
-    enk,
-    gaussian_atom,
-    gaussian_zak_theta,
+    ladder_verdict,
     load_grid_function,
-    midpoint_meshgrid,
-    modulated_translate,
-    quotient_integral,
     save_grid_function,
-    theta1_prime_zero,
-    theta_grid,
-    zak_transform,
+    validate_verdict,
 )
 
 USAGE_ERROR = 1
 ASSERTION_FAILURE = 2
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("ZAKBENCH_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"ZAKBENCH_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"ZAKBENCH_THREADS must be positive, got {workers}")
-    return workers
-
-
-def _metadata(args: argparse.Namespace) -> dict:
-    return {
+def _finish(args: argparse.Namespace, stem: str, verdict: Verdict) -> int:
+    """Write the report (and CSV rows) under --out and print the verdict line."""
+    metadata = {
         "command": args.command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "seed": args.seed,
         "version": __version__,
     }
-
-
-def _write_report(args: argparse.Namespace, stem: str, report, csv_rows=None) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{stem}.json"
-    json_path.write_text(dump_report_json(report, metadata=_metadata(args)))
+    json_path.write_text(dump_report_json(verdict.report, metadata=metadata))
     if args.csv:
-        if csv_rows is None:
-            csv_rows = []
         with open(out_dir / f"{stem}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["level", "value", "flag"])
-            writer.writerows(csv_rows)
-    return json_path
+            writer.writerows(verdict.rows)
+    state = "PASS" if verdict.passed else "FAIL"
+    print(f"{args.command}: {state} ({verdict.detail}) report={json_path}")
+    return 0 if verdict.passed else ASSERTION_FAILURE
 
 
-def _verdict(command: str, passed: bool, detail: str, path: Path) -> int:
-    state = "PASS" if passed else "FAIL"
-    print(f"{command}: {state} ({detail}) report={path}")
-    return 0 if passed else ASSERTION_FAILURE
+def _ladder(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def _run_expsys_sweep(args: argparse.Namespace) -> int:
@@ -114,125 +75,25 @@ def _run_expsys_sweep(args: argparse.Namespace) -> int:
     else:
         weight = PeriodicSignal.from_name(args.g, args.N)
     system = ExpSystem(weight=weight, window=args.W, removed=args.k, anchor=args.t0)
-    max_terms = args.max_terms if args.max_terms is not None else args.W
-    report = schauder_failure_sweep(system, max_terms)
+    verdict = sweep_verdict(system, args.max_terms)
     if args.dump_weight is not None:
         save_signal(weight, args.dump_weight)
-
-    g_norm = weight.norm()
-    term_norms = [lv.term_norm for lv in report.levels if lv.term_norm > 0.0]
-    norm_spread = max(abs(t - g_norm) for t in term_norms) if term_norms else float("inf")
-    passed = report.flags.no_norm_convergence and norm_spread <= 1e-9 * max(g_norm, 1e-30)
-
-    rows = [(lv.L, lv.residual, report.flags.no_norm_convergence) for lv in report.levels]
-    path = _write_report(args, "expsys_sweep", report, rows)
-    detail = (
-        f"no_norm_convergence={report.flags.no_norm_convergence}, "
-        f"term norm spread {norm_spread:.3e}"
-    )
-    return _verdict(args.command, passed, detail, path)
+    return _finish(args, "expsys_sweep", verdict)
 
 
 def _run_zak_validate(args: argparse.Namespace) -> int:
-    params = ThetaParams(truncation=args.K)
-    direct = zak_transform(gaussian_atom, args.M, args.J)
-    theta = theta_grid(args.M, params)
-
-    shifted = zak_transform(modulated_translate(gaussian_atom, 0, args.shift), args.M, args.J)
-
-    # Covariance: modulation by n and translation by k multiply the
-    # transform by the plane wave with indices (n, k).
-    X, XI = midpoint_meshgrid(args.M)
-    cov_dev = 0.0
-    r = args.cov_range
-    for n in range(-r, r + 1):
-        for k in range(-r, r + 1):
-            lhs = zak_transform(modulated_translate(gaussian_atom, n, k), args.M, args.J)
-            rhs = enk(n, k, X, XI) * direct.samples
-            cov_dev = max(cov_dev, float(np.max(np.abs(lhs.samples - rhs))))
-
-    theta_dev = float(np.max(np.abs(theta.samples - direct.samples)))
-    center_abs = abs(gaussian_zak_theta(0.5, 0.5, params))
-    corner = abs(gaussian_zak_theta(0.0, 0.0, params))
-    prime = theta1_prime_zero(params)
-    prime_oracle = theta1_prime_zero(ThetaParams(truncation=20))
-    prime_rel = abs(prime - prime_oracle) / abs(prime_oracle)
-
-    checks = {
-        "gaussian_norm": abs(direct.norm() - 1.0) <= 1e-6,
-        "translated_norm": abs(shifted.norm() - 1.0) <= 1e-6,
-        "covariance": cov_dev <= 1e-10,
-        "theta_vs_series": theta_dev <= 1e-10,
-        "center_zero": center_abs <= 1e-12,
-        "theta_prime": prime_rel <= 1e-13 and prime >= 0.9,
-    }
-
-    if args.theta_file is not None:
-        stored = load_grid_function(args.theta_file)
-        reference = theta_grid(stored.M, params)
-        checks["theta_file"] = (
-            float(np.max(np.abs(stored.samples - reference.samples))) <= 1e-12
-        )
-
-    report = ZakValidationReport(
-        M=args.M,
-        J=args.J,
-        truncation_K=args.K,
-        gaussian_norm=direct.norm(),
-        translated_norm=shifted.norm(),
-        translate_shift=float(args.shift),
-        covariance_range=r,
-        covariance_max_dev=cov_dev,
-        theta_vs_series_max_dev=theta_dev,
-        center_zero_abs=float(center_abs),
-        corner_value=float(corner),
-        theta_prime_value=float(prime),
-        theta_prime_oracle_rel_dev=float(prime_rel),
-        passed=all(checks.values()),
+    stored = load_grid_function(args.theta_file) if args.theta_file is not None else None
+    verdict, theta = validate_verdict(
+        args.M, args.J, ThetaParams(truncation=args.K), args.shift, args.cov_range, stored
     )
     if args.dump_theta is not None:
         save_grid_function(theta, args.dump_theta)
-
-    rows = [
-        ("gaussian_norm", report.gaussian_norm, checks["gaussian_norm"]),
-        ("translated_norm", report.translated_norm, checks["translated_norm"]),
-        ("covariance_max_dev", report.covariance_max_dev, checks["covariance"]),
-        ("theta_vs_series_max_dev", report.theta_vs_series_max_dev, checks["theta_vs_series"]),
-        ("center_zero_abs", report.center_zero_abs, checks["center_zero"]),
-        ("theta_prime_oracle_rel_dev", report.theta_prime_oracle_rel_dev, checks["theta_prime"]),
-    ]
-    path = _write_report(args, "zak_validate", report, rows)
-    failing = sorted(name for name, ok in checks.items() if not ok)
-    detail = "all checks passed" if report.passed else f"failing: {', '.join(failing)}"
-    return _verdict(args.command, report.passed, detail, path)
+    return _finish(args, "zak_validate", verdict)
 
 
 def _run_quotient_ladder(args: argparse.Namespace) -> int:
-    ladder = [int(part) for part in args.ladder.split(",") if part.strip()]
-    params = ThetaParams(truncation=args.K)
-    denominator = lambda x, xi: gaussian_zak_theta(x, xi, params)  # noqa: E731
-    if args.numerator == "cone":
-        centre = ConeParams()
-        numerator = lambda x, xi: cone(centre, x, xi)  # noqa: E731
-        expect = "converges"
-    else:
-        numerator = lambda x, xi: np.ones_like(np.asarray(x, dtype=float))  # noqa: E731
-        expect = "diverges"
-    report = quotient_integral(
-        numerator,
-        denominator,
-        ladder,
-        numerator_name=args.numerator,
-        denominator_name="gaussian_zak",
-        max_workers=_max_workers(),
-    )
-    passed = report.converges if expect == "converges" else report.diverges
-
-    flag = "converges" if report.converges else ("diverges" if report.diverges else "undecided")
-    rows = [(M, est, flag) for M, est in zip(report.ladder, report.estimates)]
-    path = _write_report(args, f"quotient_ladder_{args.numerator}", report, rows)
-    detail = f"expected {expect}, converges={report.converges}, diverges={report.diverges}"
-    return _verdict(args.command, passed, detail, path)
+    verdict = ladder_verdict(args.numerator, args.ladder, ThetaParams(truncation=args.K))
+    return _finish(args, f"quotient_ladder_{args.numerator}", verdict)
 
 
 def _run_rp_check(args: argparse.Namespace) -> int:
@@ -242,28 +103,23 @@ def _run_rp_check(args: argparse.Namespace) -> int:
         ("max_adjoint_asymmetry", report.max_adjoint_asymmetry, report.passed),
         ("min_invertibility_margin", report.min_invertibility_margin, report.passed),
     ]
-    path = _write_report(args, "rp_check", report, rows)
     detail = (
         f"deviation {report.max_identity_deviation:.3e}, "
         f"asymmetry {report.max_adjoint_asymmetry:.3e}"
     )
-    return _verdict(args.command, report.passed, detail, path)
+    return _finish(args, "rp_check", Verdict(report, report.passed, detail, rows))
 
 
 def _run_excess_n(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    phi, psi = random_excess_pair(args.dim, args.n, rng, dependent_head=args.dependent_head)
-    report = excess_n_identities(
-        phi, psi, args.n, tol=args.tol, trials=args.trials, seed=args.seed
+    verdict = excess_n_verdict(
+        args.dim,
+        args.n,
+        tol=args.tol,
+        trials=args.trials,
+        seed=args.seed,
+        dependent_head=args.dependent_head,
     )
-    limit = 10.0 * args.tol
-    passed = all(value <= limit for value in report.residuals.values())
-
-    rows = [(name, value, value <= limit) for name, value in sorted(report.residuals.items())]
-    path = _write_report(args, "excess_n", report, rows)
-    worst = max(report.residuals.values())
-    detail = f"worst residual {worst:.3e} against limit {limit:.1e}, final n={report.n}"
-    return _verdict(args.command, passed, detail, path)
+    return _finish(args, "excess_n", verdict)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,8 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="refinement ladder for a quotient integral against |Z phi|^2",
     )
-    p.add_argument("--numerator", choices=("cone", "one"), required=True)
-    p.add_argument("--ladder", default="64,128,256,512", help="comma-separated even resolutions")
+    p.add_argument("--numerator", choices=tuple(NAMED_NUMERATORS), required=True)
+    p.add_argument(
+        "--ladder", type=_ladder, default="64,128,256,512", help="comma-separated even resolutions"
+    )
     p.add_argument("--K", type=int, default=8, help="theta series truncation")
     p.set_defaults(run=_run_quotient_ladder)
 
@@ -336,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, default=8, help="ambient dimension")
     p.add_argument("--n", type=int, default=1, help="head length")
-    p.add_argument("--tol", type=float, default=1e-11, help="working tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="working tolerance")
     p.add_argument("--trials", type=int, default=20, help="random probes")
     p.add_argument(
         "--dependent-head",

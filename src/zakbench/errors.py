@@ -5,7 +5,26 @@ callers (and the command line driver) can distinguish configuration
 mistakes from genuine numerical assertion failures.
 """
 
-from __future__ import annotations
+__all__ = [
+    "ZakbenchError",
+    "DimMismatch",
+    "EmptyFamily",
+    "SpectrumFail",
+    "IndexOutOfWindow",
+    "RemovedIndex",
+    "WeightVanishesOnGrid",
+    "ThetaDomain",
+    "ExcludedIndex",
+    "SingularNode",
+    "ZeroEstimate",
+    "BoundViolated",
+    "FamilyMismatch",
+    "NotMinimal",
+    "TailNotExact",
+    "NotReproducingPair",
+    "NoDependence",
+    "HeadDependent",
+]
 
 
 class ZakbenchError(Exception):
@@ -46,6 +65,10 @@ class ExcludedIndex(ZakbenchError):
 
 class SingularNode(ZakbenchError):
     """The denominator vanishes at a quadrature node."""
+
+
+class ZeroEstimate(ZakbenchError):
+    """A ladder estimate is zero, so its relative growth is undefined."""
 
 
 class BoundViolated(ZakbenchError):

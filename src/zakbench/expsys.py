@@ -27,12 +27,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import IndexOutOfWindow, RemovedIndex, SpectrumFail, WeightVanishesOnGrid
-from .reports import SweepFlags, SweepLevel, SweepReport
+from .reports import SweepFlags, SweepLevel, SweepReport, Verdict
 
 __all__ = [
     "PeriodicSignal",
     "ExpSystem",
     "NAMED_WEIGHTS",
+    "ENERGY_GROWTH_RATIO",
     "shifted_nodes",
     "exponential",
     "weighted_exp",
@@ -40,6 +41,7 @@ __all__ = [
     "biorthogonal_dual",
     "biorthogonality_gram",
     "schauder_failure_sweep",
+    "sweep_verdict",
     "completeness_defect",
     "inverse_weight_energy",
     "save_signal",
@@ -273,6 +275,27 @@ def schauder_failure_sweep(system: ExpSystem, max_terms: int) -> SweepReport:
     )
 
 
+def sweep_verdict(system: ExpSystem, max_terms: int | None = None) -> Verdict:
+    """Dual-expansion sweep of the removed element, checked for its failure.
+
+    Passes when the report flags no norm convergence and every nonzero
+    term norm sits within 1e-9 ||g|| of the weight's norm ||g||, as
+    |c_n| = 1 demands.  ``max_terms`` defaults to the window.
+    """
+    report = schauder_failure_sweep(system, system.window if max_terms is None else max_terms)
+    g_norm = system.weight.norm()
+    term_norms = [lv.term_norm for lv in report.levels if lv.term_norm > 0.0]
+    norm_spread = max(abs(t - g_norm) for t in term_norms) if term_norms else float("inf")
+    passed = report.flags.no_norm_convergence and norm_spread <= 1e-9 * max(g_norm, 1e-30)
+
+    rows = [(lv.L, lv.residual, report.flags.no_norm_convergence) for lv in report.levels]
+    detail = (
+        f"no_norm_convergence={report.flags.no_norm_convergence}, "
+        f"term norm spread {norm_spread:.3e}"
+    )
+    return Verdict(report, passed, detail, rows)
+
+
 def completeness_defect(system: ExpSystem) -> float:
     """Smallest singular value of the active weighted exponential family.
 
@@ -305,4 +328,6 @@ def load_signal(path: str | Path) -> PeriodicSignal:
     samples = np.array([complex(re, im) for re, im in payload["samples"]])
     if samples.size != payload["N"]:
         raise ValueError("sample count does not match declared N")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     return PeriodicSignal(samples)

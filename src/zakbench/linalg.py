@@ -11,27 +11,19 @@ square, 1 for plain coordinate space).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import DimMismatch, EmptyFamily, SpectrumFail
 
-__all__ = [
-    "inner_product",
-    "gram_matrix",
-    "frame_bounds_estimate",
-    "rank_and_span",
-    "least_squares",
-]
+__all__ = ["gram_matrix", "rank_and_span"]
 
 
-def _as_matrix(family) -> tuple[np.ndarray, float | None]:
+def _as_matrix(family) -> tuple[np.ndarray, float]:
     """Coerce a family of vectors to a (count, dim) complex matrix.
 
     Accepts anything with ``matrix``/``weight`` attributes, a 2d array,
     or a sequence of 1d arrays.  Returns the matrix and the weight the
-    object carried, if any.
+    object carried, 1.0 for plain arrays.
     """
     if hasattr(family, "matrix"):
         return np.asarray(family.matrix, dtype=complex), float(family.weight)
@@ -40,24 +32,7 @@ def _as_matrix(family) -> tuple[np.ndarray, float | None]:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise DimMismatch(f"expected a family of vectors, got ndim={arr.ndim}")
-    return arr, None
-
-
-def _resolve_weight(carried: float | None, weight: float | None) -> float:
-    if weight is not None:
-        return float(weight)
-    if carried is not None:
-        return carried
-    return 1.0
-
-
-def inner_product(u: np.ndarray, v: np.ndarray, weight: float = 1.0) -> complex:
-    """Weighted inner product, conjugate-linear in ``v``."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise DimMismatch(f"shapes {u.shape} and {v.shape} do not match")
-    return complex(weight * np.vdot(v, u))  # vdot conjugates its first argument
+    return arr, 1.0
 
 
 def gram_matrix(family, weight: float | None = None) -> np.ndarray:
@@ -65,24 +40,8 @@ def gram_matrix(family, weight: float | None = None) -> np.ndarray:
     mat, carried = _as_matrix(family)
     if mat.shape[0] == 0:
         raise EmptyFamily("gram_matrix needs at least one vector")
-    w = _resolve_weight(carried, weight)
+    w = float(weight) if weight is not None else carried
     return w * (mat @ mat.conj().T)
-
-
-def frame_bounds_estimate(family, weight: float | None = None) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the Gram matrix.
-
-    For a frame these are the optimal frame bounds of the discretised
-    family.  A value of A near zero signals numerical dependence.  The
-    Gram matrix is Hermitian positive semidefinite, so tiny negative
-    A of rounding size can occur and is reported as computed.
-    """
-    gram = gram_matrix(family, weight)
-    try:
-        eigvals = np.linalg.eigvalsh(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumFail(f"eigensolver did not converge: {exc}") from exc
-    return float(eigvals[0]), float(eigvals[-1])
 
 
 def rank_and_span(vectors, tol: float = 1e-10) -> int:
@@ -97,15 +56,3 @@ def rank_and_span(vectors, tol: float = 1e-10) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
-
-
-def least_squares(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares solution of A x = b."""
-    A = np.asarray(A, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if A.ndim != 2:
-        raise DimMismatch("A must be a matrix")
-    if b.shape[0] != A.shape[0]:
-        raise DimMismatch(f"A has {A.shape[0]} rows but b has length {b.shape[0]}")
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return x

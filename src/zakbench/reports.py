@@ -16,6 +16,19 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+__all__ = [
+    "SweepLevel",
+    "SweepFlags",
+    "SweepReport",
+    "LadderReport",
+    "EnkBoundReport",
+    "ExcessReport",
+    "RpCheckReport",
+    "ZakValidationReport",
+    "Verdict",
+    "dump_report_json",
+]
+
 
 @dataclass(frozen=True)
 class SweepLevel:
@@ -116,9 +129,18 @@ class ZakValidationReport:
     passed: bool
 
 
-def report_payload(report: Any) -> dict:
-    """Plain-dict image of a report, suitable for json.dumps."""
-    return dataclasses.asdict(report)
+@dataclass(frozen=True)
+class Verdict:
+    """A report with the outcome of its pass rule.
+
+    ``detail`` is a one-line summary of the values behind ``passed``;
+    ``rows`` holds (level, value, flag) rows for the CSV.
+    """
+
+    report: Any
+    passed: bool
+    detail: str
+    rows: list[tuple]
 
 
 def dump_report_json(report: Any, metadata: dict | None = None) -> str:
@@ -128,7 +150,7 @@ def dump_report_json(report: Any, metadata: dict | None = None) -> str:
     Anything run-specific (timestamps, host names) belongs in metadata,
     which comparers are expected to drop.
     """
-    payload = report_payload(report)
+    payload = dataclasses.asdict(report)
     if metadata is not None:
         payload["metadata"] = metadata
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

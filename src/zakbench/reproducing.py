@@ -31,11 +31,12 @@ from .errors import (
     TailNotExact,
 )
 from .linalg import gram_matrix, rank_and_span
-from .reports import ExcessReport, RpCheckReport
+from .reports import ExcessReport, RpCheckReport, Verdict
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "DEFAULT_TOL",
     "FiniteFamily",
     "ReproducingPairCheck",
     "s_operator",
@@ -51,7 +52,10 @@ __all__ = [
     "random_spanning_family",
     "random_excess_pair",
     "random_pair_check",
+    "excess_n_verdict",
 ]
+
+DEFAULT_TOL = 1e-11  # working tolerance of the excess identities
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +125,8 @@ def s_operator(psi: FiniteFamily, phi: FiniteFamily) -> np.ndarray:
     return psi.weight * (phi.matrix.T @ psi.matrix.conj())
 
 
-def _random_unit_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return v
+def _complex_gaussian_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
 def reproducing_identity_check(
@@ -138,13 +141,15 @@ def reproducing_identity_check(
     over the trials, so it reads as an operator-norm-level gap.
     """
     _check_aligned(psi, phi)
+    if trials < 1:
+        raise ValueError("trials must be positive")
     S = s_operator(psi, phi)
     sv = np.linalg.svd(S, compute_uv=False)
     rng = np.random.default_rng(seed)
     w = psi.weight
     worst = 0.0
-    fs = _random_unit_vectors(rng, trials, psi.ambient_dim)
-    gs = _random_unit_vectors(rng, trials, psi.ambient_dim)
+    fs = _complex_gaussian_vectors(rng, trials, psi.ambient_dim)
+    gs = _complex_gaussian_vectors(rng, trials, psi.ambient_dim)
     for f, g in zip(fs, gs):
         lhs = w * np.vdot(g, f)
         coeff_f = w * (psi.matrix.conj() @ f)        # <f, psi_i>
@@ -329,6 +334,8 @@ def _excess_engine(
     _check_aligned(psi, phi)
     if not 0 <= n < len(phi):
         raise ValueError(f"head length {n} must lie in [0, {len(phi)})")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     w = phi.weight
     dim = phi.ambient_dim
     notes: list[str] = []
@@ -395,8 +402,8 @@ def _excess_engine(
     # Final chain <f, g> = sum_j <f, tilde_j> <phi_j, g> plus the head
     # coefficient identity u = sum_j w_j on random probes.
     rng = np.random.default_rng(seed)
-    fs = _random_unit_vectors(rng, trials, dim)
-    gs = _random_unit_vectors(rng, trials, dim)
+    fs = _complex_gaussian_vectors(rng, trials, dim)
+    gs = _complex_gaussian_vectors(rng, trials, dim)
     chain_worst = 0.0
     vector_worst = 0.0
     trajectory: list[float] = []
@@ -439,7 +446,7 @@ def _excess_engine(
 def excess_one_identities(
     phi: FiniteFamily,
     psi: FiniteFamily,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
     trials: int = 20,
     seed: int = 0,
 ) -> ExcessReport:
@@ -458,7 +465,7 @@ def excess_n_identities(
     phi: FiniteFamily,
     psi: FiniteFamily,
     n: int,
-    tol: float = 1e-11,
+    tol: float = DEFAULT_TOL,
     trials: int = 20,
     seed: int = 0,
 ) -> ExcessReport:
@@ -537,6 +544,8 @@ def random_pair_check(
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
     worst_dev = 0.0
     worst_asym = 0.0
@@ -567,3 +576,23 @@ def random_pair_check(
         min_invertibility_margin=float(min_margin),
         passed=bool(worst_dev <= 1e-10 and worst_asym <= 1e-12),
     )
+
+
+def excess_n_verdict(
+    dim: int,
+    n: int,
+    tol: float = DEFAULT_TOL,
+    trials: int = 20,
+    seed: int = 0,
+    dependent_head: bool = False,
+) -> Verdict:
+    """Excess identities on a seeded random pair; passes when every residual is <= 10 tol."""
+    rng = np.random.default_rng(seed)
+    phi, psi = random_excess_pair(dim, n, rng, dependent_head=dependent_head)
+    report = excess_n_identities(phi, psi, n, tol=tol, trials=trials, seed=seed)
+    limit = 10.0 * tol
+    passed = all(value <= limit for value in report.residuals.values())
+    rows = [(name, value, value <= limit) for name, value in sorted(report.residuals.items())]
+    worst = max(report.residuals.values())
+    detail = f"worst residual {worst:.3e} against limit {limit:.1e}, final n={report.n}"
+    return Verdict(report, passed, detail, rows)

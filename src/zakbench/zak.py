@@ -27,18 +27,20 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BoundViolated, ExcludedIndex, SingularNode, ThetaDomain
-from .reports import EnkBoundReport, LadderReport
+from .errors import BoundViolated, ExcludedIndex, SingularNode, ThetaDomain, ZeroEstimate
+from .reports import EnkBoundReport, LadderReport, Verdict, ZakValidationReport
 
 __all__ = [
     "GAUSSIAN_NOME",
+    "STABILIZATION_THRESHOLD",
+    "GROWTH_THRESHOLD",
+    "NAMED_NUMERATORS",
     "ThetaParams",
     "GridFunction",
     "ConeParams",
@@ -57,6 +59,8 @@ __all__ = [
     "enk",
     "enk_bound_check",
     "quotient_integral",
+    "ladder_verdict",
+    "validate_verdict",
     "taylor_lower_bound",
     "save_grid_function",
     "load_grid_function",
@@ -174,10 +178,13 @@ def zak_transform(f: Callable, M: int, J: int) -> GridFunction:
 def theta1(z, params: ThetaParams = ThetaParams()):
     """First Jacobi theta function, truncated odd sine series.
 
-    Accepts scalars or arrays.  Arguments must satisfy |Im z| <= 4,
-    which keeps every term of the default series within double range.
+    Accepts scalars or arrays.  Arguments must be finite and satisfy
+    |Im z| <= 4, which keeps every term of the default series within
+    double range.
     """
     z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ThetaDomain("arguments must be finite")
     if z.size and float(np.max(np.abs(z.imag))) > THETA_IM_LIMIT:
         raise ThetaDomain(f"|Im z| exceeds {THETA_IM_LIMIT}")
     ks = np.arange(params.truncation + 1)
@@ -306,7 +313,6 @@ def quotient_integral(
     refinement_ladder: Sequence[int],
     numerator_name: str = "numerator",
     denominator_name: str = "denominator",
-    max_workers: int | None = None,
 ) -> LadderReport:
     """Midpoint-rule ladder for the integral of |numerator|^2 / |denominator|^2.
 
@@ -316,16 +322,14 @@ def quotient_integral(
     than the stabilisation threshold and ``diverges`` when every step
     grows by more than the growth threshold.  Grid evidence cannot
     certify an infinite integral, so the report says so.
-
-    ``max_workers`` above one evaluates ladder levels on a thread pool;
-    each level's arithmetic is unchanged, so results do not depend on
-    the worker count.
     """
     ladder = [int(M) for M in refinement_ladder]
     if len(ladder) < 2:
         raise ValueError("refinement ladder needs at least two resolutions")
     if any(M < 2 or M % 2 for M in ladder):
         raise ValueError("ladder entries must be positive even integers")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("ladder resolutions must strictly increase")
 
     def estimate(M: int) -> float:
         X, XI = midpoint_meshgrid(M)
@@ -335,11 +339,10 @@ def quotient_integral(
         num = np.abs(np.asarray(numerator(X, XI), dtype=complex))
         return float(np.sum((num / den) ** 2) / M**2)
 
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            estimates = list(pool.map(estimate, ladder))
-    else:
-        estimates = [estimate(M) for M in ladder]
+    estimates = [estimate(M) for M in ladder]
+    for M, est in zip(ladder, estimates[:-1]):
+        if est == 0.0:
+            raise ZeroEstimate(f"numerator vanishes on the M={M} grid, so step growth is undefined")
 
     growth = [(b - a) / a for a, b in zip(estimates, estimates[1:])]
     converges = abs(growth[-1]) < STABILIZATION_THRESHOLD
@@ -362,6 +365,119 @@ def quotient_integral(
             "consistent with, but cannot certify, a divergent integral"
         ),
     )
+
+
+# Numerators of the quotient ladder selectable by name, each with the
+# outcome its ladder must show: the cone vanishes to first order at the
+# zero of Z phi and keeps the quotient integrable, the constant does not.
+NAMED_NUMERATORS: dict[str, tuple[Callable, str]] = {
+    "cone": (lambda x, xi: cone(ConeParams(), x, xi), "converges"),
+    "one": (lambda x, xi: np.ones_like(np.asarray(x, dtype=float)), "diverges"),
+}
+
+
+def ladder_verdict(
+    numerator: str,
+    refinement_ladder: Sequence[int],
+    params: ThetaParams = ThetaParams(),
+) -> Verdict:
+    """Quotient ladder of a named numerator against |Z phi|^2.
+
+    Passes when the ladder shows the outcome NAMED_NUMERATORS expects.
+    """
+    sampler, expect = NAMED_NUMERATORS[numerator]
+    report = quotient_integral(
+        sampler,
+        lambda x, xi: gaussian_zak_theta(x, xi, params),
+        refinement_ladder,
+        numerator_name=numerator,
+        denominator_name="gaussian_zak",
+    )
+    passed = report.converges if expect == "converges" else report.diverges
+    flag = "converges" if report.converges else ("diverges" if report.diverges else "undecided")
+    rows = [(M, est, flag) for M, est in zip(report.ladder, report.estimates)]
+    detail = f"expected {expect}, converges={report.converges}, diverges={report.diverges}"
+    return Verdict(report, passed, detail, rows)
+
+
+def validate_verdict(
+    M: int,
+    J: int = 6,
+    params: ThetaParams = ThetaParams(),
+    shift: int = 1,
+    cov_range: int = 2,
+    stored: GridFunction | None = None,
+) -> tuple[Verdict, GridFunction]:
+    """Invariant checks of the Gaussian's Zak transform on the M x M grid.
+
+    Checks the norms of Z phi and of its translate by ``shift``,
+    covariance for |n|, |k| <= ``cov_range``, the theta form against the
+    direct series, the centre zero, theta1'(0) against K = 20, and a
+    ``stored`` grid if given.  Returns the verdict and the theta grid.
+    """
+    direct = zak_transform(gaussian_atom, M, J)
+    theta = theta_grid(M, params)
+
+    shifted = zak_transform(modulated_translate(gaussian_atom, 0, shift), M, J)
+
+    # Covariance: modulation by n and translation by k multiply the
+    # transform by the plane wave with indices (n, k).
+    X, XI = midpoint_meshgrid(M)
+    cov_dev = 0.0
+    for n in range(-cov_range, cov_range + 1):
+        for k in range(-cov_range, cov_range + 1):
+            lhs = zak_transform(modulated_translate(gaussian_atom, n, k), M, J)
+            rhs = enk(n, k, X, XI) * direct.samples
+            cov_dev = max(cov_dev, float(np.max(np.abs(lhs.samples - rhs))))
+
+    theta_dev = float(np.max(np.abs(theta.samples - direct.samples)))
+    center_abs = abs(gaussian_zak_theta(0.5, 0.5, params))
+    corner = abs(gaussian_zak_theta(0.0, 0.0, params))
+    prime = theta1_prime_zero(params)
+    prime_oracle = theta1_prime_zero(ThetaParams(truncation=20))
+    prime_rel = abs(prime - prime_oracle) / abs(prime_oracle)
+
+    checks = {
+        "gaussian_norm": abs(direct.norm() - 1.0) <= 1e-6,
+        "translated_norm": abs(shifted.norm() - 1.0) <= 1e-6,
+        "covariance": cov_dev <= 1e-10,
+        "theta_vs_series": theta_dev <= 1e-10,
+        "center_zero": center_abs <= 1e-12,
+        "theta_prime": prime_rel <= 1e-13 and prime >= 0.9,
+    }
+    if stored is not None:
+        reference = theta_grid(stored.M, params)
+        checks["theta_file"] = (
+            float(np.max(np.abs(stored.samples - reference.samples))) <= 1e-12
+        )
+
+    report = ZakValidationReport(
+        M=M,
+        J=J,
+        truncation_K=params.truncation,
+        gaussian_norm=direct.norm(),
+        translated_norm=shifted.norm(),
+        translate_shift=float(shift),
+        covariance_range=cov_range,
+        covariance_max_dev=cov_dev,
+        theta_vs_series_max_dev=theta_dev,
+        center_zero_abs=float(center_abs),
+        corner_value=float(corner),
+        theta_prime_value=float(prime),
+        theta_prime_oracle_rel_dev=float(prime_rel),
+        passed=all(checks.values()),
+    )
+    rows = [
+        ("gaussian_norm", report.gaussian_norm, checks["gaussian_norm"]),
+        ("translated_norm", report.translated_norm, checks["translated_norm"]),
+        ("covariance_max_dev", report.covariance_max_dev, checks["covariance"]),
+        ("theta_vs_series_max_dev", report.theta_vs_series_max_dev, checks["theta_vs_series"]),
+        ("center_zero_abs", report.center_zero_abs, checks["center_zero"]),
+        ("theta_prime_oracle_rel_dev", report.theta_prime_oracle_rel_dev, checks["theta_prime"]),
+    ]
+    failing = sorted(name for name, ok in checks.items() if not ok)
+    detail = "all checks passed" if report.passed else f"failing: {', '.join(failing)}"
+    return Verdict(report, report.passed, detail, rows), theta
 
 
 def taylor_lower_bound(
@@ -417,4 +533,6 @@ def load_grid_function(path: str | Path) -> GridFunction:
     flat = np.array([complex(re, im) for re, im in payload["samples"]])
     if flat.size != M * M:
         raise ValueError("sample count does not match declared M")
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("samples must be finite")
     return GridFunction(flat.reshape(M, M))

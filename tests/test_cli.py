@@ -123,30 +123,22 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["quotient-ladder", "--numerator", "one", "--ladder", "63,126",
          "--out", str(tmp_path)]
     ) == 1
+    for ladder in ("64,64", "128,64"):
+        assert cli.main(
+            ["quotient-ladder", "--numerator", "cone", "--ladder", ladder,
+             "--out", str(tmp_path)]
+        ) == 1
+    assert cli.main(["rp-check", "--trials", "0", "--out", str(tmp_path)]) == 1
+    assert cli.main(["excess-n", "--trials", "0", "--out", str(tmp_path)]) == 1
+    nan_weight = tmp_path / "nan_weight.json"
+    samples = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 63
+    nan_weight.write_text(json.dumps({"N": 64, "grid": "shifted_midpoint", "samples": samples}))
+    assert cli.main(
+        ["expsys-sweep", "--g-file", str(nan_weight), "--W", "4", "--out", str(tmp_path)]
+    ) == 1
+    assert "samples must be finite" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 1
     assert cli.main([]) == 1
-
-
-def test_thread_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ZAKBENCH_THREADS", "nope")
-    code = cli.main(
-        ["quotient-ladder", "--numerator", "cone", "--ladder", "32,64",
-         "--out", str(tmp_path)]
-    )
-    assert code == 1
-    assert "ZAKBENCH_THREADS" in capsys.readouterr().err
-
-
-def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
-    serial_dir = tmp_path / "serial"
-    threaded_dir = tmp_path / "threaded"
-    args = ["quotient-ladder", "--numerator", "cone", "--ladder", "32,64,128"]
-    assert cli.main(args + ["--out", str(serial_dir)]) == 0
-    monkeypatch.setenv("ZAKBENCH_THREADS", "4")
-    assert cli.main(args + ["--out", str(threaded_dir)]) == 0
-    serial = read_report(serial_dir / "quotient_ladder_cone.json")
-    threaded = read_report(threaded_dir / "quotient_ladder_cone.json")
-    assert serial == threaded
 
 
 def test_weight_file_roundtrip(tmp_path, capsys):

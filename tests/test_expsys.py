@@ -229,3 +229,7 @@ def test_load_signal_rejects_bad_header(tmp_path):
     path.write_text('{"N": 2, "grid": "uniform", "samples": [[1, 0], [1, 0]]}')
     with pytest.raises(ValueError):
         load_signal(path)
+    for bad in ("NaN", "Infinity"):
+        path.write_text(f'{{"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0], [{bad}, 0]]}}')
+        with pytest.raises(ValueError):
+            load_signal(path)

@@ -100,6 +100,8 @@ def test_reproducing_identity_orthonormal_basis():
     check = reproducing_identity_check(fam, fam, trials=16, seed=3)
     assert check.identity_deviation < 1e-12
     assert check.invertibility_margin == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        reproducing_identity_check(fam, fam, trials=0)
 
 
 def test_reproducing_identity_zero_padding_changes_nothing():
