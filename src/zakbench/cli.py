@@ -8,7 +8,7 @@ verdict line:
     expsys-sweep      expsys.sweep_verdict
     zak-validate      zak.validate_verdict
     quotient-ladder   zak.ladder_verdict
-    rp-check          reproducing.random_pair_check
+    rp-check          reproducing.rp_check_verdict
     excess-n          reproducing.excess_n_verdict
 
 Exit status: 0 when the asserted outcome holds, 2 when it fails, 1 on
@@ -29,7 +29,7 @@ from . import __version__
 from .errors import ZakbenchError
 from .expsys import ExpSystem, PeriodicSignal, load_signal, save_signal, sweep_verdict
 from .reports import Verdict, dump_report_json
-from .reproducing import DEFAULT_TOL, excess_n_verdict, random_pair_check
+from .reproducing import DEFAULT_TOL, excess_n_verdict, rp_check_verdict
 from .zak import (
     NAMED_NUMERATORS,
     ThetaParams,
@@ -97,17 +97,8 @@ def _run_quotient_ladder(args: argparse.Namespace) -> int:
 
 
 def _run_rp_check(args: argparse.Namespace) -> int:
-    report = random_pair_check(dim=args.dim, pairs=args.pairs, trials=args.trials, seed=args.seed)
-    rows = [
-        ("max_identity_deviation", report.max_identity_deviation, report.passed),
-        ("max_adjoint_asymmetry", report.max_adjoint_asymmetry, report.passed),
-        ("min_invertibility_margin", report.min_invertibility_margin, report.passed),
-    ]
-    detail = (
-        f"deviation {report.max_identity_deviation:.3e}, "
-        f"asymmetry {report.max_adjoint_asymmetry:.3e}"
-    )
-    return _finish(args, "rp_check", Verdict(report, report.passed, detail, rows))
+    verdict = rp_check_verdict(args.dim, args.pairs, args.trials, args.seed)
+    return _finish(args, "rp_check", verdict)
 
 
 def _run_excess_n(args: argparse.Namespace) -> int:

@@ -19,7 +19,6 @@ as an oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -27,7 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import IndexOutOfWindow, RemovedIndex, SpectrumFail, WeightVanishesOnGrid
-from .reports import SweepFlags, SweepLevel, SweepReport, Verdict
+from .linalg import quadrature_norm
+from .reports import SweepFlags, SweepLevel, SweepReport, Verdict, _read_samples, _write_samples
 
 __all__ = [
     "PeriodicSignal",
@@ -94,12 +94,9 @@ class PeriodicSignal:
     def N(self) -> int:
         return self.samples.size
 
-    def nodes(self) -> np.ndarray:
-        return shifted_nodes(self.N)
-
     def norm(self) -> float:
         """L2 norm under the 1/N quadrature weight."""
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) / self.N))
+        return quadrature_norm(self.samples)
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], N: int) -> "PeriodicSignal":
@@ -191,10 +188,9 @@ def biorthogonality_gram(system: ExpSystem) -> np.ndarray:
     return primal @ duals.conj().T / system.N
 
 
-def inverse_weight_energy(fn: Callable[[np.ndarray], np.ndarray], N: int) -> float:
-    """Quadrature estimate of the integral of 1/|g|^2 at resolution N."""
-    g = np.asarray(fn(shifted_nodes(N)), dtype=complex)
-    return float(np.sum(1.0 / np.abs(g) ** 2) / N)
+def inverse_weight_energy(samples: np.ndarray) -> float:
+    """Quadrature estimate of the integral of 1/|g|^2 from samples of g on the shifted grid."""
+    return float(np.sum(1.0 / np.abs(samples) ** 2) / samples.size)
 
 
 def _hypothesis_notes(system: ExpSystem) -> list[str]:
@@ -207,14 +203,14 @@ def _hypothesis_notes(system: ExpSystem) -> list[str]:
     notes: list[str] = []
     fn = system.weight.sampler
     if fn is None:
-        energy = float(np.sum(1.0 / np.abs(system.weight.samples) ** 2) / system.N)
+        energy = inverse_weight_energy(system.weight.samples)
         notes.append(
             f"weight given as samples only; inverse weight energy {energy:.6g} at N={system.N}, "
             "refinement ladder unavailable"
         )
         return notes
     ladder = [max(4, system.N // 4), max(4, system.N // 2), system.N]
-    energies = [inverse_weight_energy(fn, n) for n in ladder]
+    energies = [inverse_weight_energy(np.asarray(fn(shifted_nodes(n)))) for n in ladder]
     ratios = [b / a for a, b in zip(energies, energies[1:])]
     grows = all(r >= ENERGY_GROWTH_RATIO for r in ratios)
     detail = ", ".join(f"N={n}: {e:.6g}" for n, e in zip(ladder, energies))
@@ -255,8 +251,8 @@ def schauder_failure_sweep(system: ExpSystem, max_terms: int) -> SweepReport:
         for n in new_terms:
             term = np.conj(dual_coefficient(system, n)) * weighted_exp(system, n)
             partial = partial + term
-            term_norm = max(term_norm, float(np.sqrt(np.sum(np.abs(term) ** 2) / system.N)))
-        residual = float(np.sqrt(np.sum(np.abs(target - partial) ** 2) / system.N))
+            term_norm = max(term_norm, quadrature_norm(term))
+        residual = quadrature_norm(target - partial)
         levels.append(SweepLevel(L=L, residual=residual, term_norm=term_norm))
 
     late = [lv.term_norm for lv in levels[-5:]]
@@ -313,21 +309,8 @@ def completeness_defect(system: ExpSystem) -> float:
 
 
 def save_signal(signal: PeriodicSignal, path: str | Path) -> None:
-    payload = {
-        "N": signal.N,
-        "grid": "shifted_midpoint",
-        "samples": [[float(z.real), float(z.imag)] for z in signal.samples],
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    _write_samples(path, {"N": signal.N, "grid": "shifted_midpoint"}, signal.samples)
 
 
 def load_signal(path: str | Path) -> PeriodicSignal:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("grid") != "shifted_midpoint":
-        raise ValueError(f"unsupported grid {payload.get('grid')!r}")
-    samples = np.array([complex(re, im) for re, im in payload["samples"]])
-    if samples.size != payload["N"]:
-        raise ValueError("sample count does not match declared N")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("samples must be finite")
-    return PeriodicSignal(samples)
+    return PeriodicSignal(_read_samples(path, "N", {"grid": "shifted_midpoint"}, 1))

@@ -15,40 +15,28 @@ import numpy as np
 
 from .errors import DimMismatch, EmptyFamily, SpectrumFail
 
-__all__ = ["gram_matrix", "rank_and_span"]
+__all__ = ["gram_matrix", "rank_and_span", "quadrature_norm"]
 
 
-def _as_matrix(family) -> tuple[np.ndarray, float]:
-    """Coerce a family of vectors to a (count, dim) complex matrix.
-
-    Accepts anything with ``matrix``/``weight`` attributes, a 2d array,
-    or a sequence of 1d arrays.  Returns the matrix and the weight the
-    object carried, 1.0 for plain arrays.
-    """
-    if hasattr(family, "matrix"):
-        return np.asarray(family.matrix, dtype=complex), float(family.weight)
+def _as_matrix(family: np.ndarray, caller: str) -> np.ndarray:
+    """The (count, dim) array of a nonempty family of vectors, as complex."""
     arr = np.asarray(family, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2:
         raise DimMismatch(f"expected a family of vectors, got ndim={arr.ndim}")
-    return arr, 1.0
+    if arr.shape[0] == 0:
+        raise EmptyFamily(f"{caller} needs at least one vector")
+    return arr
 
 
-def gram_matrix(family, weight: float | None = None) -> np.ndarray:
+def gram_matrix(family: np.ndarray, weight: float) -> np.ndarray:
     """Hermitian Gram matrix G[j, k] = <family[j], family[k]>."""
-    mat, carried = _as_matrix(family)
-    if mat.shape[0] == 0:
-        raise EmptyFamily("gram_matrix needs at least one vector")
-    w = float(weight) if weight is not None else carried
-    return w * (mat @ mat.conj().T)
+    mat = _as_matrix(family, "gram_matrix")
+    return float(weight) * (mat @ mat.conj().T)
 
 
-def rank_and_span(vectors, tol: float = 1e-10) -> int:
+def rank_and_span(vectors: np.ndarray, tol: float = 1e-10) -> int:
     """Numerical rank: singular values above tol * (largest singular value)."""
-    mat, _ = _as_matrix(vectors)
-    if mat.shape[0] == 0:
-        raise EmptyFamily("rank_and_span needs at least one vector")
+    mat = _as_matrix(vectors, "rank_and_span")
     try:
         sv = np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -56,3 +44,8 @@ def rank_and_span(vectors, tol: float = 1e-10) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
+
+
+def quadrature_norm(samples: np.ndarray) -> float:
+    """L2 norm under the uniform quadrature weight 1/samples.size."""
+    return float(np.sqrt(np.sum(np.abs(samples) ** 2) / samples.size))

@@ -6,7 +6,8 @@ into the run plus the measured values and pass/fail flags, so a report
 file is reproducible from its own content together with the seed.
 Timestamps never enter these records; the writer attaches them in a
 separate metadata field so two runs with the same configuration and
-seed serialise to identical bytes.
+seed serialise to identical bytes.  The sample files of weights and
+theta grids share one writer and one parser here.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 __all__ = [
     "SweepLevel",
@@ -154,3 +158,35 @@ def dump_report_json(report: Any, metadata: dict | None = None) -> str:
     if metadata is not None:
         payload["metadata"] = metadata
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_samples(path: str | Path, header: dict, samples: np.ndarray) -> None:
+    """Write the header items, then "samples" as [re, im] pairs in row-major order."""
+    payload = {**header, "samples": [[float(z.real), float(z.imag)] for z in samples.ravel()]}
+    Path(path).write_text(json.dumps(payload) + "\n")
+
+
+def _read_samples(path: str | Path, size_key: str, header: dict, ndim: int) -> np.ndarray:
+    """Samples of a file from _write_samples, shaped (size,) * ndim.
+
+    ``size`` is the positive integer under ``size_key``.  Any other
+    header, payload shape or non-finite sample raises a one-line ValueError.
+    """
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"sample file must hold a JSON object, got {type(payload).__name__}")
+    for key, value in header.items():
+        if payload.get(key) != value:
+            raise ValueError(f"unsupported {key} {payload.get(key)!r}")
+    size = payload.get(size_key)
+    if not isinstance(size, int) or size < 1:
+        raise ValueError(f"{size_key} must be a positive integer, got {size!r}")
+    try:
+        samples = np.array([complex(re, im) for re, im in payload.get("samples")], dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("samples must be a list of [re, im] number pairs") from None
+    if samples.size != size**ndim:
+        raise ValueError(f"sample count does not match declared {size_key}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
+    return samples.reshape((size,) * ndim)

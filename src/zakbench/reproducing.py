@@ -37,8 +37,8 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "DEFAULT_TOL",
+    "MAX_TOL",
     "FiniteFamily",
-    "ReproducingPairCheck",
     "s_operator",
     "reproducing_identity_check",
     "normalize_pair",
@@ -52,10 +52,12 @@ __all__ = [
     "random_spanning_family",
     "random_excess_pair",
     "random_pair_check",
+    "rp_check_verdict",
     "excess_n_verdict",
 ]
 
 DEFAULT_TOL = 1e-11  # working tolerance of the excess identities
+MAX_TOL = 1e-6       # above this the 10 tol acceptance line passes almost anything
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +98,6 @@ class FiniteFamily:
         return float(np.sqrt(self.weight) * np.linalg.norm(v))
 
 
-@dataclass(frozen=True, eq=False)
-class ReproducingPairCheck:
-    s_matrix: np.ndarray
-    identity_deviation: float     # worst normalised gap of the expansion over the trials
-    invertibility_margin: float   # smallest singular value of the mixed operator
-
-
 def _check_aligned(psi: FiniteFamily, phi: FiniteFamily) -> None:
     if len(psi) != len(phi):
         raise FamilyMismatch(f"family lengths differ: {len(psi)} vs {len(phi)}")
@@ -134,17 +129,15 @@ def reproducing_identity_check(
     phi: FiniteFamily,
     trials: int = 32,
     seed: int = 0,
-) -> ReproducingPairCheck:
+) -> float:
     """Test <f, g> = weight * sum_i <f, psi_i> <phi_i, g> on random pairs.
 
-    The deviation is |lhs - rhs| normalised by ||f|| ||g||, maximised
-    over the trials, so it reads as an operator-norm-level gap.
+    Returns |lhs - rhs| normalised by ||f|| ||g||, maximised over the
+    trials, so it reads as an operator-norm-level gap.
     """
     _check_aligned(psi, phi)
     if trials < 1:
         raise ValueError("trials must be positive")
-    S = s_operator(psi, phi)
-    sv = np.linalg.svd(S, compute_uv=False)
     rng = np.random.default_rng(seed)
     w = psi.weight
     worst = 0.0
@@ -157,21 +150,20 @@ def reproducing_identity_check(
         rhs = np.sum(coeff_f * coeff_g)
         scale = w * np.linalg.norm(f) * np.linalg.norm(g)
         worst = max(worst, abs(lhs - rhs) / scale)
-    return ReproducingPairCheck(
-        s_matrix=S,
-        identity_deviation=float(worst),
-        invertibility_margin=float(sv[-1]),
-    )
+    return float(worst)
+
+
+def _normalized(S: np.ndarray, sv: np.ndarray, phi: FiniteFamily) -> FiniteFamily:
+    """S^{-1} phi, given the mixed operator S and its singular values sv."""
+    if sv[-1] <= 1e-14 * sv[0]:
+        raise NotReproducingPair("mixed operator is numerically singular")
+    return FiniteFamily(np.linalg.solve(S, phi.matrix.T).T, phi.weight)
 
 
 def normalize_pair(psi: FiniteFamily, phi: FiniteFamily) -> FiniteFamily:
     """Replace phi by S^{-1} phi so the mixed operator becomes the identity."""
     S = s_operator(psi, phi)
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[-1] <= 1e-14 * sv[0]:
-        raise NotReproducingPair("mixed operator is numerically singular")
-    new_rows = np.linalg.solve(S, phi.matrix.T).T
-    return FiniteFamily(new_rows, phi.weight)
+    return _normalized(S, np.linalg.svd(S, compute_uv=False), phi)
 
 
 def canonical_dual_frame(family: FiniteFamily) -> FiniteFamily:
@@ -221,10 +213,12 @@ def partner_is_biorthogonal(
 
 def _greedy_dependent_index(mat: np.ndarray, tol: float) -> int | None:
     """First row that adds nothing to the span of its predecessors."""
+    prev_rank = 0
     for j in range(mat.shape[0]):
-        r_with = rank_and_span(mat[: j + 1], tol)
-        if r_with <= (rank_and_span(mat[:j], tol) if j else 0):
+        rank = rank_and_span(mat[: j + 1], tol)
+        if rank <= prev_rank:
             return j
+        prev_rank = rank
     return None
 
 
@@ -232,7 +226,7 @@ def _reduce_once(
     phi_mat: np.ndarray,
     psi_mat: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, str]:
+) -> tuple[np.ndarray, np.ndarray, str] | None:
     """Drop one dependent head element, correcting the other family.
 
     When psi_{last} = sum_j c_j psi_j the bilinear form
@@ -240,16 +234,16 @@ def _reduce_once(
     and replacing phi_k by phi_k + conj(c_k) phi_{last}.  The roles are
     symmetric.  The dependent element is moved to the last slot first;
     the permutation applies to both families so pairs stay matched.
+    Returns None when both heads are independent.  Each head's rank is
+    taken at most once.
     """
     n = phi_mat.shape[0]
-    psi_rank = rank_and_span(psi_mat, tol)
-    phi_rank = rank_and_span(phi_mat, tol)
-    if psi_rank < n:
+    if rank_and_span(psi_mat, tol) < n:
         dep_mat, other_mat, role = psi_mat, phi_mat, "psi"
-    elif phi_rank < n:
+    elif rank_and_span(phi_mat, tol) < n:
         dep_mat, other_mat, role = phi_mat, psi_mat, "phi"
     else:
-        raise NoDependence("both heads are linearly independent at the working tolerance")
+        return None
 
     j = _greedy_dependent_index(dep_mat, tol)
     if j is None:
@@ -290,7 +284,10 @@ def reduce_dependent_pair(
     _check_aligned(psi_head, phi_head)
     if len(phi_head) < 2:
         raise ValueError("reduction needs heads of length at least 2")
-    phi_red, psi_red, note = _reduce_once(phi_head.matrix, psi_head.matrix, tol)
+    reduced = _reduce_once(phi_head.matrix, psi_head.matrix, tol)
+    if reduced is None:
+        raise NoDependence("both heads are linearly independent at the working tolerance")
+    phi_red, psi_red, note = reduced
     logger.info("reduce_dependent_pair: %s", note)
     return (
         FiniteFamily(phi_red, phi_head.weight),
@@ -346,10 +343,8 @@ def _excess_engine(
     # Normalise away dependent heads first; each pass drops one element.
     # A length-one head never reduces: a zero vector there contributes
     # nothing and the identities hold as written (the trivial branch).
-    while n > 1 and (
-        rank_and_span(phi_mat[:n], tol) < n or rank_and_span(psi_mat[:n], tol) < n
-    ):
-        phi_head_red, psi_head_red, note = _reduce_once(phi_mat[:n], psi_mat[:n], tol)
+    while n > 1 and (reduced := _reduce_once(phi_mat[:n], psi_mat[:n], tol)) is not None:
+        phi_head_red, psi_head_red, note = reduced
         phi_mat = np.vstack([phi_head_red, phi_mat[n:]])
         psi_mat = np.vstack([psi_head_red, psi_mat[n:]])
         n -= 1
@@ -366,13 +361,11 @@ def _excess_engine(
     if tail_margin <= tol:
         raise TailNotExact(f"tail gram margin {tail_margin:.3e} at or below tol {tol:.3e}")
 
-    pair = reproducing_identity_check(
+    pair_dev = reproducing_identity_check(
         FiniteFamily(psi_mat, w), FiniteFamily(phi_mat, w), trials=trials, seed=seed
     )
-    if pair.identity_deviation > tol:
-        raise NotReproducingPair(
-            f"identity deviation {pair.identity_deviation:.3e} exceeds tol {tol:.3e}"
-        )
+    if pair_dev > tol:
+        raise NotReproducingPair(f"identity deviation {pair_dev:.3e} exceeds tol {tol:.3e}")
 
     # Biorthogonal family of the tail, unique since the tail is a basis.
     tilde = np.linalg.solve(tail_gram, tail_phi)
@@ -393,7 +386,7 @@ def _excess_engine(
     # Head reconstruction from the tail expansion:
     # phi_k = sum_j <phi_k, tilde_j> phi_j for k < n.
     if n > 0:
-        coef = w * (phi_mat[:n] @ tilde.conj().T)          # <phi_k, tilde_j>
+        coef = w * (phi_mat[:n] @ tilde.conj().T)          # <phi_k, tilde_j>; the probes reuse it
         recon = coef @ tail_phi
         head_residual = float(np.max(np.sqrt(w) * np.linalg.norm(phi_mat[:n] - recon, axis=1)))
     else:
@@ -415,7 +408,7 @@ def _excess_engine(
         chain_worst = max(chain_worst, abs(lhs - rhs) / (w * np.linalg.norm(f) * np.linalg.norm(g)))
         if n > 0:
             u = w * (phi_mat[:n] @ g.conj())   # <phi_k, g>
-            wk = (w * (phi_mat[:n] @ tilde.conj().T)) * cg[None, :]   # column j: w_j entries
+            wk = coef * cg[None, :]            # column j: w_j entries
             partial = np.cumsum(wk, axis=1)
             errs = np.linalg.norm(u[:, None] - partial, axis=0)
             vector_worst = max(vector_worst, float(errs[-1]) / max(np.linalg.norm(u), 1e-30))
@@ -428,7 +421,7 @@ def _excess_engine(
     }
     margins = {
         "tail_gram_margin": tail_margin,
-        "pair_identity_deviation": float(pair.identity_deviation),
+        "pair_identity_deviation": pair_dev,
         "head_vector_identity": float(vector_worst),
     }
     return ExcessReport(
@@ -554,16 +547,16 @@ def random_pair_check(
         phi = random_spanning_family(dim, dim, rng)
         psi = random_spanning_family(dim, dim, rng)
         raw = s_operator(psi, phi)
-        min_margin = min(min_margin, float(np.linalg.svd(raw, compute_uv=False)[-1]))
-        normalized = normalize_pair(psi, phi)
-        check = reproducing_identity_check(
+        sv = np.linalg.svd(raw, compute_uv=False)
+        min_margin = min(min_margin, float(sv[-1]))
+        normalized = _normalized(raw, sv, phi)
+        dev = reproducing_identity_check(
             psi, normalized, trials=trials, seed=int(rng.integers(2**31))
         )
-        worst_dev = max(worst_dev, check.identity_deviation)
+        worst_dev = max(worst_dev, dev)
+        S = s_operator(psi, normalized)
         swapped = s_operator(normalized, psi)
-        asym = float(
-            np.max(np.abs(check.s_matrix - swapped.conj().T)) / np.max(np.abs(check.s_matrix))
-        )
+        asym = float(np.max(np.abs(S - swapped.conj().T)) / np.max(np.abs(S)))
         worst_asym = max(worst_asym, asym)
     return RpCheckReport(
         ambient_dim=dim,
@@ -578,6 +571,18 @@ def random_pair_check(
     )
 
 
+def rp_check_verdict(dim: int, pairs: int, trials: int, seed: int) -> Verdict:
+    """random_pair_check, judged by the report's own pass flag."""
+    report = random_pair_check(dim, pairs, trials, seed)
+    names = ("max_identity_deviation", "max_adjoint_asymmetry", "min_invertibility_margin")
+    rows = [(name, getattr(report, name), report.passed) for name in names]
+    detail = (
+        f"deviation {report.max_identity_deviation:.3e}, "
+        f"asymmetry {report.max_adjoint_asymmetry:.3e}"
+    )
+    return Verdict(report, report.passed, detail, rows)
+
+
 def excess_n_verdict(
     dim: int,
     n: int,
@@ -587,6 +592,8 @@ def excess_n_verdict(
     dependent_head: bool = False,
 ) -> Verdict:
     """Excess identities on a seeded random pair; passes when every residual is <= 10 tol."""
+    if not 0.0 < tol <= MAX_TOL:
+        raise ValueError(f"tol must lie in (0, {MAX_TOL:.0e}], got {tol}")
     rng = np.random.default_rng(seed)
     phi, psi = random_excess_pair(dim, n, rng, dependent_head=dependent_head)
     report = excess_n_identities(phi, psi, n, tol=tol, trials=trials, seed=seed)

@@ -25,7 +25,6 @@ against an independent direct summation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundViolated, ExcludedIndex, SingularNode, ThetaDomain, ZeroEstimate
+from .linalg import quadrature_norm
 from .reports import EnkBoundReport, LadderReport, Verdict, ZakValidationReport
+from .reports import _read_samples, _write_samples
 
 __all__ = [
     "GAUSSIAN_NOME",
@@ -127,7 +128,7 @@ class GridFunction:
 
     def norm(self) -> float:
         """L2 norm under the 1/M^2 quadrature weight."""
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) / self.M**2))
+        return quadrature_norm(self.samples)
 
 
 def midpoint_nodes(M: int) -> np.ndarray:
@@ -411,10 +412,13 @@ def validate_verdict(
     """Invariant checks of the Gaussian's Zak transform on the M x M grid.
 
     Checks the norms of Z phi and of its translate by ``shift``,
-    covariance for |n|, |k| <= ``cov_range``, the theta form against the
-    direct series, the centre zero, theta1'(0) against K = 20, and a
-    ``stored`` grid if given.  Returns the verdict and the theta grid.
+    covariance for |n|, |k| <= ``cov_range`` (at least 1), the theta
+    form against the direct series, the centre zero, theta1'(0) against
+    K = 20, and a ``stored`` grid if given.  Returns the verdict and the
+    theta grid.
     """
+    if cov_range < 1:
+        raise ValueError(f"cov_range must be at least 1, got {cov_range}")
     direct = zak_transform(gaussian_atom, M, J)
     theta = theta_grid(M, params)
 
@@ -516,23 +520,8 @@ def taylor_lower_bound(
 
 
 def save_grid_function(grid: GridFunction, path: str | Path) -> None:
-    payload = {
-        "M": grid.M,
-        "grid": "midpoint",
-        "domain": "unit_square",
-        "samples": [[float(z.real), float(z.imag)] for z in grid.samples.ravel()],
-    }
-    Path(path).write_text(json.dumps(payload) + "\n")
+    _write_samples(path, {"M": grid.M, "grid": "midpoint", "domain": "unit_square"}, grid.samples)
 
 
 def load_grid_function(path: str | Path) -> GridFunction:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("grid") != "midpoint" or payload.get("domain") != "unit_square":
-        raise ValueError("unsupported grid function header")
-    M = int(payload["M"])
-    flat = np.array([complex(re, im) for re, im in payload["samples"]])
-    if flat.size != M * M:
-        raise ValueError("sample count does not match declared M")
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("samples must be finite")
-    return GridFunction(flat.reshape(M, M))
+    return GridFunction(_read_samples(path, "M", {"grid": "midpoint", "domain": "unit_square"}, 2))

@@ -1,8 +1,16 @@
 """End-to-end tests for the zakbench command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 
 from zakbench import cli
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def read_report(path):
@@ -137,6 +145,30 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["expsys-sweep", "--g-file", str(nan_weight), "--W", "4", "--out", str(tmp_path)]
     ) == 1
     assert "samples must be finite" in capsys.readouterr().err
+    weight_ok = {"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0], [1, 0]]}
+    grid_ok = {"M": 2, "grid": "midpoint", "domain": "unit_square", "samples": [[1, 0]] * 4}
+    malformed = {
+        "no_n.json": ("--g-file", {k: v for k, v in weight_ok.items() if k != "N"}),
+        "no_m.json": ("--theta-file", {k: v for k, v in grid_ok.items() if k != "M"}),
+        "list.json": ("--g-file", [weight_ok]),
+        "string_sample.json": ("--g-file", {**weight_ok, "samples": [[1, "a"], [1, 0]]}),
+    }
+    for name, (flag, payload) in malformed.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        command = ["expsys-sweep", "--W", "4"] if flag == "--g-file" else ["zak-validate", "--M", "32"]
+        assert cli.main(command + [flag, str(path), "--out", str(tmp_path)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+    for cov_range in ("-1", "0"):
+        assert cli.main(
+            ["zak-validate", "--M", "16", "--cov-range", cov_range, "--out", str(tmp_path)]
+        ) == 1
+        assert "cov_range must be at least 1" in capsys.readouterr().err
+    for tol in ("nan", "inf", "0", "1e-3"):
+        assert cli.main(["excess-n", "--tol", tol, "--out", str(tmp_path)]) == 1
+        assert "tol must lie in" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 1
     assert cli.main([]) == 1
 
@@ -181,3 +213,52 @@ def test_theta_file_roundtrip(tmp_path, capsys):
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert "zakbench" in capsys.readouterr().out
+
+
+def test_svd_counts(tmp_path, monkeypatch):
+    # One SVD per random basis and per raw mixed operator in rp-check; the
+    # excess path takes one rank per head per reduction step and n ranks to
+    # find the dependent element.
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert cli.main(["rp-check", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 60
+    calls.clear()
+    assert cli.main(["excess-n", "--n", "4", "--dependent-head", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 9
+
+
+def test_traced_benchmark_layers(tmp_path):
+    # benchmarks/traced.py wraps layer functions by name and reads some of
+    # their parameters; a rename breaks it, which shows as a failed command.
+    theta_file = str(tmp_path / "theta.json")
+    weight_file = str(tmp_path / "weight.json")
+    commands = [
+        ["expsys-sweep", "--g", "linear", "--N", "128", "--W", "8"],
+        ["zak-validate", "--M", "32"],
+        ["quotient-ladder", "--numerator", "cone", "--ladder", "32,64,128"],
+        ["quotient-ladder", "--numerator", "one", "--ladder", "32,64,128"],
+        ["rp-check"],
+        ["excess-n", "--n", "2"],
+        ["zak-validate", "--M", "32", "--dump-theta", theta_file],
+        ["zak-validate", "--M", "32", "--theta-file", theta_file],
+        ["expsys-sweep", "--N", "64", "--W", "4", "--dump-weight", weight_file],
+        ["expsys-sweep", "--g-file", weight_file, "--W", "4"],
+    ]
+    ops = tmp_path / "ops.json"
+    ops.write_text(json.dumps([argv + ["--out", str(tmp_path / "out")] for argv in commands]))
+    result = tmp_path / "result.json"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "traced.py"), str(ops), str(result)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(result.read_text())["ops"]
+    assert [op["exit"] for op in recorded] == [0] * len(commands), recorded

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zakbench import EmptyFamily, FiniteFamily, gram_matrix, rank_and_span
+from zakbench import EmptyFamily, gram_matrix, quadrature_norm, rank_and_span
 
 
 def test_gram_matrix_dft_orthogonality_oracle():
@@ -17,20 +17,13 @@ def test_gram_matrix_dft_orthogonality_oracle():
 
 def test_gram_matrix_hand_value_and_bounds():
     v = np.array([1.0, 0.0])
-    gram = gram_matrix([v, v])
+    gram = gram_matrix(np.array([v, v]), 1.0)
     assert np.allclose(gram, np.ones((2, 2)))
-
-
-def test_gram_matrix_uses_carried_weight():
-    fam = FiniteFamily(np.eye(3), weight=0.25)
-    assert np.allclose(gram_matrix(fam), 0.25 * np.eye(3))
-    # explicit weight overrides the carried one
-    assert np.allclose(gram_matrix(fam, weight=1.0), np.eye(3))
 
 
 def test_gram_matrix_empty_family():
     with pytest.raises(EmptyFamily):
-        gram_matrix(np.zeros((0, 4)))
+        gram_matrix(np.zeros((0, 4)), 1.0)
 
 
 def test_rank_known_values():
@@ -61,3 +54,8 @@ def test_rank_invariant_under_unitary_mixing():
 def test_rank_empty_family():
     with pytest.raises(EmptyFamily):
         rank_and_span(np.zeros((0, 3)))
+
+
+def test_quadrature_norm_hand_values():
+    assert quadrature_norm(np.ones(8, dtype=complex)) == 1.0
+    assert quadrature_norm(np.array([[3.0, 4j], [0.0, 0.0]])) == pytest.approx(2.5)
