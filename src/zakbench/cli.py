@@ -11,9 +11,10 @@ verdict line:
     rp-check          reproducing.rp_check_verdict
     excess-n          reproducing.excess_n_verdict
 
-Exit status: 0 when the asserted outcome holds, 2 when it fails, 1 on
-usage or configuration errors.  Reports are deterministic for a fixed
-seed; the only run-dependent content is the "metadata" field.
+Exit status: 0 when the asserted outcome holds, 2 when it fails or a
+computation raises a NumericalFailure, 1 on usage or configuration
+errors.  Reports are deterministic for a fixed seed; the only
+run-dependent content is the "metadata" field.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import ZakbenchError
+from .errors import NumericalFailure, ZakbenchError
 from .expsys import ExpSystem, PeriodicSignal, load_signal, save_signal, sweep_verdict
 from .reports import Verdict, dump_report_json
 from .reproducing import DEFAULT_TOL, excess_n_verdict, rp_check_verdict
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
         return args.run(args)
     except (ZakbenchError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return ASSERTION_FAILURE if isinstance(exc, NumericalFailure) else USAGE_ERROR
 
 
 if __name__ == "__main__":

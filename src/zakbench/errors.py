@@ -2,11 +2,15 @@
 
 Every precondition failure raises a named subclass of ZakbenchError so
 callers (and the command line driver) can distinguish configuration
-mistakes from genuine numerical assertion failures.
+mistakes from genuine numerical assertion failures.  The numerical
+failures share the base class NumericalFailure: they are raised when
+valid input meets a computation that does not hold at the working
+tolerance, such as a singular operator or an unconverged SVD.
 """
 
 __all__ = [
     "ZakbenchError",
+    "NumericalFailure",
     "DimMismatch",
     "EmptyFamily",
     "SpectrumFail",
@@ -31,6 +35,10 @@ class ZakbenchError(Exception):
     """Base class for all package-specific errors."""
 
 
+class NumericalFailure(ZakbenchError):
+    """Base class for numerical assertion failures on valid input."""
+
+
 class DimMismatch(ZakbenchError):
     """Vector or matrix dimensions are incompatible."""
 
@@ -39,7 +47,7 @@ class EmptyFamily(ZakbenchError):
     """An operation that needs at least one vector received none."""
 
 
-class SpectrumFail(ZakbenchError):
+class SpectrumFail(NumericalFailure):
     """The eigensolver or SVD did not converge."""
 
 
@@ -63,15 +71,15 @@ class ExcludedIndex(ZakbenchError):
     """The index pair is excluded from this bound check."""
 
 
-class SingularNode(ZakbenchError):
+class SingularNode(NumericalFailure):
     """The denominator vanishes at a quadrature node."""
 
 
-class ZeroEstimate(ZakbenchError):
+class ZeroEstimate(NumericalFailure):
     """A ladder estimate is zero, so its relative growth is undefined."""
 
 
-class BoundViolated(ZakbenchError):
+class BoundViolated(NumericalFailure):
     """An empirical lower bound came out non-positive."""
 
 
@@ -79,19 +87,19 @@ class FamilyMismatch(ZakbenchError):
     """Two families that must align in length or ambient dimension do not."""
 
 
-class NotMinimal(ZakbenchError):
+class NotMinimal(NumericalFailure):
     """The family is numerically dependent, so no biorthogonal dual exists."""
 
 
-class TailNotExact(ZakbenchError):
+class TailNotExact(NumericalFailure):
     """The tail family does not span the ambient space with usable margin."""
 
 
-class NotReproducingPair(ZakbenchError):
+class NotReproducingPair(NumericalFailure):
     """The two families fail the reproducing identity at the working tolerance."""
 
 
-class NoDependence(ZakbenchError):
+class NoDependence(NumericalFailure):
     """Reduction was requested but both heads are linearly independent."""
 
 

@@ -173,6 +173,15 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert cli.main([]) == 1
 
 
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    # A valid run whose pair misses a tolerance below the rounding floor is
+    # a numerical failure, not a usage error.
+    assert cli.main(["excess-n", "--tol", "1e-18", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("NotReproducingPair: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_weight_file_roundtrip(tmp_path, capsys):
     dump_dir = tmp_path / "dump"
     weight_file = tmp_path / "weight.json"

@@ -1,5 +1,6 @@
 """Tests for weighted exponential systems and their biorthogonal duals."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from zakbench import (
     save_signal,
     schauder_failure_sweep,
     shifted_nodes,
+    sweep_verdict,
     weighted_exp,
 )
 
@@ -57,6 +59,25 @@ def test_expsystem_validation():
         ExpSystem(weight=w, window=4, removed=5)
     with pytest.raises(ValueError):
         ExpSystem(weight=w, window=4, removed=0, anchor=1.0)
+
+
+def test_exponential_phase_against_mpmath():
+    # e_n(t_i) = exp(pi i n(2i+1)/N); the phase must not carry the rounding
+    # of 2 pi n t, which reaches about 2e-12 at |n| = 2000 on this grid.
+    N = 16384
+    nodes = np.random.default_rng(11).integers(0, N, 64)
+    for n in (1, -1, 1999, -1999, 2000, -2000, N // 4 - 1):
+        samples = exponential(N, n)
+        for i in nodes:
+            exact = mpmath.expjpi(mpmath.mpf(n * (2 * int(i) + 1)) / N)
+            assert abs(complex(exact) - samples[i]) <= 1e-15, (n, i)
+
+
+def test_exponential_symmetry_is_exact():
+    N = 256
+    assert np.array_equal(exponential(N, 0), np.ones(N, dtype=complex))
+    for n in (1, 7, 64, 128, 255, 256, 1000):
+        assert np.array_equal(exponential(N, -n), exponential(N, n).conj()), n
 
 
 def test_weighted_exp_constant_weight():
@@ -157,6 +178,43 @@ def test_sweep_term_norms_and_flag():
     assert report.grid_N == 128 and report.window_W == 16 and report.removed_k == 0
     assert len(report.levels) == 16
     assert [lv.L for lv in report.levels] == list(range(1, 17))
+
+
+def test_sweep_residuals_against_dirichlet_kernel():
+    # For g(t) = t and k = 0 the partial sum is S_L = -g (D_L(t - t0) - 1),
+    # so g e_0 - S_L = g D_L(t - t0) with D_L(s) = sin((2L+1) pi s)/sin(pi s),
+    # evaluated here in mpmath independently of the sampled exponentials.
+    N, W = 256, 16
+    for t0 in (0.25, 0.6180339887):
+        report = schauder_failure_sweep(make_system("linear", N=N, W=W, anchor=t0), W)
+        for L in (1, 8, 16):
+            with mpmath.workdps(30):
+                total = mpmath.mpf(0)
+                for i in range(N):
+                    t = mpmath.mpf(2 * i + 1) / (2 * N)
+                    s = mpmath.pi * (t - mpmath.mpf(t0))
+                    total += (t * mpmath.sin((2 * L + 1) * s) / mpmath.sin(s)) ** 2
+                exact = float(mpmath.sqrt(total / N))
+            residual = report.levels[L - 1].residual
+            assert abs(residual - exact) <= 1e-13 * exact, (t0, L, residual, exact)
+
+
+def test_sweep_exp_cost(monkeypatch):
+    # The sweep reads every exponential from one root table: about N + 1
+    # table entries plus one scalar per dual coefficient reach np.exp,
+    # where evaluating each term directly would pass about 2W N.
+    N, W = 4096, 1000
+    counted = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    system = make_system("linear", N=N, W=W)
+    monkeypatch.setattr(np, "exp", counting_exp)
+    assert sweep_verdict(system).passed
+    assert 0 < sum(counted) <= 4 * N
 
 
 def test_sweep_residuals_never_vanish():
