@@ -14,7 +14,9 @@ verdict line:
 Exit status: 0 when the asserted outcome holds, 2 when it fails or a
 computation raises a NumericalFailure, 1 on usage or configuration
 errors.  Reports are deterministic for a fixed seed; the only
-run-dependent content is the "metadata" field.
+run-dependent content is the "metadata" field, which records the
+argv, the time, the Python, numpy and zakbench versions and the
+OpenBLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ import argparse
 import csv
 import datetime
 import json
+import platform
 import sys
 from pathlib import Path
+
+from numpy import __version__ as numpy_version
 
 from . import __version__
 from .errors import NumericalFailure, ZakbenchError
 from .expsys import ExpSystem, PeriodicSignal, load_signal, save_signal, sweep_verdict
+from .linalg import blas_threads
 from .reports import Verdict, dump_report_json
 from .reproducing import DEFAULT_TOL, excess_n_verdict, rp_check_verdict
 from .zak import (
@@ -47,8 +53,12 @@ ASSERTION_FAILURE = 2
 def _finish(args: argparse.Namespace, stem: str, verdict: Verdict) -> int:
     """Write the report (and CSV rows) under --out and print the verdict line."""
     metadata = {
+        "argv": args.argv,
+        "blas_threads": blas_threads(),
         "command": args.command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "numpy": numpy_version,
+        "python": platform.python_version(),
         "seed": args.seed,
         "version": __version__,
     }
@@ -199,11 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else USAGE_ERROR
+    args.argv = argv
     try:
         return args.run(args)
     except (ZakbenchError, ValueError, OSError, json.JSONDecodeError) as exc:

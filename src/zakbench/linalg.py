@@ -7,15 +7,28 @@ All inner products are conjugate-linear in the second argument:
 The weight is the quadrature weight of the underlying discretisation
 (1/N for N samples of the circle, 1/M^2 for an M x M grid on the unit
 square, 1 for plain coordinate space).
+
+The thread count of the loaded OpenBLAS can be read and held at one
+thread, so that callers running BLAS work on their own threads get the
+results of serial, single-threaded BLAS.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
 
 import numpy as np
 
 from .errors import DimMismatch, EmptyFamily, SpectrumFail
 
-__all__ = ["gram_matrix", "rank_and_span", "quadrature_norm"]
+__all__ = [
+    "gram_matrix",
+    "rank_and_span",
+    "quadrature_norm",
+    "blas_threads",
+    "single_threaded_blas",
+]
 
 
 def _as_matrix(family: np.ndarray, caller: str) -> np.ndarray:
@@ -49,3 +62,56 @@ def rank_and_span(vectors: np.ndarray, tol: float = 1e-10) -> int:
 def quadrature_norm(samples: np.ndarray) -> float:
     """L2 norm under the uniform quadrature weight 1/samples.size."""
     return float(np.sqrt(np.sum(np.abs(samples) ** 2) / samples.size))
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threading():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                put.restype = None
+                return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """Thread count of the loaded OpenBLAS; None when the BLAS is not OpenBLAS."""
+    openblas = _openblas_threading()
+    return None if openblas is None else int(openblas[0]())
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Hold OpenBLAS at one thread inside the block, then restore its count.
+
+    Yields whether the count could be set, which it cannot when the
+    loaded BLAS is not OpenBLAS.  The count is process-wide, so blocks
+    on two threads at once would restore each other's counts.
+    """
+    openblas = _openblas_threading()
+    if openblas is None:
+        yield False
+        return
+    get, put = openblas
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)

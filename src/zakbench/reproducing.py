@@ -18,6 +18,8 @@ finite dimensions; the reports carry their rounding-level residuals.
 from __future__ import annotations
 
 import logging
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (
     NotReproducingPair,
     TailNotExact,
 )
-from .linalg import gram_matrix, rank_and_span
+from .linalg import gram_matrix, rank_and_span, single_threaded_blas
 from .reports import ExcessReport, RpCheckReport, Verdict
 
 logger = logging.getLogger(__name__)
@@ -173,8 +175,8 @@ def canonical_dual_frame(family: FiniteFamily) -> FiniteFamily:
     operator equal to the identity up to the linear solve's rounding.
     """
     frame_op = family.weight * (family.matrix.T @ family.matrix.conj())
-    sv = np.linalg.svd(frame_op, compute_uv=False)
-    if sv[-1] <= 1e-14 * sv[0]:
+    ev = np.linalg.eigvalsh(frame_op)
+    if ev[0] <= 1e-14 * ev[-1]:
         raise ValueError("family does not span the ambient space")
     return FiniteFamily(np.linalg.solve(frame_op, family.matrix.T).T, family.weight)
 
@@ -489,7 +491,13 @@ def random_spanning_family(
     lo, hi = singular_range
     if not 0.0 < lo <= hi:
         raise ValueError("singular range must satisfy 0 < lo <= hi")
-    raw = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return _clipped(_complex_gaussian_vectors(rng, count, dim), weight, lo, hi)
+
+
+def _clipped(
+    raw: np.ndarray, weight: float = 1.0, lo: float = 0.5, hi: float = 2.0
+) -> FiniteFamily:
+    """The family of raw's rows with its singular values clipped into [lo, hi]."""
     u, s, vh = np.linalg.svd(raw, full_matrices=False)
     return FiniteFamily(u @ (np.clip(s, lo, hi)[:, None] * vh), weight)
 
@@ -520,6 +528,22 @@ def random_excess_pair(
     return phi, canonical_dual_frame(phi)
 
 
+def _pair_result(
+    phi_raw: np.ndarray, psi_raw: np.ndarray, trials: int, seed: int
+) -> tuple[float, float, float]:
+    """(deviation, asymmetry, margin) of one random_pair_check round."""
+    phi = _clipped(phi_raw)
+    psi = _clipped(psi_raw)
+    raw = s_operator(psi, phi)
+    sv = np.linalg.svd(raw, compute_uv=False)
+    normalized = _normalized(raw, sv, phi)
+    dev = reproducing_identity_check(psi, normalized, trials=trials, seed=seed)
+    S = s_operator(psi, normalized)
+    swapped = s_operator(normalized, psi)
+    asym = float(np.max(np.abs(S - swapped.conj().T)) / np.max(np.abs(S)))
+    return dev, asym, float(sv[-1])
+
+
 def random_pair_check(
     dim: int = 8,
     pairs: int = 20,
@@ -533,31 +557,37 @@ def random_pair_check(
     the worst relative asymmetry between the mixed operator and the
     adjoint of its swapped partner, and the smallest margin of the raw
     operator.  Clipping bounds that margin below by the product of the
-    smallest singular values, so no redraws are needed.
+    smallest singular values, so no redraws are needed.  The asymmetry
+    compares two orderings of the same product, so it is 0.0 by
+    construction; it guards s_operator's assembly, not the pair.
+
+    Every draw is made here, in a fixed stream order, and the pairs are
+    checked concurrently, one thread per CPU with OpenBLAS held at one
+    thread, so the report does not depend on the host's thread count.
+    Where OpenBLAS cannot be held, one thread checks the pairs in turn.
     """
     if pairs < 1:
         raise ValueError("pairs must be positive")
     if trials < 1:
         raise ValueError("trials must be positive")
+    from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of every CLI start
+
     rng = np.random.default_rng(seed)
-    worst_dev = 0.0
-    worst_asym = 0.0
-    min_margin = float("inf")
-    for _ in range(pairs):
-        phi = random_spanning_family(dim, dim, rng)
-        psi = random_spanning_family(dim, dim, rng)
-        raw = s_operator(psi, phi)
-        sv = np.linalg.svd(raw, compute_uv=False)
-        min_margin = min(min_margin, float(sv[-1]))
-        normalized = _normalized(raw, sv, phi)
-        dev = reproducing_identity_check(
-            psi, normalized, trials=trials, seed=int(rng.integers(2**31))
-        )
-        worst_dev = max(worst_dev, dev)
-        S = s_operator(psi, normalized)
-        swapped = s_operator(normalized, psi)
-        asym = float(np.max(np.abs(S - swapped.conj().T)) / np.max(np.abs(S)))
-        worst_asym = max(worst_asym, asym)
+    results = []
+    with single_threaded_blas() as pinned:
+        workers = min(pairs, len(os.sched_getaffinity(0))) if pinned else 1
+        with ThreadPoolExecutor(workers) as pool:
+            in_flight = deque()  # at most `workers` pairs, so memory does not grow with pairs
+            for _ in range(pairs):
+                phi_raw = _complex_gaussian_vectors(rng, dim, dim)
+                psi_raw = _complex_gaussian_vectors(rng, dim, dim)
+                pair_seed = int(rng.integers(2**31))
+                if len(in_flight) == workers:
+                    results.append(in_flight.popleft().result())
+                in_flight.append(pool.submit(_pair_result, phi_raw, psi_raw, trials, pair_seed))
+            results.extend(job.result() for job in in_flight)
+    deviations, asymmetries, margins = zip(*results)
+    worst_dev, worst_asym, min_margin = max(deviations), max(asymmetries), min(margins)
     return RpCheckReport(
         ambient_dim=dim,
         family_count=dim,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from zakbench import cli
+from zakbench.linalg import blas_threads
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -227,7 +229,8 @@ def test_version_flag(capsys):
 def test_svd_counts(tmp_path, monkeypatch):
     # One SVD per random basis and per raw mixed operator in rp-check; the
     # excess path takes one rank per head per reduction step and n ranks to
-    # find the dependent element.
+    # find the dependent element, and its dual frame's invertibility test
+    # takes eigenvalues instead.
     calls = []
     svd = np.linalg.svd
 
@@ -240,7 +243,34 @@ def test_svd_counts(tmp_path, monkeypatch):
     assert len(calls) == 60
     calls.clear()
     assert cli.main(["excess-n", "--n", "4", "--dependent-head", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 9
+    assert len(calls) == 8
+
+
+def test_report_metadata_records_the_run(tmp_path):
+    argv = ["rp-check", "--dim", "4", "--pairs", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    metadata = json.loads((tmp_path / "rp_check.json").read_text())["metadata"]
+    assert metadata["argv"] == argv
+    assert metadata["python"] == platform.python_version()
+    assert metadata["numpy"] == np.__version__
+    assert metadata["blas_threads"] == blas_threads()
+
+
+def test_rp_check_payload_independent_of_blas_threads(tmp_path):
+    # Two OpenBLAS threads round 96 x 96 products differently from one; the
+    # pairs run on one BLAS thread each, so the payload must not change.
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zakbench.cli", "rp-check", "--dim", "96", "--pairs", "2",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payloads.append(json.dumps(read_report(out / "rp_check.json"), sort_keys=True))
+    assert payloads[0] == payloads[1]
 
 
 def test_traced_benchmark_layers(tmp_path):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from zakbench import EmptyFamily, gram_matrix, quadrature_norm, rank_and_span
+from zakbench import (
+    EmptyFamily,
+    blas_threads,
+    gram_matrix,
+    quadrature_norm,
+    rank_and_span,
+    single_threaded_blas,
+)
 
 
 def test_gram_matrix_dft_orthogonality_oracle():
@@ -59,3 +66,13 @@ def test_rank_empty_family():
 def test_quadrature_norm_hand_values():
     assert quadrature_norm(np.ones(8, dtype=complex)) == 1.0
     assert quadrature_norm(np.array([[3.0, 4j], [0.0, 0.0]])) == pytest.approx(2.5)
+
+
+def test_single_threaded_blas_pins_and_restores():
+    before = blas_threads()
+    with pytest.raises(RuntimeError):
+        with single_threaded_blas() as pinned:
+            assert pinned == (before is not None)
+            assert blas_threads() == (1 if pinned else None)
+            raise RuntimeError("leaves the block")
+    assert blas_threads() == before

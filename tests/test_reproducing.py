@@ -1,8 +1,11 @@
 """Tests for finite reproducing pairs, excess identities, and head reduction."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from zakbench import reproducing
 from zakbench import (
     ExpSystem,
     PeriodicSignal,
@@ -15,6 +18,7 @@ from zakbench import (
     NotMinimal,
     NotReproducingPair,
     TailNotExact,
+    blas_threads,
     canonical_dual_frame,
     excess_n_identities,
     excess_one_identities,
@@ -28,6 +32,7 @@ from zakbench import (
     reduce_dependent_pair,
     reproducing_identity_check,
     s_operator,
+    single_threaded_blas,
     span_vectors,
 )
 
@@ -457,3 +462,62 @@ def test_random_pair_check_report():
     assert report.max_identity_deviation < 1e-10
     assert report.max_adjoint_asymmetry <= 1e-12
     assert report.min_invertibility_margin >= 0.25 - 1e-12
+
+
+def test_random_pair_check_restores_blas_threads(monkeypatch):
+    # The pairs run on single-threaded OpenBLAS; the caller's thread count
+    # comes back after a normal return and after a worker raises, and the
+    # worker's exception reaches the caller unchanged.
+    before = blas_threads()
+    seen = []
+    s_operator_in_module = reproducing.s_operator
+
+    def recording_s_operator(psi, phi):
+        seen.append(blas_threads())
+        return s_operator_in_module(psi, phi)
+
+    monkeypatch.setattr(reproducing, "s_operator", recording_s_operator)
+    assert random_pair_check(dim=16, pairs=5, trials=2, seed=0).passed
+    assert blas_threads() == before
+    assert set(seen) == ({None} if before is None else {1})
+
+    error = NotReproducingPair("raised by a worker")
+
+    def failing_s_operator(psi, phi):
+        raise error
+
+    monkeypatch.setattr(reproducing, "s_operator", failing_s_operator)
+    with pytest.raises(NotReproducingPair) as info:
+        random_pair_check(dim=16, pairs=5, trials=2, seed=0)
+    assert info.value is error
+    assert blas_threads() == before
+
+
+def test_random_pair_check_matches_serial_loop():
+    # The serial loop the thread pool replaced, as the reference: the same
+    # draws in the same order give the same bits, also when the interpreter
+    # switches threads as often as it can.
+    dim, pairs, trials, seed = 12, 7, 3, 5
+    rng = np.random.default_rng(seed)
+    deviations, asymmetries, margins = [], [], []
+    with single_threaded_blas():
+        for _ in range(pairs):
+            phi = random_spanning_family(dim, dim, rng)
+            psi = random_spanning_family(dim, dim, rng)
+            raw = s_operator(psi, phi)
+            margins.append(float(np.linalg.svd(raw, compute_uv=False)[-1]))
+            normalized = FiniteFamily(np.linalg.solve(raw, phi.matrix.T).T)
+            pair_seed = int(rng.integers(2**31))
+            deviations.append(reproducing_identity_check(psi, normalized, trials, pair_seed))
+            S = s_operator(psi, normalized)
+            swapped = s_operator(normalized, psi)
+            asymmetries.append(float(np.max(np.abs(S - swapped.conj().T)) / np.max(np.abs(S))))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = random_pair_check(dim, pairs, trials, seed)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.max_identity_deviation == max(deviations)
+    assert report.max_adjoint_asymmetry == max(asymmetries)
+    assert report.min_invertibility_margin == min(margins)
