@@ -21,9 +21,7 @@ __all__ = [
     "ExcludedIndex",
     "SingularNode",
     "ZeroEstimate",
-    "BoundViolated",
     "FamilyMismatch",
-    "NotMinimal",
     "TailNotExact",
     "NotReproducingPair",
     "NoDependence",
@@ -79,16 +77,8 @@ class ZeroEstimate(NumericalFailure):
     """A ladder estimate is zero, so its relative growth is undefined."""
 
 
-class BoundViolated(NumericalFailure):
-    """An empirical lower bound came out non-positive."""
-
-
 class FamilyMismatch(ZakbenchError):
     """Two families that must align in length or ambient dimension do not."""
-
-
-class NotMinimal(NumericalFailure):
-    """The family is numerically dependent, so no biorthogonal dual exists."""
 
 
 class TailNotExact(NumericalFailure):

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IndexOutOfWindow, RemovedIndex, SpectrumFail, WeightVanishesOnGrid
+from .errors import IndexOutOfWindow, RemovedIndex, WeightVanishesOnGrid
 from .linalg import quadrature_norm
 from .reports import SweepFlags, SweepLevel, SweepReport, Verdict, _read_samples, _write_samples
 
@@ -49,7 +49,6 @@ __all__ = [
     "biorthogonality_gram",
     "schauder_failure_sweep",
     "sweep_verdict",
-    "completeness_defect",
     "inverse_weight_energy",
     "save_signal",
     "load_signal",
@@ -152,7 +151,7 @@ class ExpSystem:
 
     weight: PeriodicSignal
     window: int              # W, active frequencies satisfy |n| <= W
-    removed: int | None = None   # k, the dropped index; None keeps the full window
+    removed: int             # k, the dropped index
     anchor: float = 0.0      # t0, where the dual numerators vanish
 
     def __post_init__(self):
@@ -163,7 +162,7 @@ class ExpSystem:
             raise ValueError(
                 f"window {self.window} too wide for N={self.weight.N}: need 2W+1 <= N/2"
             )
-        if self.removed is not None and abs(self.removed) > self.window:
+        if abs(self.removed) > self.window:
             raise ValueError(f"removed index {self.removed} outside window {self.window}")
         if not 0.0 <= self.anchor < 1.0:
             raise ValueError(f"anchor must lie in [0, 1), got {self.anchor}")
@@ -190,14 +189,19 @@ def weighted_exp(system: ExpSystem, n: int) -> np.ndarray:
 def dual_coefficient(system: ExpSystem, n: int) -> complex:
     """Unimodular coefficient c_n = -exp(2 pi i (n - k) t0).
 
-    Chosen so that e_n + c_n e_k vanishes at the anchor t0.
+    Chosen so that e_n + c_n e_k vanishes at the anchor t0.  The phase
+    (n - k) t0 is reduced mod 1 into (-1/2, 1/2] in exact integer
+    arithmetic on t0's binary fraction, so its rounding does not grow
+    with |n - k|.
     """
-    if system.removed is None:
-        raise ValueError("system has no removed index")
     _check_in_window(system, n)
     if n == system.removed:
         raise RemovedIndex(f"index {n} is the removed index")
-    return complex(-np.exp(2j * np.pi * (n - system.removed) * system.anchor))
+    p, q = float(system.anchor).as_integer_ratio()
+    r = (n - system.removed) * p % q
+    if 2 * r > q:
+        r -= q
+    return complex(-np.exp(2j * np.pi * (r / q)))
 
 
 def biorthogonal_dual(system: ExpSystem, n: int) -> np.ndarray:
@@ -244,7 +248,7 @@ def _hypothesis_notes(system: ExpSystem) -> list[str]:
             "refinement ladder unavailable"
         )
         return notes
-    ladder = [max(4, system.N // 4), max(4, system.N // 2), system.N]
+    ladder = sorted({max(4, system.N // 4), max(4, system.N // 2), system.N})
     energies = [inverse_weight_energy(np.asarray(fn(shifted_nodes(n)))) for n in ladder]
     ratios = [b / a for a, b in zip(energies, energies[1:])]
     grows = all(r >= ENERGY_GROWTH_RATIO for r in ratios)
@@ -269,8 +273,6 @@ def schauder_failure_sweep(system: ExpSystem, max_terms: int) -> SweepReport:
     the expansion cannot converge in norm; the report flags this when
     the late-level term norms fail to decay.
     """
-    if system.removed is None:
-        raise ValueError("sweep needs a removed index to reconstruct")
     if not 1 <= max_terms <= system.window:
         raise ValueError(f"max_terms must lie in [1, {system.window}]")
     k = system.removed
@@ -325,22 +327,6 @@ def sweep_verdict(system: ExpSystem, max_terms: int | None = None) -> Verdict:
         f"term norm spread {norm_spread:.3e}"
     )
     return Verdict(report, passed, detail, rows)
-
-
-def completeness_defect(system: ExpSystem) -> float:
-    """Smallest singular value of the active weighted exponential family.
-
-    Rows are scaled by sqrt(1/N) so singular values live on the L2
-    scale: an orthonormal family scores exactly one, a numerically
-    dependent truncation scores near zero.
-    """
-    act = system.active_indices()
-    rows = np.array([weighted_exp(system, n) for n in act]) / np.sqrt(system.N)
-    try:
-        sv = np.linalg.svd(rows, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumFail(f"svd did not converge: {exc}") from exc
-    return float(sv[-1])
 
 
 def save_signal(signal: PeriodicSignal, path: str | Path) -> None:

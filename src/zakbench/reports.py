@@ -51,7 +51,7 @@ class SweepFlags:
 class SweepReport:
     grid_N: int
     window_W: int
-    removed_k: int | None
+    removed_k: int
     anchor_t0: float
     levels: list[SweepLevel]
     flags: SweepFlags

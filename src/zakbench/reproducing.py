@@ -28,7 +28,6 @@ from .errors import (
     FamilyMismatch,
     HeadDependent,
     NoDependence,
-    NotMinimal,
     NotReproducingPair,
     TailNotExact,
 )
@@ -45,8 +44,6 @@ __all__ = [
     "reproducing_identity_check",
     "normalize_pair",
     "canonical_dual_frame",
-    "in_span_biorthogonal",
-    "partner_is_biorthogonal",
     "excess_one_identities",
     "excess_n_identities",
     "reduce_dependent_pair",
@@ -89,15 +86,6 @@ class FiniteFamily:
     @property
     def ambient_dim(self) -> int:
         return self.matrix.shape[1]
-
-    def head(self, n: int) -> "FiniteFamily":
-        return FiniteFamily(self.matrix[:n], self.weight)
-
-    def tail(self, n: int) -> "FiniteFamily":
-        return FiniteFamily(self.matrix[n:], self.weight)
-
-    def vector_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(self.weight) * np.linalg.norm(v))
 
 
 def _check_aligned(psi: FiniteFamily, phi: FiniteFamily) -> None:
@@ -179,38 +167,6 @@ def canonical_dual_frame(family: FiniteFamily) -> FiniteFamily:
     if ev[0] <= 1e-14 * ev[-1]:
         raise ValueError("family does not span the ambient space")
     return FiniteFamily(np.linalg.solve(frame_op, family.matrix.T).T, family.weight)
-
-
-def in_span_biorthogonal(family: FiniteFamily, tol: float = 1e-10) -> FiniteFamily:
-    """Biorthogonal family inside the span, via the Gram inverse.
-
-    Needs the family minimal: the Gram matrix must be invertible with
-    smallest eigenvalue above tol.
-    """
-    gram = gram_matrix(family.matrix, family.weight)
-    eigvals = np.linalg.eigvalsh(gram)
-    if eigvals[0] <= tol:
-        raise NotMinimal(f"gram margin {eigvals[0]:.3e} at or below tol {tol:.3e}")
-    return FiniteFamily(np.linalg.solve(gram, family.matrix), family.weight)
-
-
-def partner_is_biorthogonal(
-    phi_exact: FiniteFamily, psi: FiniteFamily, tol: float = 1e-10
-) -> bool:
-    """Whether psi coincides with the biorthogonal dual of an exact family.
-
-    For a minimal family whose mixed operator with psi is the identity,
-    the partner has no freedom left: it must be the Gram-inverse dual.
-    Returns True when the mixed operator is within tol of the identity
-    and every psi_j is within tol of the dual vector.
-    """
-    _check_aligned(psi, phi_exact)
-    dual = in_span_biorthogonal(phi_exact, tol)   # raises NotMinimal on margin failure
-    S = s_operator(psi, phi_exact)
-    s_dev = float(np.max(np.abs(S - np.eye(phi_exact.ambient_dim))))
-    diff = psi.matrix - dual.matrix
-    vec_dev = float(max(phi_exact.vector_norm(row) for row in diff)) if len(psi) else 0.0
-    return s_dev <= tol and vec_dev <= tol
 
 
 def _greedy_dependent_index(mat: np.ndarray, tol: float) -> int | None:
@@ -473,14 +429,8 @@ def excess_n_identities(
     return _excess_engine(phi, psi, n, tol, trials, seed, "excess_n")
 
 
-def random_spanning_family(
-    dim: int,
-    count: int,
-    rng: np.random.Generator,
-    weight: float = 1.0,
-    singular_range: tuple[float, float] = (0.5, 2.0),
-) -> FiniteFamily:
-    """Random family with all singular values clipped into a fixed range.
+def random_spanning_family(dim: int, count: int, rng: np.random.Generator) -> FiniteFamily:
+    """Random family with all singular values clipped into [0.5, 2].
 
     Clipping keeps every experiment away from accidental near-degeneracy
     while preserving the randomness of the singular subspaces, so rank
@@ -488,25 +438,19 @@ def random_spanning_family(
     """
     if count < 1 or dim < 1:
         raise ValueError("count and dim must be positive")
-    lo, hi = singular_range
-    if not 0.0 < lo <= hi:
-        raise ValueError("singular range must satisfy 0 < lo <= hi")
-    return _clipped(_complex_gaussian_vectors(rng, count, dim), weight, lo, hi)
+    return _clipped(_complex_gaussian_vectors(rng, count, dim))
 
 
-def _clipped(
-    raw: np.ndarray, weight: float = 1.0, lo: float = 0.5, hi: float = 2.0
-) -> FiniteFamily:
-    """The family of raw's rows with its singular values clipped into [lo, hi]."""
+def _clipped(raw: np.ndarray) -> FiniteFamily:
+    """The family of raw's rows with its singular values clipped into [0.5, 2]."""
     u, s, vh = np.linalg.svd(raw, full_matrices=False)
-    return FiniteFamily(u @ (np.clip(s, lo, hi)[:, None] * vh), weight)
+    return FiniteFamily(u @ (np.clip(s, 0.5, 2.0)[:, None] * vh))
 
 
 def random_excess_pair(
     dim: int,
     n: int,
     rng: np.random.Generator,
-    weight: float = 1.0,
     dependent_head: bool = False,
 ) -> tuple[FiniteFamily, FiniteFamily]:
     """Reproducing pair with n head elements over a guaranteed-exact tail.
@@ -518,13 +462,13 @@ def random_excess_pair(
     """
     if n < 0:
         raise ValueError("head length must be nonnegative")
-    tail = random_spanning_family(dim, dim, rng, weight)
+    tail = random_spanning_family(dim, dim, rng)
     head = (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) / np.sqrt(dim)
     if dependent_head:
         if n < 2:
             raise ValueError("a dependent head needs at least two elements")
         head[-1] = 2.0 * head[0]
-    phi = FiniteFamily(np.vstack([head, tail.matrix]), weight)
+    phi = FiniteFamily(np.vstack([head, tail.matrix]))
     return phi, canonical_dual_frame(phi)
 
 

@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BoundViolated, ExcludedIndex, SingularNode, ThetaDomain, ZeroEstimate
+from .errors import ExcludedIndex, SingularNode, ThetaDomain, ZeroEstimate
+from .expsys import shifted_nodes
 from .linalg import quadrature_norm
 from .reports import EnkBoundReport, LadderReport, Verdict, ZakValidationReport
 from .reports import _read_samples, _write_samples
@@ -45,7 +46,6 @@ __all__ = [
     "ThetaParams",
     "GridFunction",
     "ConeParams",
-    "midpoint_nodes",
     "midpoint_meshgrid",
     "gaussian_atom",
     "modulated_translate",
@@ -55,14 +55,12 @@ __all__ = [
     "gaussian_zak_theta",
     "theta_grid",
     "leading_coefficient",
-    "center_slope",
     "cone",
     "enk",
     "enk_bound_check",
     "quotient_integral",
     "ladder_verdict",
     "validate_verdict",
-    "taylor_lower_bound",
     "save_grid_function",
     "load_grid_function",
 ]
@@ -80,20 +78,17 @@ GROWTH_THRESHOLD = 0.10         # every step must grow by more than 10% to call 
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Nome and truncation order of the theta series."""
+    """Truncation order of the theta series at the Gaussian nome."""
 
-    q: float = GAUSSIAN_NOME
     truncation: int = 8   # K, the series keeps k = 0..K
 
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"nome must lie in (0, 1), got {self.q}")
         if self.truncation < 1:
             raise ValueError("truncation must be a positive integer")
-        tail = self.q ** ((self.truncation + 0.5) ** 2)
+        tail = GAUSSIAN_NOME ** ((self.truncation + 0.5) ** 2)
         if tail >= 1e-30:
             raise ValueError(
-                f"truncation {self.truncation} leaves tail {tail:.3e} >= 1e-30 for q={self.q}"
+                f"truncation {self.truncation} leaves tail {tail:.3e} >= 1e-30 for q={GAUSSIAN_NOME}"
             )
 
 
@@ -131,12 +126,8 @@ class GridFunction:
         return quadrature_norm(self.samples)
 
 
-def midpoint_nodes(M: int) -> np.ndarray:
-    return (np.arange(M) + 0.5) / M
-
-
 def midpoint_meshgrid(M: int) -> tuple[np.ndarray, np.ndarray]:
-    g = midpoint_nodes(M)
+    g = shifted_nodes(M)
     return np.meshgrid(g, g, indexing="ij")
 
 
@@ -168,8 +159,8 @@ def zak_transform(f: Callable, M: int, J: int) -> GridFunction:
     """
     if J < 1:
         raise ValueError("J must be at least 1")
-    x = midpoint_nodes(M)
-    xi = midpoint_nodes(M)
+    x = shifted_nodes(M)
+    xi = shifted_nodes(M)
     out = np.zeros((M, M), dtype=complex)
     for j in range(-J, J + 1):
         out += np.outer(np.asarray(f(x - j), dtype=complex), np.exp(2j * np.pi * j * xi))
@@ -189,7 +180,7 @@ def theta1(z, params: ThetaParams = ThetaParams()):
     if z.size and float(np.max(np.abs(z.imag))) > THETA_IM_LIMIT:
         raise ThetaDomain(f"|Im z| exceeds {THETA_IM_LIMIT}")
     ks = np.arange(params.truncation + 1)
-    coef = ((-1.0) ** ks) * params.q ** ((ks + 0.5) ** 2)
+    coef = ((-1.0) ** ks) * GAUSSIAN_NOME ** ((ks + 0.5) ** 2)
     vals = 2.0 * np.einsum("k,...k->...", coef, np.sin(np.multiply.outer(z, 2 * ks + 1)))
     return vals if vals.ndim else complex(vals)
 
@@ -197,7 +188,7 @@ def theta1(z, params: ThetaParams = ThetaParams()):
 def theta1_prime_zero(params: ThetaParams = ThetaParams()) -> float:
     """theta1'(0) = 2 sum_{k>=0} (-1)^k (2k+1) q^{(k+1/2)^2}."""
     ks = np.arange(params.truncation + 1)
-    return float(2.0 * np.sum(((-1.0) ** ks) * (2 * ks + 1) * params.q ** ((ks + 0.5) ** 2)))
+    return float(2.0 * np.sum(((-1.0) ** ks) * (2 * ks + 1) * GAUSSIAN_NOME ** ((ks + 0.5) ** 2)))
 
 
 def gaussian_zak_theta(x, xi, params: ThetaParams = ThetaParams()):
@@ -222,17 +213,6 @@ def theta_grid(M: int, params: ThetaParams = ThetaParams()) -> GridFunction:
 def leading_coefficient(params: ThetaParams = ThetaParams()) -> float:
     """|gradient| of the Zak zero: 2^{1/4} pi |theta1'(0)|."""
     return float(2.0**0.25 * np.pi * abs(theta1_prime_zero(params)))
-
-
-def center_slope(params: ThetaParams = ThetaParams(), radius: float = 1e-4) -> float:
-    """Finite-difference slope of |Z phi| at the zero, averaged over four directions."""
-    vals = [
-        abs(gaussian_zak_theta(0.5 + radius, 0.5, params)),
-        abs(gaussian_zak_theta(0.5 - radius, 0.5, params)),
-        abs(gaussian_zak_theta(0.5, 0.5 + radius, params)),
-        abs(gaussian_zak_theta(0.5, 0.5 - radius, params)),
-    ]
-    return float(np.mean(vals) / radius)
 
 
 def cone(params: ConeParams, x, xi):
@@ -482,41 +462,6 @@ def validate_verdict(
     failing = sorted(name for name, ok in checks.items() if not ok)
     detail = "all checks passed" if report.passed else f"failing: {', '.join(failing)}"
     return Verdict(report, report.passed, detail, rows), theta
-
-
-def taylor_lower_bound(
-    params: ThetaParams = ThetaParams(),
-    delta: float = 0.1,
-    radial: int = 1000,
-    angular: int = 1000,
-    off_grid: int = 1000,
-) -> tuple[float, float]:
-    """Empirical cone constants of |Z phi| around its zero.
-
-    Returns (C, c) with C = min |Z phi| / rho over a dense polar
-    sampling of the punctured ball of radius delta at (1/2, 1/2), and
-    c = min |Z phi| over a dense midpoint sampling of the complement.
-    Both minima are sampling estimates: fresh points can undershoot
-    them by the local resolution, so comparisons should allow a small
-    relative slack.
-    """
-    if not 0.0 < delta < 0.5:
-        raise ValueError(f"delta must lie in (0, 1/2), got {delta}")
-    r = delta * (np.arange(radial) + 0.5) / radial
-    a = 2.0 * np.pi * (np.arange(angular) + 0.5) / angular
-    R, A = np.meshgrid(r, a, indexing="ij")
-    x = 0.5 + R * np.cos(A)
-    xi = 0.5 + R * np.sin(A)
-    cone_min = float(np.min(np.abs(gaussian_zak_theta(x, xi, params)) / R))
-
-    X, XI = midpoint_meshgrid(off_grid)
-    rho = np.sqrt((X - 0.5) ** 2 + (XI - 0.5) ** 2)
-    mask = rho >= delta
-    floor_min = float(np.min(np.abs(gaussian_zak_theta(X, XI, params))[mask]))
-
-    if cone_min <= 0.0 or floor_min <= 0.0:
-        raise BoundViolated(f"empirical constants must be positive, got C={cone_min}, c={floor_min}")
-    return cone_min, floor_min
 
 
 def save_grid_function(grid: GridFunction, path: str | Path) -> None:

@@ -1,5 +1,7 @@
 """Tests for weighted exponential systems and their biorthogonal duals."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from zakbench import (
     WeightVanishesOnGrid,
     biorthogonal_dual,
     biorthogonality_gram,
-    completeness_defect,
     dual_coefficient,
     exponential,
     load_signal,
@@ -52,9 +53,9 @@ def test_periodic_signal_validation():
 def test_expsystem_validation():
     w = PeriodicSignal.from_name("linear", 32)
     with pytest.raises(ValueError):
-        ExpSystem(weight=w, window=0)
+        ExpSystem(weight=w, window=0, removed=0)
     with pytest.raises(ValueError):
-        ExpSystem(weight=w, window=9)      # 2W+1 > N/2
+        ExpSystem(weight=w, window=9, removed=0)      # 2W+1 > N/2
     with pytest.raises(ValueError):
         ExpSystem(weight=w, window=4, removed=5)
     with pytest.raises(ValueError):
@@ -118,8 +119,18 @@ def test_dual_coefficient_unit_modulus_and_errors():
         assert abs(dual_coefficient(sys_, n)) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(RemovedIndex):
         dual_coefficient(sys_, 0)
-    with pytest.raises(ValueError):
-        dual_coefficient(make_system(removed=None), 1)
+
+
+def test_dual_coefficient_phase_against_mpmath():
+    # c_n = -exp(2 pi i (n - k) t0); evaluating the rounded product
+    # 2 pi (n - k) t0 is off by about 1e-12 at |n| = 2000.
+    N, W = 16384, 2000
+    for t0 in (0.25, 0.1, 0.6180339887):
+        sys_ = make_system("linear", N=N, W=W, anchor=t0)
+        with mpmath.workdps(40):
+            for n in sys_.active_indices():
+                exact = -mpmath.expjpi(2 * (n - sys_.removed) * mpmath.mpf(t0))
+                assert abs(complex(exact) - dual_coefficient(sys_, n)) <= 1e-15, (t0, n)
 
 
 def test_dual_numerator_vanishes_at_anchor():
@@ -239,6 +250,21 @@ def test_sweep_hypothesis_note_for_linear_weight():
     assert "grows" in notes
 
 
+def test_sweep_hypothesis_ladder_on_small_grids():
+    # The ladder must compare distinct grids: on N = 6 and 8 a repeated
+    # coarse size once gave a ratio of exactly 1, which read as "fails".
+    def notes(name, N):
+        report = schauder_failure_sweep(make_system(name, N=N, W=1), 1)
+        return " ".join(report.flags.hypothesis_notes)
+
+    for N in (6, 8):
+        linear = notes("linear", N)
+        assert "grows" in linear, linear
+        sizes = [int(size) for size in re.findall(r"N=(\d+):", linear)]
+        assert len(sizes) >= 2 and sizes == sorted(set(sizes)) and sizes[-1] == N, linear
+        assert "fails" in notes("one", N)
+
+
 def test_sweep_sampler_free_signal_notes_missing_ladder():
     samples = PeriodicSignal.from_name("linear", 64).samples
     sys_ = ExpSystem(weight=PeriodicSignal(samples), window=8, removed=0)
@@ -249,27 +275,6 @@ def test_sweep_sampler_free_signal_notes_missing_ladder():
 def test_sweep_max_terms_validation():
     with pytest.raises(ValueError):
         schauder_failure_sweep(make_system(W=8), 9)
-    with pytest.raises(ValueError):
-        schauder_failure_sweep(make_system(removed=None), 4)
-
-
-def test_completeness_defect_orthonormal_case():
-    sys_ = ExpSystem(weight=PeriodicSignal.from_name("one", 64), window=4, removed=None)
-    assert completeness_defect(sys_) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_completeness_defect_linear_weight_positive():
-    value = completeness_defect(make_system("linear", N=64, W=8))
-    assert value > 0.05
-
-
-def test_completeness_defect_half_support_near_zero():
-    # Weight vanishing on half the circle leaves the truncation
-    # numerically incomplete; reported as a small value, not an error.
-    t = shifted_nodes(64)
-    samples = np.where(t < 0.5, 1.0 + 0j, 1e-9 + 0j)
-    sys_ = ExpSystem(weight=PeriodicSignal(samples), window=8, removed=0)
-    assert completeness_defect(sys_) < 1e-4
 
 
 def test_signal_roundtrip(tmp_path):

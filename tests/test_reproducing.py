@@ -15,16 +15,13 @@ from zakbench import (
     FiniteFamily,
     HeadDependent,
     NoDependence,
-    NotMinimal,
     NotReproducingPair,
     TailNotExact,
     blas_threads,
     canonical_dual_frame,
     excess_n_identities,
     excess_one_identities,
-    in_span_biorthogonal,
     normalize_pair,
-    partner_is_biorthogonal,
     random_excess_pair,
     random_pair_check,
     random_spanning_family,
@@ -57,8 +54,6 @@ def test_finite_family_validation():
     fam = onb(3)
     assert len(fam) == 3
     assert fam.ambient_dim == 3
-    assert len(fam.head(1)) == 1
-    assert len(fam.tail(1)) == 2
 
 
 def test_s_operator_orthonormal_basis_is_identity():
@@ -151,40 +146,6 @@ def test_canonical_dual_frame_rejects_non_spanning():
     fam = FiniteFamily(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex), 1.0)
     with pytest.raises(ValueError):
         canonical_dual_frame(fam)
-
-
-def test_in_span_biorthogonal_kronecker_property():
-    fam = random_family(6, 4, seed=5)
-    dual = in_span_biorthogonal(fam)
-    cross = fam.weight * (dual.matrix @ fam.matrix.conj().T)
-    assert np.max(np.abs(cross - np.eye(4))) < 1e-10
-
-
-def test_in_span_biorthogonal_rejects_dependent_family():
-    mat = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
-    with pytest.raises(NotMinimal):
-        in_span_biorthogonal(FiniteFamily(mat, 1.0))
-
-
-def test_partner_is_biorthogonal_accepts_computed_dual():
-    fam = random_family(5, 5, seed=6)
-    dual = in_span_biorthogonal(fam)
-    assert partner_is_biorthogonal(fam, dual, tol=1e-9)
-    assert partner_is_biorthogonal(onb(4), onb(4), tol=1e-12)
-
-
-def test_partner_is_biorthogonal_rejects_perturbation():
-    fam = random_family(5, 5, seed=7)
-    dual = in_span_biorthogonal(fam)
-    tol = 1e-9
-    bumped = FiniteFamily(dual.matrix + 10 * tol, dual.weight)
-    assert not partner_is_biorthogonal(fam, bumped, tol=tol)
-
-
-def test_partner_is_biorthogonal_requires_minimality():
-    mat = np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex)
-    with pytest.raises(NotMinimal):
-        partner_is_biorthogonal(FiniteFamily(mat, 1.0), FiniteFamily(mat, 1.0))
 
 
 def weighted_exp_families(N, W, weight_name):

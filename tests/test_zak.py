@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from zakbench import (
-    BoundViolated,
     ConeParams,
     ExcludedIndex,
     GridFunction,
@@ -13,7 +12,6 @@ from zakbench import (
     ThetaDomain,
     ThetaParams,
     ZeroEstimate,
-    center_slope,
     cone,
     enk,
     enk_bound_check,
@@ -25,7 +23,6 @@ from zakbench import (
     modulated_translate,
     quotient_integral,
     save_grid_function,
-    taylor_lower_bound,
     theta1,
     theta1_prime_zero,
     theta_grid,
@@ -36,7 +33,6 @@ from zakbench import (
 THETA_PRIME_ZERO = 0.9067676551677313
 CENTER_SUM = 1.291996007481504          # 2^{1/4} * sum_k exp(-pi k^2)
 THETA_HALF_PI = 0.9135791381561168      # theta1(pi/2) at q = exp(-pi)
-LEADING_COEFF = 3.387687891532136       # 2^{1/4} pi theta1'(0)
 
 
 def theta_sampler(x, xi):
@@ -131,6 +127,10 @@ def test_theta1_domain_error():
 def test_theta_params_tail_bound():
     with pytest.raises(ValueError):
         ThetaParams(truncation=2)
+    message = "truncation 1 leaves tail 8.514e-04 >= 1e-30 for q=0.04321391826377226"
+    with pytest.raises(ValueError) as info:
+        ThetaParams(truncation=1)
+    assert str(info.value) == message
     ThetaParams(truncation=8)  # the default configuration is valid
 
 
@@ -142,11 +142,12 @@ def test_theta1_prime_zero_oracle():
     assert v8 >= 0.9
 
 
-def test_leading_coefficient_matches_measured_slope():
-    lead = leading_coefficient()
-    assert lead == pytest.approx(LEADING_COEFF, abs=1e-12)
-    slope = center_slope()
-    assert abs(slope - lead) <= 0.02 * lead
+def test_leading_coefficient_against_mpmath():
+    # |grad Z phi| at the zero is 2^{1/4} pi |theta1'(0)|, here entirely in mpmath.
+    with mpmath.workdps(30):
+        theta_prime = mpmath.jtheta(1, 0, mpmath.exp(-mpmath.pi), 1)
+        oracle = float(mpmath.root(2, 4) * mpmath.pi * abs(theta_prime))
+    assert abs(leading_coefficient() - oracle) <= 1e-13 * oracle
 
 
 def test_cone_hand_values():
@@ -229,31 +230,6 @@ def test_quotient_integral_ladder_validation():
         quotient_integral(
             lambda x, xi: np.zeros_like(np.asarray(x, dtype=float)), theta_sampler, [4, 8]
         )
-
-
-def test_taylor_lower_bound_constants_positive():
-    C, c = taylor_lower_bound(delta=0.1, radial=300, angular=300, off_grid=300)
-    assert C > 0.0 and c > 0.0
-    # near the zero the quotient approaches the first-order coefficient
-    assert C <= leading_coefficient()
-
-
-def test_taylor_lower_bound_fresh_point_reverification():
-    C, _ = taylor_lower_bound(delta=0.1, radial=1000, angular=1000, off_grid=200)
-    rng = np.random.default_rng(4)
-    r = 0.1 * rng.random(10_000)
-    a = 2 * np.pi * rng.random(10_000)
-    x = 0.5 + r * np.cos(a)
-    xi = 0.5 + r * np.sin(a)
-    keep = r > 1e-12
-    vals = np.abs(gaussian_zak_theta(x[keep], xi[keep]))
-    # sampled minima can undershoot slightly on held-out points
-    assert np.all(vals >= C * r[keep] * (1.0 - 1e-4))
-
-
-def test_taylor_lower_bound_delta_validation():
-    with pytest.raises(ValueError):
-        taylor_lower_bound(delta=0.6)
 
 
 def test_grid_function_validation():
