@@ -13,10 +13,10 @@ verdict line:
 
 Exit status: 0 when the asserted outcome holds, 2 when it fails or a
 computation raises a NumericalFailure, 1 on usage or configuration
-errors.  Reports are deterministic for a fixed seed; the only
-run-dependent content is the "metadata" field, which records the
-argv, the time, the Python, numpy and zakbench versions and the
-OpenBLAS thread count.
+errors.  Reports are deterministic for a fixed seed, at any BLAS
+thread count; the only run-dependent content is the "metadata" field,
+which records the argv, the time, the Python, numpy and zakbench
+versions and the OpenBLAS thread count.
 """
 
 from __future__ import annotations

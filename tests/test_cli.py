@@ -273,6 +273,23 @@ def test_rp_check_payload_independent_of_blas_threads(tmp_path):
     assert payloads[0] == payloads[1]
 
 
+def test_excess_n_payload_independent_of_blas_threads(tmp_path):
+    # The pair draw and the identities run on one BLAS thread, so two
+    # OpenBLAS threads, which round 96 x 96 products differently, change nothing.
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zakbench.cli", "excess-n", "--dim", "96", "--n", "8",
+             "--dependent-head", "--seed", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        payloads.append(json.dumps(read_report(out / "excess_n.json"), sort_keys=True))
+    assert payloads[0] == payloads[1]
+
+
 def test_traced_benchmark_layers(tmp_path):
     # benchmarks/traced.py wraps layer functions by name and reads some of
     # their parameters; a rename breaks it, which shows as a failed command.

@@ -1,9 +1,14 @@
 """Tests for the Zak transform, the theta form, and the ladder diagnostics."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zakbench import zak
 from zakbench import (
     ConeParams,
     ExcludedIndex,
@@ -15,6 +20,7 @@ from zakbench import (
     cone,
     enk,
     enk_bound_check,
+    exponential,
     gaussian_atom,
     gaussian_zak_theta,
     leading_coefficient,
@@ -26,6 +32,7 @@ from zakbench import (
     theta1,
     theta1_prime_zero,
     theta_grid,
+    validate_verdict,
     zak_transform,
 )
 
@@ -140,6 +147,30 @@ def test_theta1_prime_zero_oracle():
     assert abs(v8 - oracle) <= 1e-13 * abs(oracle)
     assert v8 == pytest.approx(THETA_PRIME_ZERO, abs=1e-13)
     assert v8 >= 0.9
+
+
+def test_theta_prime_closed_form_against_mpmath():
+    # theta1'(0) = theta2 theta3 theta4 = pi^{3/4} / (sqrt(2) Gamma(3/4)^3) at q = exp(-pi)
+    # is the oracle of zak-validate's theta_prime check.
+    oracle = mp_theta1(0, derivative=1).real
+    assert abs(zak._THETA1_PRIME_ZERO - oracle) <= 1e-15 * oracle
+    report = validate_verdict(8, J=2)[0].report
+    expected = abs(theta1_prime_zero() - zak._THETA1_PRIME_ZERO) / zak._THETA1_PRIME_ZERO
+    assert report.theta_prime_oracle_rel_dev == expected <= 1e-15
+
+
+def test_theta_grid_memory_does_not_scale_with_truncation():
+    # The theta series adds its K + 1 terms into one array; a (..., K + 1)
+    # sine temporary would hold K + 1 = 9 complex grids on its own.
+    M = 256
+    gaussian_zak_theta(*midpoint_meshgrid(8))  # one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        gaussian_zak_theta(*midpoint_meshgrid(M))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * M * M * np.dtype(complex).itemsize
 
 
 def test_leading_coefficient_against_mpmath():
@@ -259,3 +290,33 @@ def test_load_grid_function_rejects_bad_header(tmp_path):
     path.write_text(f'{{"M": 2, "grid": "midpoint", "domain": "unit_square", "samples": [{samples}]}}')
     with pytest.raises(ValueError):
         load_grid_function(path)
+
+
+# Property tests over seeded draws: derandomized, so every run checks the same cases.
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=25)
+EVEN_M = st.integers(1, 64).map(lambda half: 2 * half)
+
+
+@PROPERTIES
+@given(M=EVEN_M, n=st.integers(-8, 8), k=st.integers(-2, 2))
+def test_covariance_property(M, n, k):
+    base = zak_transform(gaussian_atom, M, 8)
+    shifted = zak_transform(modulated_translate(gaussian_atom, n, k), M, 8)
+    plane = np.outer(exponential(M, n), exponential(M, -k))
+    assert np.max(np.abs(shifted.samples - plane * base.samples)) <= 1e-12
+
+
+@PROPERTIES
+@given(M=EVEN_M, n=st.integers(-16, 16), k=st.integers(-16, 16))
+def test_table_plane_waves_match_enk(M, n, k):
+    X, XI = midpoint_meshgrid(M)
+    table = np.outer(exponential(M, n), exponential(M, -k))
+    assert np.max(np.abs(table - enk(n, k, X, XI))) <= 1e-13
+
+
+@PROPERTIES
+@given(M=EVEN_M, nodes=st.lists(st.tuples(st.integers(0, 127), st.integers(0, 127)), min_size=1))
+def test_theta_grid_matches_pointwise_theta(M, nodes):
+    grid = theta_grid(M).samples
+    for p, q in ((p % M, q % M) for p, q in nodes):
+        assert abs(grid[p, q] - gaussian_zak_theta((p + 0.5) / M, (q + 0.5) / M)) <= 1e-15
