@@ -22,6 +22,19 @@ The quadratic-exponent prefactor sometimes quoted for this identity is
 off by the unimodular factor exp(i pi (v^2 - v)); the linear-exponent
 form above matches the defining series pointwise, which the tests check
 against an independent direct summation.
+
+On a tensor grid the sine series separates:
+
+    sin((2k+1) pi (v - i u)) = sin((2k+1) pi v) cosh((2k+1) pi u)
+                               - i cos((2k+1) pi v) sinh((2k+1) pi u),
+
+so theta1 over rows x and columns xi is two real products of a
+rows x (K+1) matrix with a (K+1) x columns matrix, and the prefactor is
+a row factor exp(-pi u^2) times a column factor.  theta_grid and the
+quotient ladder's |Z phi| take this path; theta1 and gaussian_zak_theta
+evaluate pointwise, for arbitrary points.  The ladder sums its
+quadrature over blocks of grid rows of bounded size, so its memory does
+not grow with the grid.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ import numpy as np
 
 from .errors import ExcludedIndex, SingularNode, ThetaDomain, ZeroEstimate
 from .expsys import exponential, shifted_nodes
-from .linalg import quadrature_norm
+from .linalg import quadrature_norm, single_threaded_blas
 from .reports import EnkBoundReport, LadderReport, Verdict, ZakValidationReport
 from .reports import _read_samples, _write_samples
 
@@ -77,6 +90,10 @@ THETA_IM_LIMIT = 4.0
 
 STABILIZATION_THRESHOLD = 0.01  # final refinement step must move less than 1%
 GROWTH_THRESHOLD = 0.10         # every step must grow by more than 10% to call divergence
+
+# Grid values per row block of the ladder quadrature: a block of complex
+# samples is 1 MiB, so a level's working set stays a few MiB at any M.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,19 +198,23 @@ def theta1(z, params: ThetaParams = ThetaParams()):
         raise ThetaDomain("arguments must be finite")
     if z.size and float(np.max(np.abs(z.imag))) > THETA_IM_LIMIT:
         raise ThetaDomain(f"|Im z| exceeds {THETA_IM_LIMIT}")
-    ks = np.arange(params.truncation + 1)
-    coef = 2.0 * ((-1.0) ** ks) * GAUSSIAN_NOME ** ((ks + 0.5) ** 2)  # the factor 2 is exact
     vals, term = np.zeros_like(z), np.empty_like(z)
-    for k, c in enumerate(coef):
-        np.sin(np.multiply(z, 2 * k + 1, out=term), out=term)
+    for odd, c in zip(*_theta_series(params)):
+        np.sin(np.multiply(z, odd, out=term), out=term)
         vals += np.multiply(term, c, out=term)
     return vals if vals.ndim else complex(vals)
 
 
+def _theta_series(params: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies 2k+1 and coefficients 2 (-1)^k q^{(k+1/2)^2} of theta1, k = 0..K."""
+    ks = np.arange(params.truncation + 1)
+    return 2 * ks + 1, 2.0 * ((-1.0) ** ks) * GAUSSIAN_NOME ** ((ks + 0.5) ** 2)  # the factor 2 is exact
+
+
 def theta1_prime_zero(params: ThetaParams = ThetaParams()) -> float:
     """theta1'(0) = 2 sum_{k>=0} (-1)^k (2k+1) q^{(k+1/2)^2}."""
-    ks = np.arange(params.truncation + 1)
-    return float(2.0 * np.sum(((-1.0) ** ks) * (2 * ks + 1) * GAUSSIAN_NOME ** ((ks + 0.5) ** 2)))
+    odd, coef = _theta_series(params)
+    return float(np.sum(odd * coef))
 
 
 def gaussian_zak_theta(x, xi, params: ThetaParams = ThetaParams()):
@@ -209,9 +230,46 @@ def gaussian_zak_theta(x, xi, params: ThetaParams = ThetaParams()):
     return vals if np.ndim(vals) else complex(vals)
 
 
+def _theta_outer(x_col, xi_row, params: ThetaParams) -> np.ndarray:
+    """gaussian_zak_theta on the tensor grid x_col x xi_row, as a low-rank product.
+
+    Takes the nodes as 1-D arrays or as a column and a row, and returns
+    the (len(x_col), len(xi_row)) complex grid.  The sine series is
+    split into sin/cos of the column argument times cosh/sinh of the row
+    argument (see the module docstring), and the prefactor is formed and
+    applied in the same order of roundings as gaussian_zak_theta.
+    """
+    u = np.ravel(x_col) - 0.5
+    v = np.ravel(xi_row) - 0.5
+    odd, coef = _theta_series(params)
+    col = np.multiply.outer(np.pi * v, odd)   # (2k+1) pi v, the real part of theta1's argument
+    row = np.multiply.outer(np.pi * u, odd)   # (2k+1) pi u, minus its imaginary part
+    # theta1(pi (v - i u)) = re - i im.  The products have inner dimension
+    # K + 1, too small to gain from BLAS threads, and one thread keeps the
+    # grid independent of the thread count.
+    with single_threaded_blas():
+        re = np.cosh(row) @ (np.sin(col) * coef).T
+        im = np.sinh(row) @ (np.cos(col) * coef).T
+    # -2^{1/4} i exp(-pi u^2 + i pi v) = a - i b
+    scale = np.exp(-np.pi * u * u)
+    a = np.multiply.outer(scale, np.sin(np.pi * v))
+    a *= 2.0**0.25
+    b = np.multiply.outer(scale, np.cos(np.pi * v))
+    b *= 2.0**0.25
+    # (a - i b)(re - i im) = (a re - b im) - i (a im + b re), written in place
+    out = np.empty(re.shape, dtype=complex)
+    np.multiply(a, re, out=out.real)
+    np.multiply(a, im, out=out.imag)
+    out.real -= np.multiply(b, im, out=im)
+    out.imag += np.multiply(b, re, out=re)
+    np.negative(out.imag, out=out.imag)
+    return out
+
+
 def theta_grid(M: int, params: ThetaParams = ThetaParams()) -> GridFunction:
     """Gaussian Zak transform sampled on the midpoint grid via the theta form."""
-    return GridFunction(gaussian_zak_theta(*midpoint_meshgrid(M), params))
+    nodes = shifted_nodes(M)
+    return GridFunction(_theta_outer(nodes, nodes, params))
 
 
 def leading_coefficient(params: ThetaParams = ThetaParams()) -> float:
@@ -302,7 +360,12 @@ def quotient_integral(
     """Midpoint-rule ladder for the integral of |numerator|^2 / |denominator|^2.
 
     Both arguments are samplers over the unit square, evaluated on the
-    midpoint grid at each ladder resolution.  The report flags
+    midpoint grid at each ladder resolution.  The grid is visited in
+    blocks of rows: each sampler is called with x as a (rows, 1) column
+    of nodes and xi as the (1, M) row of all nodes, and must return
+    values that broadcast to (rows, M).  The block height keeps a block
+    near a fixed number of grid values, so memory does not grow with M,
+    and math.fsum adds the block sums.  The report flags
     ``converges`` when the final refinement moves the estimate by less
     than the stabilisation threshold and ``diverges`` when every step
     grows by more than the growth threshold.  Grid evidence cannot
@@ -316,13 +379,18 @@ def quotient_integral(
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder resolutions must strictly increase")
 
-    def estimate(M: int) -> float:
-        X, XI = midpoint_meshgrid(M)
-        den = np.abs(np.asarray(denominator(X, XI), dtype=complex))
+    def block_sum(M: int, x: np.ndarray, xi: np.ndarray) -> float:
+        den = np.abs(np.asarray(denominator(x, xi), dtype=complex))
         if float(np.min(den)) < 1e-300:
             raise SingularNode(f"denominator vanishes at a node of the M={M} grid")
-        num = np.abs(np.asarray(numerator(X, XI), dtype=complex))
-        return float(np.sum((num / den) ** 2) / M**2)
+        num = np.abs(np.asarray(numerator(x, xi), dtype=complex))
+        return float(np.sum(np.broadcast_to((num / den) ** 2, (x.size, M))))
+
+    def estimate(M: int) -> float:
+        nodes = shifted_nodes(M)
+        rows = max(1, _BLOCK_ELEMENTS // M)
+        sums = (block_sum(M, nodes[r:r + rows, None], nodes[None, :]) for r in range(0, M, rows))
+        return math.fsum(sums) / M**2
 
     estimates = [estimate(M) for M in ladder]
     for M, est in zip(ladder, estimates[:-1]):
@@ -373,7 +441,7 @@ def ladder_verdict(
     sampler, expect = NAMED_NUMERATORS[numerator]
     report = quotient_integral(
         sampler,
-        lambda x, xi: gaussian_zak_theta(x, xi, params),
+        lambda x, xi: _theta_outer(x, xi, params),
         refinement_ladder,
         numerator_name=numerator,
         denominator_name="gaussian_zak",

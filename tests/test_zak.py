@@ -23,6 +23,7 @@ from zakbench import (
     exponential,
     gaussian_atom,
     gaussian_zak_theta,
+    ladder_verdict,
     leading_coefficient,
     load_grid_function,
     midpoint_meshgrid,
@@ -218,6 +219,12 @@ def test_quotient_integral_equal_arguments_give_unit_measure():
     report = quotient_integral(theta_sampler, theta_sampler, [4, 8, 16])
     assert report.estimates == [1.0, 1.0, 1.0]
     assert report.converges and not report.diverges
+    # Samplers that ignore xi return one column per row block; the sum
+    # still runs over the whole grid.
+    def ones(x, xi):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    assert quotient_integral(ones, ones, [4, 8]).estimates == [1.0, 1.0]
 
 
 def test_quotient_integral_cone_numerator_converges():
@@ -236,6 +243,38 @@ def test_quotient_integral_constant_numerator_grows():
     assert report.diverges
     assert report.step_growth[0] > 0.10
     assert "cannot certify" in report.note
+
+
+@pytest.mark.parametrize("numerator", ["cone", "one"])
+def test_ladder_grid_path_matches_pointwise_sampler(numerator):
+    ladder = [64, 128, 256, 512]
+    grid = ladder_verdict(numerator, ladder).report
+    pointwise = quotient_integral(zak.NAMED_NUMERATORS[numerator][0], theta_sampler, ladder)
+    for a, b in zip(grid.estimates, pointwise.estimates):
+        assert abs(a - b) <= 1e-15 * b
+
+
+def test_one_ladder_grows_at_the_logarithmic_rate():
+    # Near its zero |Z phi| ~ C rho with C = leading_coefficient(), so the
+    # midpoint estimate of the integral of 1/|Z phi|^2 grows by
+    # 2 pi log(M'/M) / C^2 per refinement from M to M'.
+    estimates = ladder_verdict("one", [512, 1024, 2048]).report.estimates
+    rate = 2 * np.pi * np.log(2) / leading_coefficient() ** 2
+    for a, b in zip(estimates, estimates[1:]):
+        assert abs((b - a) / rate - 1) <= 1e-9
+
+
+def test_ladder_memory_does_not_scale_with_grid():
+    # The quadrature runs over row blocks of bounded size; one complex
+    # 2048 x 2048 grid alone would be 64 MiB.
+    ladder_verdict("one", [8, 16])  # one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        ladder_verdict("one", [256, 512, 1024, 2048])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_quotient_integral_singular_node():
@@ -312,6 +351,14 @@ def test_table_plane_waves_match_enk(M, n, k):
     X, XI = midpoint_meshgrid(M)
     table = np.outer(exponential(M, n), exponential(M, -k))
     assert np.max(np.abs(table - enk(n, k, X, XI))) <= 1e-13
+
+
+@pytest.mark.parametrize("K", [5, 8, 20])
+@pytest.mark.parametrize("M", [8, 64, 130])
+def test_theta_grid_low_rank_matches_pointwise_form(M, K):
+    params = ThetaParams(K)
+    pointwise = gaussian_zak_theta(*midpoint_meshgrid(M), params)
+    assert np.max(np.abs(theta_grid(M, params).samples - pointwise)) <= 1e-15
 
 
 @PROPERTIES
