@@ -13,6 +13,11 @@ the psi tail by a correction through the head, the head is recoverable
 from the tail expansion, and dropping the head entirely still leaves a
 valid expansion of the inner product.  All identities are exact in
 finite dimensions; the reports carry their rounding-level residuals.
+
+The weak identities <f, g> = weight * sum_i <f, psi_i> <phi_i, g> are
+tested on seeded random probes f, g.  The probes are the rows of two
+matrices, and one routine checks all of them at once with one matrix
+product per family.
 """
 
 from __future__ import annotations
@@ -114,6 +119,23 @@ def _complex_gaussian_vectors(rng: np.random.Generator, count: int, dim: int) ->
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
+def _identity_deviation(
+    psi_mat: np.ndarray, phi_mat: np.ndarray, w: float, fs: np.ndarray, gs: np.ndarray
+) -> float:
+    """Worst |<f, g> - w sum_i <f, psi_i> <phi_i, g>| / (w ||f|| ||g||) over probe rows f, g."""
+    cf = w * (fs @ psi_mat.conj().T)                    # <f, psi_i>, one row per probe
+    cg = w * (gs.conj() @ phi_mat.T)                    # <phi_i, g>
+    lhs = w * np.sum(gs.conj() * fs, axis=1)            # <f, g>
+    scale = w * np.linalg.norm(fs, axis=1) * np.linalg.norm(gs, axis=1)
+    return float(np.max(np.abs(lhs - np.sum(cf * cg, axis=1)) / scale))
+
+
+def _probes(seed: int, trials: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded probe pairs: all f rows are drawn before all g rows."""
+    rng = np.random.default_rng(seed)
+    return _complex_gaussian_vectors(rng, trials, dim), _complex_gaussian_vectors(rng, trials, dim)
+
+
 def reproducing_identity_check(
     psi: FiniteFamily,
     phi: FiniteFamily,
@@ -122,25 +144,15 @@ def reproducing_identity_check(
 ) -> float:
     """Test <f, g> = weight * sum_i <f, psi_i> <phi_i, g> on random pairs.
 
-    Returns |lhs - rhs| normalised by ||f|| ||g||, maximised over the
-    trials, so it reads as an operator-norm-level gap.
+    Draws ``trials`` probe pairs as the rows of two matrices and checks
+    them all at once.  Returns |lhs - rhs| normalised by ||f|| ||g||,
+    maximised over the trials, so it reads as an operator-norm-level gap.
     """
     _check_aligned(psi, phi)
     if trials < 1:
         raise ValueError("trials must be positive")
-    rng = np.random.default_rng(seed)
-    w = psi.weight
-    worst = 0.0
-    fs = _complex_gaussian_vectors(rng, trials, psi.ambient_dim)
-    gs = _complex_gaussian_vectors(rng, trials, psi.ambient_dim)
-    for f, g in zip(fs, gs):
-        lhs = w * np.vdot(g, f)
-        coeff_f = w * (psi.matrix.conj() @ f)        # <f, psi_i>
-        coeff_g = w * (phi.matrix @ g.conj())        # <phi_i, g>
-        rhs = np.sum(coeff_f * coeff_g)
-        scale = w * np.linalg.norm(f) * np.linalg.norm(g)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return float(worst)
+    fs, gs = _probes(seed, trials, psi.ambient_dim)
+    return _identity_deviation(psi.matrix, phi.matrix, psi.weight, fs, gs)
 
 
 def _normalized(S: np.ndarray, sv: np.ndarray, phi: FiniteFamily) -> FiniteFamily:
@@ -319,9 +331,8 @@ def _excess_engine(
     if tail_margin <= tol:
         raise TailNotExact(f"tail gram margin {tail_margin:.3e} at or below tol {tol:.3e}")
 
-    pair_dev = reproducing_identity_check(
-        FiniteFamily(psi_mat, w), FiniteFamily(phi_mat, w), trials=trials, seed=seed
-    )
+    fs, gs = _probes(seed, trials, dim)
+    pair_dev = _identity_deviation(psi_mat, phi_mat, w, fs, gs)
     if pair_dev > tol:
         raise NotReproducingPair(f"identity deviation {pair_dev:.3e} exceeds tol {tol:.3e}")
 
@@ -331,51 +342,31 @@ def _excess_engine(
     if n > 0 and np.max(np.abs(psi_mat[:n])) == 0.0:
         notes.append("trivial branch: psi head is zero, the tail duals equal the psi tail")
 
+    def worst_row(rows: np.ndarray) -> float:  # 0.0 when there are no rows
+        return float(max(np.sqrt(w) * np.linalg.norm(rows, axis=1), default=0.0))
+
+    # An empty head (n = 0) makes every head product below empty and its residual 0.
     # Partner correction: tilde_j = psi_j + sum_{k<n} <tilde_j, phi_k> psi_k.
-    if n > 0:
-        head_ip = w * (tilde @ phi_mat[:n].conj().T)      # <tilde_j, phi_k>
-        predicted = psi_mat[n:] + head_ip @ psi_mat[:n]
-    else:
-        predicted = psi_mat[n:]
-    partner_residual = float(
-        max(np.sqrt(w) * np.linalg.norm(tilde - predicted, axis=1), default=0.0)
-    )
+    head_ip = w * (tilde @ phi_mat[:n].conj().T)          # <tilde_j, phi_k>
+    partner_residual = worst_row(tilde - (psi_mat[n:] + head_ip @ psi_mat[:n]))
+    # Head reconstruction from the tail expansion: phi_k = sum_j <phi_k, tilde_j> phi_j.
+    coef = head_ip.conj().T                               # <phi_k, tilde_j>
+    head_residual = worst_row(phi_mat[:n] - coef @ tail_phi)
 
-    # Head reconstruction from the tail expansion:
-    # phi_k = sum_j <phi_k, tilde_j> phi_j for k < n.
-    if n > 0:
-        coef = w * (phi_mat[:n] @ tilde.conj().T)          # <phi_k, tilde_j>; the probes reuse it
-        recon = coef @ tail_phi
-        head_residual = float(np.max(np.sqrt(w) * np.linalg.norm(phi_mat[:n] - recon, axis=1)))
-    else:
-        head_residual = 0.0
-
-    # Final chain <f, g> = sum_j <f, tilde_j> <phi_j, g> plus the head
-    # coefficient identity u = sum_j w_j on random probes.
-    rng = np.random.default_rng(seed)
-    fs = _complex_gaussian_vectors(rng, trials, dim)
-    gs = _complex_gaussian_vectors(rng, trials, dim)
-    chain_worst = 0.0
-    vector_worst = 0.0
-    trajectory: list[float] = []
-    for idx, (f, g) in enumerate(zip(fs, gs)):
-        lhs = w * np.vdot(g, f)
-        cf = w * (tilde.conj() @ f)            # <f, tilde_j>
-        cg = w * (tail_phi @ g.conj())         # <phi_j, g>
-        rhs = np.sum(cf * cg)
-        chain_worst = max(chain_worst, abs(lhs - rhs) / (w * np.linalg.norm(f) * np.linalg.norm(g)))
-        if n > 0:
-            u = w * (phi_mat[:n] @ g.conj())   # <phi_k, g>
-            wk = coef * cg[None, :]            # column j: w_j entries
-            partial = np.cumsum(wk, axis=1)
-            errs = np.linalg.norm(u[:, None] - partial, axis=0)
-            vector_worst = max(vector_worst, float(errs[-1]) / max(np.linalg.norm(u), 1e-30))
-            if idx == 0:
-                trajectory = [float(e) for e in errs]
+    # Final chain <f, g> = sum_j <f, tilde_j> <phi_j, g>, and the head
+    # coefficient identity <phi_k, g> = sum_j <phi_k, tilde_j> <phi_j, g>,
+    # on the probes of the pair identity.
+    chain_worst = _identity_deviation(tilde, tail_phi, w, fs, gs)
+    cg = w * (gs.conj() @ phi_mat.T)                      # <phi_i, g>, one row per probe
+    u, cg_tail = cg[:, :n], cg[:, n:]
+    u_err = np.linalg.norm(u - cg_tail @ coef.T, axis=1)
+    vector_worst = np.max(u_err / np.maximum(np.linalg.norm(u, axis=1), 1e-30))
+    partial = np.cumsum(coef * cg_tail[0], axis=1)        # the first probe's sums over j
+    trajectory = [float(e) for e in np.linalg.norm(u[0][:, None] - partial, axis=0)] if n else []
     residuals = {
         "partner_correction": partner_residual,
         "head_reconstruction": head_residual,
-        "final_chain": float(chain_worst),
+        "final_chain": chain_worst,
     }
     margins = {
         "tail_gram_margin": tail_margin,

@@ -32,14 +32,18 @@ so theta1 over rows x and columns xi is two real products of a
 rows x (K+1) matrix with a (K+1) x columns matrix, and the prefactor is
 a row factor exp(-pi u^2) times a column factor.  theta_grid and the
 quotient ladder's |Z phi| take this path; theta1 and gaussian_zak_theta
-evaluate pointwise, for arbitrary points.  The ladder sums its
+evaluate pointwise, for arbitrary points.  The column factors depend
+only on the grid size, so they are computed once per grid size and
+truncation and shared by every row block.  The ladder sums its
 quadrature over blocks of grid rows of bounded size, so its memory does
 not grow with the grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -86,6 +90,8 @@ _THETA1_PRIME_ZERO = math.pi**0.75 / (math.sqrt(2.0) * math.gamma(0.75) ** 3)
 # Validated argument strip of the theta evaluator; wide enough for every
 # Zak argument that arises here (|Im z| <= pi/2) with margin, narrow
 # enough that the K = 8 default keeps the truncation tail negligible.
+# The largest term sin((2K+1) z) on the strip grows like
+# exp((2K+1) THETA_IM_LIMIT), which bounds K from above.
 THETA_IM_LIMIT = 4.0
 
 STABILIZATION_THRESHOLD = 0.01  # final refinement step must move less than 1%
@@ -105,6 +111,12 @@ class ThetaParams:
     def __post_init__(self):
         if self.truncation < 1:
             raise ValueError("truncation must be a positive integer")
+        exponent = (2 * self.truncation + 1) * THETA_IM_LIMIT
+        if exponent > math.log(sys.float_info.max):
+            raise ValueError(
+                f"truncation {self.truncation} overflows: its top sine term reaches "
+                f"exp({exponent:g}) on |Im z| <= {THETA_IM_LIMIT}, beyond the double range"
+            )
         tail = GAUSSIAN_NOME ** ((self.truncation + 0.5) ** 2)
         if tail >= 1e-30:
             raise ValueError(
@@ -230,31 +242,44 @@ def gaussian_zak_theta(x, xi, params: ThetaParams = ThetaParams()):
     return vals if np.ndim(vals) else complex(vals)
 
 
-def _theta_outer(x_col, xi_row, params: ThetaParams) -> np.ndarray:
-    """gaussian_zak_theta on the tensor grid x_col x xi_row, as a low-rank product.
+@functools.lru_cache(maxsize=8)
+def _theta_columns(M: int, params: ThetaParams) -> tuple[np.ndarray, ...]:
+    """_theta_outer's read-only column factors on the M shifted nodes xi, v = xi - 1/2.
 
-    Takes the nodes as 1-D arrays or as a column and a row, and returns
-    the (len(x_col), len(xi_row)) complex grid.  The sine series is
-    split into sin/cos of the column argument times cosh/sinh of the row
-    argument (see the module docstring), and the prefactor is formed and
-    applied in the same order of roundings as gaussian_zak_theta.
+    sin and cos of (2k+1) pi v times theta1's coefficients, as (M, K+1)
+    tables, then sin(pi v) and cos(pi v) of the prefactor.
     """
-    u = np.ravel(x_col) - 0.5
-    v = np.ravel(xi_row) - 0.5
+    v = shifted_nodes(M) - 0.5
     odd, coef = _theta_series(params)
     col = np.multiply.outer(np.pi * v, odd)   # (2k+1) pi v, the real part of theta1's argument
-    row = np.multiply.outer(np.pi * u, odd)   # (2k+1) pi u, minus its imaginary part
+    tables = (np.sin(col) * coef, np.cos(col) * coef, np.sin(np.pi * v), np.cos(np.pi * v))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _theta_outer(x_col, M: int, params: ThetaParams) -> np.ndarray:
+    """gaussian_zak_theta on row nodes x_col (1-D or a column) x the M shifted nodes.
+
+    Returns the (len(x_col), M) grid as a low-rank product of cosh/sinh
+    row factors and the cached column factors (see the module
+    docstring), with the prefactor applied in gaussian_zak_theta's order
+    of roundings.
+    """
+    sin_col, cos_col, sin_v, cos_v = _theta_columns(M, params)
+    u = np.ravel(x_col) - 0.5
+    row = np.multiply.outer(np.pi * u, _theta_series(params)[0])  # (2k+1) pi u, minus Im of the argument
     # theta1(pi (v - i u)) = re - i im.  The products have inner dimension
     # K + 1, too small to gain from BLAS threads, and one thread keeps the
     # grid independent of the thread count.
     with single_threaded_blas():
-        re = np.cosh(row) @ (np.sin(col) * coef).T
-        im = np.sinh(row) @ (np.cos(col) * coef).T
+        re = np.cosh(row) @ sin_col.T
+        im = np.sinh(row) @ cos_col.T
     # -2^{1/4} i exp(-pi u^2 + i pi v) = a - i b
     scale = np.exp(-np.pi * u * u)
-    a = np.multiply.outer(scale, np.sin(np.pi * v))
+    a = np.multiply.outer(scale, sin_v)
     a *= 2.0**0.25
-    b = np.multiply.outer(scale, np.cos(np.pi * v))
+    b = np.multiply.outer(scale, cos_v)
     b *= 2.0**0.25
     # (a - i b)(re - i im) = (a re - b im) - i (a im + b re), written in place
     out = np.empty(re.shape, dtype=complex)
@@ -268,8 +293,7 @@ def _theta_outer(x_col, xi_row, params: ThetaParams) -> np.ndarray:
 
 def theta_grid(M: int, params: ThetaParams = ThetaParams()) -> GridFunction:
     """Gaussian Zak transform sampled on the midpoint grid via the theta form."""
-    nodes = shifted_nodes(M)
-    return GridFunction(_theta_outer(nodes, nodes, params))
+    return GridFunction(_theta_outer(shifted_nodes(M), M, params))
 
 
 def leading_coefficient(params: ThetaParams = ThetaParams()) -> float:
@@ -441,7 +465,7 @@ def ladder_verdict(
     sampler, expect = NAMED_NUMERATORS[numerator]
     report = quotient_integral(
         sampler,
-        lambda x, xi: _theta_outer(x, xi, params),
+        lambda x, xi: _theta_outer(x, xi.size, params),  # xi is the row of all M nodes
         refinement_ladder,
         numerator_name=numerator,
         denominator_name="gaussian_zak",

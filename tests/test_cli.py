@@ -115,6 +115,13 @@ def test_excess_n_dependent_head_reduces(tmp_path, capsys):
     assert any(note.startswith("reduction:") for note in report["notes"])
 
 
+def test_excess_n_empty_head(tmp_path, capsys):
+    assert cli.main(["excess-n", "--n", "0", "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path / "excess_n.json")
+    assert report["n"] == 0
+    assert report["head_sum_trajectory"] == []
+
+
 def test_seed_determinism(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
@@ -139,6 +146,16 @@ def test_usage_error_exit_codes(tmp_path, capsys):
              "--out", str(tmp_path)]
         ) == 1
     assert cli.main(["rp-check", "--trials", "0", "--out", str(tmp_path)]) == 1
+    # A truncation whose sine terms overflow on the validated strip is refused
+    # before anything runs, so no report holds its NaN.
+    capsys.readouterr()
+    overflow_out = tmp_path / "overflow"
+    for command in (["zak-validate", "--M", "8"],
+                    ["quotient-ladder", "--numerator", "cone", "--ladder", "4,8"]):
+        assert cli.main(command + ["--K", "300", "--out", str(overflow_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: truncation 300 overflows") and err.count("\n") == 1, err
+    assert not overflow_out.exists()
     assert cli.main(["excess-n", "--trials", "0", "--out", str(tmp_path)]) == 1
     nan_weight = tmp_path / "nan_weight.json"
     samples = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 63

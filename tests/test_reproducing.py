@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zakbench import reproducing
 from zakbench import (
@@ -119,6 +121,36 @@ def test_reproducing_identity_detects_non_reproducing_pair():
     psi = FiniteFamily(np.diag([1.0, 2.0, 4.0]).astype(complex), 1.0)
     # diag(1,2,4) is not reproducing
     assert reproducing_identity_check(psi, phi, trials=4, seed=0) > 0.1
+
+
+def looped_identity_check(psi, phi, trials, seed):
+    """The per-probe loop that reproducing_identity_check replaced, as the reference."""
+    rng = np.random.default_rng(seed)
+    dim, w = psi.ambient_dim, psi.weight
+    fs = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
+    gs = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
+    worst = 0.0
+    for f, g in zip(fs, gs):
+        lhs = w * np.vdot(g, f)
+        rhs = np.sum(w * (psi.matrix.conj() @ f) * (w * (phi.matrix @ g.conj())))
+        worst = max(worst, abs(lhs - rhs) / (w * np.linalg.norm(f) * np.linalg.norm(g)))
+    return float(worst)
+
+
+@pytest.mark.parametrize("trials", [1, 3, 8, 20])
+@pytest.mark.parametrize("weight", [1.0, 1 / 64, 0.25])
+@pytest.mark.parametrize("dim, count", [(5, 8), (12, 20)])
+def test_identity_check_matches_probe_loop(dim, count, weight, trials):
+    # All probes at once give the loop's value up to rounding.
+    psi = random_family(dim, count, seed=41, weight=weight)
+    phi = random_family(dim, count, seed=43, weight=weight)
+    batch = reproducing_identity_check(psi, phi, trials, seed=5)
+    loop = looped_identity_check(psi, phi, trials, seed=5)
+    assert batch > 0.01  # far from reproducing
+    assert abs(batch - loop) <= 1e-14 * loop
+    dual = canonical_dual_frame(phi)
+    assert reproducing_identity_check(dual, phi, trials, seed=5) <= 1e-14
+    assert looped_identity_check(dual, phi, trials, seed=5) <= 1e-14
 
 
 def test_normalize_pair_restores_identity():
@@ -263,6 +295,19 @@ def test_excess_n_zero_head_vector_triggers_reduction():
         assert value < 1e-9
 
 
+def test_excess_n_empty_head():
+    # With n = 0 every head product is empty: no head terms, exact zeros.
+    phi, psi = random_excess_pair(6, 0, np.random.default_rng(23))
+    report = excess_n_identities(phi, psi, n=0)
+    assert report.n == 0
+    assert report.notes == []
+    assert report.head_sum_trajectory == []
+    assert report.residuals["head_reconstruction"] == 0.0
+    assert report.margins["head_vector_identity"] == 0.0
+    assert report.residuals["partner_correction"] <= 1e-14
+    assert report.residuals["final_chain"] <= 1e-14
+
+
 def test_excess_n_tail_not_exact():
     dim = 5
     basis = np.eye(dim, dtype=complex)
@@ -359,6 +404,59 @@ def test_reduction_preserves_operator_form():
         after = s_operator(reduced_psi, reduced_phi)
         scale = max(np.max(np.abs(before)), 1e-30)
         assert np.max(np.abs(before - after)) <= 1e-11 * scale
+
+
+# Property tests over seeded draws: derandomized, so every run checks the same cases.
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+@PROPERTIES
+@given(
+    dim=st.integers(2, 10),
+    side=st.sampled_from(["psi", "phi"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_reduction_preserves_operator_form_property(dim, side, seed, data):
+    # Plant one dependency: head element j is a random combination of the
+    # elements before it, which are independent.
+    n = data.draw(st.integers(2, dim), label="head length")
+    j = data.draw(st.integers(1, n - 1), label="dependent element")
+    rng = np.random.default_rng(seed)
+    dep = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    dep[j] = (rng.standard_normal(j) + 1j * rng.standard_normal(j)) @ dep[:j]
+    other = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    psi, phi = (dep, other) if side == "psi" else (other, dep)
+    psi, phi = FiniteFamily(psi), FiniteFamily(phi)
+    reduced_phi, reduced_psi, note = reduce_dependent_pair(phi, psi)
+    assert len(reduced_phi) == len(reduced_psi) == n - 1
+    assert note.startswith(f"eliminated {side} head element {j} ")
+    before = s_operator(psi, phi)
+    after = s_operator(reduced_psi, reduced_phi)
+    assert np.max(np.abs(before - after)) <= 1e-11 * np.max(np.abs(before))
+
+
+@PROPERTIES
+@given(
+    dim=st.integers(2, 16),
+    dependent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_excess_residuals_unitary_invariance_property(dim, dependent, seed, data):
+    # A unitary Q maps the pair to another pair with the same inner products,
+    # so the reduction chain and the rounding-level residuals do not change.
+    n = data.draw(st.integers(2, min(dim, 6)), label="head length")
+    rng = np.random.default_rng(seed)
+    phi, psi = random_excess_pair(dim, n, rng, dependent_head=dependent)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    base = excess_n_identities(phi, psi, n)
+    rotated = excess_n_identities(FiniteFamily(phi.matrix @ Q), FiniteFamily(psi.matrix @ Q), n)
+    assert rotated.n == base.n == n - dependent
+    assert len(rotated.notes) == len(base.notes)
+    for key in base.residuals:
+        assert base.residuals[key] <= 1e-10
+        assert abs(base.residuals[key] - rotated.residuals[key]) < 1e-12
 
 
 def test_span_vectors_standard_basis():

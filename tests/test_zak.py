@@ -140,6 +140,11 @@ def test_theta_params_tail_bound():
         ThetaParams(truncation=1)
     assert str(info.value) == message
     ThetaParams(truncation=8)  # the default configuration is valid
+    # The top sine term reaches exp((2K+1) 4) on the validated strip |Im z| <= 4:
+    # 708 stays below ln(DBL_MAX) = 709.78 at K = 88, 716 does not at K = 89.
+    assert np.isfinite(theta1(4j, ThetaParams(truncation=88)))
+    with pytest.raises(ValueError, match="truncation 89 overflows"):
+        ThetaParams(truncation=89)
 
 
 def test_theta1_prime_zero_oracle():
@@ -275,6 +280,25 @@ def test_ladder_memory_does_not_scale_with_grid():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20
+
+
+def test_ladder_sine_cost(monkeypatch):
+    # theta's column factors are read from one table per grid size:
+    # (K + 1) M sines for the series and M for the prefactor, where
+    # recomputing them for every block of rows would pass about
+    # (K + 2) M^2 / rows, 768 times as many at these sizes.
+    ladder = [4096, 8192]
+    counted = []
+    sin = np.sin
+
+    def counting_sin(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return sin(x, *args, **kwargs)
+
+    zak._theta_columns.cache_clear()
+    monkeypatch.setattr(np, "sin", counting_sin)
+    ladder_verdict("one", ladder)
+    assert 0 < sum(counted) <= 2 * (ThetaParams().truncation + 2) * sum(ladder)
 
 
 def test_quotient_integral_singular_node():
