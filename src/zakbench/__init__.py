@@ -18,15 +18,25 @@ The package has three mathematical layers and two support layers:
     Shared dense linear algebra helpers, frozen report dataclasses with
     JSON serialisation, and the verdict type that pairs a report with
     its pass rule.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` in ``os.environ``
+unless it is set.  When numpy is not loaded yet, OpenBLAS then starts
+without the worker pool that no command uses: every BLAS call on a
+command's path runs inside ``linalg.single_threaded_blas()``.  Child
+processes inherit the variable.
 """
 
-from . import errors, expsys, linalg, reports, reproducing, zak
-from .errors import *  # noqa: F401,F403
-from .expsys import *  # noqa: F401,F403
-from .linalg import *  # noqa: F401,F403
-from .reports import *  # noqa: F401,F403
-from .reproducing import *  # noqa: F401,F403
-from .zak import *  # noqa: F401,F403
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import errors, expsys, linalg, reports, reproducing, zak  # noqa: E402
+from .errors import *  # noqa: F401,F403,E402
+from .expsys import *  # noqa: F401,F403,E402
+from .linalg import *  # noqa: F401,F403,E402
+from .reports import *  # noqa: F401,F403,E402
+from .reproducing import *  # noqa: F401,F403,E402
+from .zak import *  # noqa: F401,F403,E402
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,10 @@ computation raises a NumericalFailure, 1 on usage or configuration
 errors.  Reports are deterministic for a fixed seed, at any BLAS
 thread count; the only run-dependent content is the "metadata" field,
 which records the argv, the time, the Python, numpy and zakbench
-versions and the OpenBLAS thread count.
+versions and the OpenBLAS thread count.  That count is 1 unless
+OPENBLAS_NUM_THREADS is set: importing the zakbench package, which
+runs before this module imports numpy, sets the variable to 1 when it
+is unset.
 """
 
 from __future__ import annotations

@@ -10,7 +10,10 @@ square, 1 for plain coordinate space).
 
 The thread count of the loaded OpenBLAS can be read and held at one
 thread, so that callers running BLAS work on their own threads get the
-results of serial, single-threaded BLAS.
+results of serial, single-threaded BLAS.  Importing zakbench before
+numpy already starts OpenBLAS at one thread unless OPENBLAS_NUM_THREADS
+is set; the hold still matters when numpy came first or the variable
+asks for more threads, and it keeps results independent of the count.
 """
 
 from __future__ import annotations

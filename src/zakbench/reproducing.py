@@ -181,15 +181,25 @@ def canonical_dual_frame(family: FiniteFamily) -> FiniteFamily:
     return FiniteFamily(np.linalg.solve(frame_op, family.matrix.T).T, family.weight)
 
 
-def _greedy_dependent_index(mat: np.ndarray, tol: float) -> int | None:
-    """First row that adds nothing to the span of its predecessors."""
-    prev_rank = 0
-    for j in range(mat.shape[0]):
-        rank = rank_and_span(mat[: j + 1], tol)
-        if rank <= prev_rank:
-            return j
-        prev_rank = rank
-    return None
+def _first_dependent_row(mat: np.ndarray, tol: float) -> int | None:
+    """First row that adds nothing to the span of its predecessors, or None.
+
+    By interlacing, adding a row cannot raise a prefix's smallest
+    singular value or lower its largest, so once a prefix is rank
+    deficient every longer prefix is too.  After one rank of the whole
+    matrix, the first deficient prefix is found by bisection.
+    """
+    n = mat.shape[0]
+    if rank_and_span(mat, tol) == n:
+        return None
+    lo, hi = 0, n - 1  # mat[: hi + 1] is rank deficient
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if rank_and_span(mat[: mid + 1], tol) <= mid:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _reduce_once(
@@ -204,20 +214,17 @@ def _reduce_once(
     and replacing phi_k by phi_k + conj(c_k) phi_{last}.  The roles are
     symmetric.  The dependent element is moved to the last slot first;
     the permutation applies to both families so pairs stay matched.
-    Returns None when both heads are independent.  Each head's rank is
-    taken at most once.
+    Returns None when both heads are independent.  Each head's full
+    rank is taken at most once.
     """
     n = phi_mat.shape[0]
-    if rank_and_span(psi_mat, tol) < n:
+    if (j := _first_dependent_row(psi_mat, tol)) is not None:
         dep_mat, other_mat, role = psi_mat, phi_mat, "psi"
-    elif rank_and_span(phi_mat, tol) < n:
+    elif (j := _first_dependent_row(phi_mat, tol)) is not None:
         dep_mat, other_mat, role = phi_mat, psi_mat, "phi"
     else:
         return None
 
-    j = _greedy_dependent_index(dep_mat, tol)
-    if j is None:
-        raise NoDependence("rank deficiency detected but no single dependent element found")
     order = [i for i in range(n) if i != j] + [j]
     if order != list(range(n)):
         logger.info("reduce_dependent_pair: moved element %d to the end (order %s)", j, order)

@@ -487,14 +487,16 @@ def validate_verdict(
 ) -> tuple[Verdict, GridFunction]:
     """Invariant checks of the Gaussian's Zak transform on the M x M grid.
 
-    Checks the norms of Z phi and of its translate by ``shift``,
-    covariance for |n|, |k| <= ``cov_range`` (at least 1), the theta
+    Checks the norms of Z phi and of its translate by ``shift`` (not
+    0), covariance for |n|, |k| <= ``cov_range`` (at least 1), the theta
     form against the direct series, the centre zero, theta1'(0) against
     its closed form at q = exp(-pi), and a ``stored`` grid if given.
     Returns the verdict and the theta grid.
     """
     if cov_range < 1:
         raise ValueError(f"cov_range must be at least 1, got {cov_range}")
+    if shift == 0:
+        raise ValueError("shift must be nonzero: shift 0 re-measures the untranslated transform")
     direct = zak_transform(gaussian_atom, M, J)
     theta = theta_grid(M, params)
 

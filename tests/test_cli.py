@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from zakbench import cli
 from zakbench.linalg import blas_threads
@@ -185,6 +186,11 @@ def test_usage_error_exit_codes(tmp_path, capsys):
             ["zak-validate", "--M", "16", "--cov-range", cov_range, "--out", str(tmp_path)]
         ) == 1
         assert "cov_range must be at least 1" in capsys.readouterr().err
+    shift_out = tmp_path / "shift"
+    assert cli.main(["zak-validate", "--M", "16", "--shift", "0", "--out", str(shift_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: shift must be nonzero") and err.count("\n") == 1, err
+    assert not shift_out.exists()
     for tol in ("nan", "inf", "0", "1e-3"):
         assert cli.main(["excess-n", "--tol", tol, "--out", str(tmp_path)]) == 1
         assert "tol must lie in" in capsys.readouterr().err
@@ -245,9 +251,9 @@ def test_version_flag(capsys):
 
 def test_svd_counts(tmp_path, monkeypatch):
     # One SVD per random basis and per raw mixed operator in rp-check; the
-    # excess path takes one rank per head per reduction step and n ranks to
-    # find the dependent element, and its dual frame's invertibility test
-    # takes eigenvalues instead.
+    # excess path takes one rank per head per reduction step and log2(n)
+    # prefix ranks to find the dependent element by bisection, and its dual
+    # frame's invertibility test takes eigenvalues instead.
     calls = []
     svd = np.linalg.svd
 
@@ -260,7 +266,7 @@ def test_svd_counts(tmp_path, monkeypatch):
     assert len(calls) == 60
     calls.clear()
     assert cli.main(["excess-n", "--n", "4", "--dependent-head", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 8
+    assert len(calls) == 6
 
 
 def test_report_metadata_records_the_run(tmp_path):
@@ -271,6 +277,23 @@ def test_report_metadata_records_the_run(tmp_path):
     assert metadata["python"] == platform.python_version()
     assert metadata["numpy"] == np.__version__
     assert metadata["blas_threads"] == blas_threads()
+
+
+def test_import_starts_openblas_on_one_thread():
+    # numpy is first imported by zakbench here, so OpenBLAS starts at the
+    # package's default unless OPENBLAS_NUM_THREADS is set.
+    code = "import zakbench; print(zakbench.linalg.blas_threads())"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = str(REPO / "src")
+    counts = []
+    for env in (base, {**base, "OPENBLAS_NUM_THREADS": "2"}):
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(proc.stdout.strip())
+    if counts[0] == "None":
+        pytest.skip("the loaded BLAS is not OpenBLAS")
+    assert counts == ["1", "2"]
 
 
 def test_rp_check_payload_independent_of_blas_threads(tmp_path):
@@ -286,7 +309,10 @@ def test_rp_check_payload_independent_of_blas_threads(tmp_path):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        payloads.append(json.dumps(read_report(out / "rp_check.json"), sort_keys=True))
+        report = json.loads((out / "rp_check.json").read_text())
+        expected = None if blas_threads() is None else int(threads)
+        assert report.pop("metadata")["blas_threads"] == expected
+        payloads.append(json.dumps(report, sort_keys=True))
     assert payloads[0] == payloads[1]
 
 
@@ -303,7 +329,10 @@ def test_excess_n_payload_independent_of_blas_threads(tmp_path):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        payloads.append(json.dumps(read_report(out / "excess_n.json"), sort_keys=True))
+        report = json.loads((out / "excess_n.json").read_text())
+        expected = None if blas_threads() is None else int(threads)
+        assert report.pop("metadata")["blas_threads"] == expected
+        payloads.append(json.dumps(report, sort_keys=True))
     assert payloads[0] == payloads[1]
 
 

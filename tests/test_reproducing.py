@@ -387,6 +387,35 @@ def test_reduce_dependent_pair_needs_two_vectors():
         reduce_dependent_pair(fam, fam)
 
 
+def scanned_dependent_row(mat, tol):
+    """The linear prefix scan that the bisection replaced, as the reference."""
+    prev_rank = 0
+    for j in range(mat.shape[0]):
+        rank = rank_and_span(mat[: j + 1], tol)
+        if rank <= prev_rank:
+            return j
+        prev_rank = rank
+    return None
+
+
+@pytest.mark.parametrize("n, dim", [(2, 8), (4, 8), (8, 96), (12, 8), (64, 96)])
+def test_first_dependent_row_matches_prefix_scan(n, dim):
+    # A dependency planted at every position (at 0 it is a zero first row)
+    # and the unplanted head; with n > dim row dim is the first dependent one.
+    rng = np.random.default_rng(7 * n + dim)
+    base = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    cases = [(base, None if n <= dim else dim)]
+    for j in range(n):
+        mat = base.copy()
+        coeffs = rng.standard_normal(j) + 1j * rng.standard_normal(j)
+        mat[j] = coeffs @ mat[:j]
+        cases.append((mat, min(j, dim)))
+    for mat, expected in cases:
+        found = reproducing._first_dependent_row(mat, reproducing.DEFAULT_TOL)
+        assert found == expected
+        assert found == scanned_dependent_row(mat, reproducing.DEFAULT_TOL)
+
+
 def test_reduction_preserves_operator_form():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)

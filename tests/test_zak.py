@@ -165,6 +165,13 @@ def test_theta_prime_closed_form_against_mpmath():
     assert report.theta_prime_oracle_rel_dev == expected <= 1e-15
 
 
+def test_validate_verdict_rejects_zero_shift():
+    # A zero shift would pass the translated-norm check on the untranslated transform.
+    with pytest.raises(ValueError, match="shift must be nonzero"):
+        validate_verdict(8, J=2, shift=0)
+    assert validate_verdict(8, J=2, shift=-1)[0].report.translate_shift == -1.0
+
+
 def test_theta_grid_memory_does_not_scale_with_truncation():
     # The theta series adds its K + 1 terms into one array; a (..., K + 1)
     # sine temporary would hold K + 1 = 9 complex grids on its own.
