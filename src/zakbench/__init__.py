@@ -10,7 +10,8 @@ The package has three mathematical layers and two support layers:
 ``zak``
     The truncated Zak transform on the unit square, the Jacobi theta
     form of the Gaussian's transform, plane-wave Lipschitz bounds, and
-    refinement ladders for quotient integrals against |Z phi|^2.
+    refinement ladders for the integrals of the two named numerators
+    over |Z phi|^2, summed as real arrays from the theta form.
 ``reproducing``
     Finite reproducing pairs: mixed-operator checks, canonical duals,
     head/tail excess identities, and dependent-head reduction.

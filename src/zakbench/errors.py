@@ -20,7 +20,6 @@ __all__ = [
     "ThetaDomain",
     "ExcludedIndex",
     "SingularNode",
-    "ZeroEstimate",
     "FamilyMismatch",
     "TailNotExact",
     "NotReproducingPair",
@@ -71,10 +70,6 @@ class ExcludedIndex(ZakbenchError):
 
 class SingularNode(NumericalFailure):
     """The denominator vanishes at a quadrature node."""
-
-
-class ZeroEstimate(NumericalFailure):
-    """A ladder estimate is zero, so its relative growth is undefined."""
 
 
 class FamilyMismatch(ZakbenchError):

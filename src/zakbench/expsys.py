@@ -66,6 +66,11 @@ NAMED_WEIGHTS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 ENERGY_GROWTH_RATIO = 1.05
 
 
+def _check_grid_size(name: str, n: int) -> None:
+    if n < 2 or n % 2:
+        raise ValueError(f"{name} must be a positive even integer, got {n}")
+
+
 def shifted_nodes(N: int) -> np.ndarray:
     """Quadrature nodes t_i = (i + 1/2)/N."""
     return (np.arange(N) + 0.5) / N
@@ -120,8 +125,7 @@ class PeriodicSignal:
         arr = np.asarray(self.samples, dtype=complex)
         if arr.ndim != 1:
             raise ValueError("samples must be a 1d array")
-        if arr.size < 2 or arr.size % 2 != 0:
-            raise ValueError(f"N must be a positive even integer, got {arr.size}")
+        _check_grid_size("N", arr.size)
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -134,6 +138,7 @@ class PeriodicSignal:
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], N: int) -> "PeriodicSignal":
+        _check_grid_size("N", N)
         return cls(np.asarray(fn(shifted_nodes(N)), dtype=complex), sampler=fn)
 
     @classmethod

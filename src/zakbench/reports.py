@@ -92,7 +92,7 @@ class EnkBoundReport:
 
 @dataclass(frozen=True)
 class ExcessReport:
-    experiment: str                  # "excess_one" or "excess_n"
+    experiment: str                  # always "excess_n", the one excess routine
     ambient_dim: int
     n: int
     residuals: dict[str, float]      # partner_correction, head_reconstruction, final_chain

@@ -49,7 +49,6 @@ __all__ = [
     "reproducing_identity_check",
     "normalize_pair",
     "canonical_dual_frame",
-    "excess_one_identities",
     "excess_n_identities",
     "reduce_dependent_pair",
     "span_vectors",
@@ -296,15 +295,24 @@ def span_vectors(psi_head: FiniteFamily, phi_tail: FiniteFamily) -> FiniteFamily
     return FiniteFamily(vecs, 1.0)
 
 
-def _excess_engine(
+def excess_n_identities(
     phi: FiniteFamily,
     psi: FiniteFamily,
     n: int,
-    tol: float,
-    trials: int,
-    seed: int,
-    experiment: str,
+    tol: float = DEFAULT_TOL,
+    trials: int = 20,
+    seed: int = 0,
 ) -> ExcessReport:
+    """Identities for a family exceeding a minimal complete tail by an n-element head.
+
+    The tail duals absorb the head through a rank-n correction, the head
+    elements are recoverable from the tail expansion, and the inner
+    product expands through the tail alone.  Residuals of all three are
+    reported and should sit at rounding level whenever the
+    preconditions hold.  Dependent heads are reduced away pair by pair
+    before the residuals are formed; the report notes record the
+    reduction chain.
+    """
     _check_aligned(psi, phi)
     if not 0 <= n < len(phi):
         raise ValueError(f"head length {n} must lie in [0, {len(phi)})")
@@ -381,7 +389,7 @@ def _excess_engine(
         "head_vector_identity": float(vector_worst),
     }
     return ExcessReport(
-        experiment=experiment,
+        experiment="excess_n",
         ambient_dim=dim,
         n=n,
         residuals=residuals,
@@ -390,41 +398,6 @@ def _excess_engine(
         head_sum_trajectory=trajectory,
         notes=notes,
     )
-
-
-def excess_one_identities(
-    phi: FiniteFamily,
-    psi: FiniteFamily,
-    tol: float = DEFAULT_TOL,
-    trials: int = 20,
-    seed: int = 0,
-) -> ExcessReport:
-    """Identities for a family exceeding a minimal complete tail by one element.
-
-    The tail duals absorb the head through a rank-one correction, the
-    head element is recoverable from the tail expansion, and the inner
-    product expands through the tail alone.  Residuals of all three are
-    reported and should sit at rounding level (10 tol is the acceptance
-    line) whenever the preconditions hold.
-    """
-    return _excess_engine(phi, psi, 1, tol, trials, seed, "excess_one")
-
-
-def excess_n_identities(
-    phi: FiniteFamily,
-    psi: FiniteFamily,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    trials: int = 20,
-    seed: int = 0,
-) -> ExcessReport:
-    """Same identities for a head of n elements over a minimal complete tail.
-
-    Dependent heads are reduced away pair by pair before the residuals
-    are formed; the report notes record the reduction chain.  With
-    n = 1 the output agrees with excess_one_identities field by field.
-    """
-    return _excess_engine(phi, psi, n, tol, trials, seed, "excess_n")
 
 
 def random_spanning_family(dim: int, count: int, rng: np.random.Generator) -> FiniteFamily:

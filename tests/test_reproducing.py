@@ -22,7 +22,6 @@ from zakbench import (
     blas_threads,
     canonical_dual_frame,
     excess_n_identities,
-    excess_one_identities,
     normalize_pair,
     random_excess_pair,
     random_pair_check,
@@ -218,7 +217,7 @@ def test_excess_one_augmented_basis():
     extra = basis.sum(axis=0)[None, :]
     phi = FiniteFamily(np.vstack([extra, basis]), 1.0)
     psi = canonical_dual_frame(phi)
-    report = excess_one_identities(phi, psi)
+    report = excess_n_identities(phi, psi, 1)
     assert report.n == 1
     assert report.ambient_dim == dim
     for value in report.residuals.values():
@@ -230,7 +229,7 @@ def test_excess_one_zero_head_trivial_branch():
     dim = 5
     phi_mat = np.vstack([np.ones((1, dim), dtype=complex), np.eye(dim, dtype=complex)])
     psi_mat = np.vstack([np.zeros((1, dim), dtype=complex), np.eye(dim, dtype=complex)])
-    report = excess_one_identities(FiniteFamily(phi_mat, 1.0), FiniteFamily(psi_mat, 1.0))
+    report = excess_n_identities(FiniteFamily(phi_mat, 1.0), FiniteFamily(psi_mat, 1.0), 1)
     assert report.n == 1
     assert any("trivial branch" in note for note in report.notes)
     for value in report.residuals.values():
@@ -241,13 +240,14 @@ def test_excess_one_unitary_invariance():
     dim = 6
     rng = np.random.default_rng(13)
     phi, psi = random_excess_pair(dim, 1, rng)
-    base = excess_one_identities(phi, psi)
+    base = excess_n_identities(phi, psi, 1)
 
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, _ = np.linalg.qr(raw)
-    rotated = excess_one_identities(
+    rotated = excess_n_identities(
         FiniteFamily(phi.matrix @ Q, phi.weight),
         FiniteFamily(psi.matrix @ Q, psi.weight),
+        1,
     )
     for key in base.residuals:
         assert abs(base.residuals[key] - rotated.residuals[key]) < 1e-12
@@ -263,21 +263,6 @@ def test_excess_n_two_head_example():
     assert report.n == 2
     for value in report.residuals.values():
         assert value < 1e-10
-
-
-def test_excess_n_with_one_head_matches_excess_one():
-    rng = np.random.default_rng(17)
-    phi, psi = random_excess_pair(7, 1, rng)
-    one = excess_one_identities(phi, psi, trials=12, seed=9)
-    gen = excess_n_identities(phi, psi, n=1, trials=12, seed=9)
-    assert gen.n == one.n == 1
-    assert gen.ambient_dim == one.ambient_dim
-    for key in one.residuals:
-        assert abs(one.residuals[key] - gen.residuals[key]) < 1e-12
-    traj_one = np.asarray(one.head_sum_trajectory)
-    traj_gen = np.asarray(gen.head_sum_trajectory)
-    assert traj_one.shape == traj_gen.shape
-    assert np.max(np.abs(traj_one - traj_gen)) < 1e-12
 
 
 def test_excess_n_zero_head_vector_triggers_reduction():

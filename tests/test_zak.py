@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from zakbench import zak
 from zakbench import (
-    ConeParams,
     ExcludedIndex,
     GridFunction,
     SingularNode,
     ThetaDomain,
     ThetaParams,
-    ZeroEstimate,
-    cone,
     enk,
     enk_bound_check,
     exponential,
@@ -26,10 +23,10 @@ from zakbench import (
     ladder_verdict,
     leading_coefficient,
     load_grid_function,
-    midpoint_meshgrid,
     modulated_translate,
     quotient_integral,
     save_grid_function,
+    shifted_nodes,
     theta1,
     theta1_prime_zero,
     theta_grid,
@@ -43,8 +40,19 @@ CENTER_SUM = 1.291996007481504          # 2^{1/4} * sum_k exp(-pi k^2)
 THETA_HALF_PI = 0.9135791381561168      # theta1(pi/2) at q = exp(-pi)
 
 
-def theta_sampler(x, xi):
-    return gaussian_zak_theta(x, xi)
+def meshgrid(M):
+    g = shifted_nodes(M)
+    return np.meshgrid(g, g, indexing="ij")
+
+
+# Squared numerators of the named ladders at the full meshgrid, for the pointwise reference.
+POINTWISE_NUMERATORS = {"cone": lambda X, XI: (X - 0.5) ** 2 + (XI - 0.5) ** 2, "one": lambda X, XI: 1.0}
+
+
+def pointwise_estimate(numerator, M):
+    """Mean of num / |gaussian_zak_theta|^2 on the full M x M meshgrid."""
+    X, XI = meshgrid(M)
+    return float(np.mean(POINTWISE_NUMERATORS[numerator](X, XI) / np.abs(gaussian_zak_theta(X, XI)) ** 2))
 
 
 def test_zak_of_unit_indicator_is_constant_one():
@@ -78,7 +86,7 @@ def test_theta_form_matches_direct_series():
 
 def test_theta_vanishes_at_center_only():
     assert abs(gaussian_zak_theta(0.5, 0.5)) < 1e-12
-    X, XI = midpoint_meshgrid(32)
+    X, XI = meshgrid(32)
     vals = np.abs(gaussian_zak_theta(X, XI))
     assert np.min(vals) > 0.05  # nodes stay away from the zero
 
@@ -86,7 +94,7 @@ def test_theta_vanishes_at_center_only():
 def test_covariance_under_modulation_and_translation():
     M = 32
     base = zak_transform(gaussian_atom, M, 6)
-    X, XI = midpoint_meshgrid(M)
+    X, XI = meshgrid(M)
     for n in (-1, 0, 1):
         for k in (-1, 0, 1):
             shifted = zak_transform(modulated_translate(gaussian_atom, n, k), M, 6)
@@ -176,10 +184,10 @@ def test_theta_grid_memory_does_not_scale_with_truncation():
     # The theta series adds its K + 1 terms into one array; a (..., K + 1)
     # sine temporary would hold K + 1 = 9 complex grids on its own.
     M = 256
-    gaussian_zak_theta(*midpoint_meshgrid(8))  # one-time allocations stay out of the trace
+    gaussian_zak_theta(*meshgrid(8))  # one-time allocations stay out of the trace
     tracemalloc.start()
     try:
-        gaussian_zak_theta(*midpoint_meshgrid(M))
+        gaussian_zak_theta(*meshgrid(M))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -192,14 +200,6 @@ def test_leading_coefficient_against_mpmath():
         theta_prime = mpmath.jtheta(1, 0, mpmath.exp(-mpmath.pi), 1)
         oracle = float(mpmath.root(2, 4) * mpmath.pi * abs(theta_prime))
     assert abs(leading_coefficient() - oracle) <= 1e-13 * oracle
-
-
-def test_cone_hand_values():
-    p = ConeParams(x0=0.0, xi0=0.0)
-    assert cone(p, 0.0, 0.0) == 0.0
-    assert cone(p, 0.6, 0.8) == pytest.approx(1.0)
-    c = ConeParams()
-    assert cone(c, 0.5 + 0.1, 0.5) == pytest.approx(cone(c, 0.5 - 0.1, 0.5))
 
 
 def test_enk_hand_values():
@@ -227,31 +227,29 @@ def test_enk_bound_check_excluded_indices():
         enk_bound_check(1, 1, trials=10, base=(1, 1))
 
 
-def test_quotient_integral_equal_arguments_give_unit_measure():
-    report = quotient_integral(theta_sampler, theta_sampler, [4, 8, 16])
+def test_quotient_integral_equal_arguments_give_unit_measure(monkeypatch):
+    # re = 2^{-1/4} exp(pi u^2) and im = 0 cancel the prefactor of
+    # |Z phi|^2 = sqrt(2) exp(-2 pi u^2) (re^2 + im^2), so the constant
+    # numerator's quotient is 1 at every node.
+    def unit_modulus(x, M, params):
+        u = x - 0.5
+        re = np.repeat(2.0**-0.25 * np.exp(np.pi * u * u)[:, None], M, axis=1)
+        return u, re, np.zeros_like(re)
+
+    monkeypatch.setattr(zak, "_theta_products", unit_modulus)
+    report = quotient_integral("one", [4, 8, 16])
     assert report.estimates == [1.0, 1.0, 1.0]
     assert report.converges and not report.diverges
-    # Samplers that ignore xi return one column per row block; the sum
-    # still runs over the whole grid.
-    def ones(x, xi):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    assert quotient_integral(ones, ones, [4, 8]).estimates == [1.0, 1.0]
 
 
 def test_quotient_integral_cone_numerator_converges():
-    centre = ConeParams()
-    report = quotient_integral(
-        lambda x, xi: cone(centre, x, xi), theta_sampler, [64, 128]
-    )
+    report = quotient_integral("cone", [64, 128])
     assert report.converges
     assert not report.diverges
 
 
 def test_quotient_integral_constant_numerator_grows():
-    report = quotient_integral(
-        lambda x, xi: np.ones_like(np.asarray(x, dtype=float)), theta_sampler, [64, 128]
-    )
+    report = quotient_integral("one", [64, 128])
     assert report.diverges
     assert report.step_growth[0] > 0.10
     assert "cannot certify" in report.note
@@ -260,10 +258,26 @@ def test_quotient_integral_constant_numerator_grows():
 @pytest.mark.parametrize("numerator", ["cone", "one"])
 def test_ladder_grid_path_matches_pointwise_sampler(numerator):
     ladder = [64, 128, 256, 512]
-    grid = ladder_verdict(numerator, ladder).report
-    pointwise = quotient_integral(zak.NAMED_NUMERATORS[numerator][0], theta_sampler, ladder)
-    for a, b in zip(grid.estimates, pointwise.estimates):
-        assert abs(a - b) <= 1e-15 * b
+    report = ladder_verdict(numerator, ladder).report
+    assert (report.numerator, report.denominator) == (numerator, "gaussian_zak")
+    for M, estimate in zip(ladder, report.estimates):
+        reference = pointwise_estimate(numerator, M)
+        assert abs(estimate - reference) <= 1e-15 * reference
+
+
+def test_ladder_builds_no_complex_grid(monkeypatch):
+    # The ladder reads |Z phi|^2 from theta1's two real products; the
+    # complex grid of theta_grid is never built.
+    expected = {name: ladder_verdict(name, [64, 128, 256]).report for name in ("cone", "one")}
+
+    def no_complex_grid(*args):
+        raise AssertionError("the ladder built a complex theta grid")
+
+    monkeypatch.setattr(zak, "_theta_outer", no_complex_grid)
+    for name, before in expected.items():
+        after = ladder_verdict(name, [64, 128, 256]).report
+        assert (after.converges, after.diverges) == (before.converges, before.diverges)
+        assert after.estimates == before.estimates
 
 
 def test_one_ladder_grows_at_the_logarithmic_rate():
@@ -308,29 +322,30 @@ def test_ladder_sine_cost(monkeypatch):
     assert 0 < sum(counted) <= 2 * (ThetaParams().truncation + 2) * sum(ladder)
 
 
-def test_quotient_integral_singular_node():
-    # A cone centred exactly on a node makes the denominator vanish there.
-    centre = ConeParams(x0=1.0 / 8.0, xi0=1.0 / 8.0)
-    with pytest.raises(SingularNode):
-        quotient_integral(
-            lambda x, xi: np.ones_like(np.asarray(x, dtype=float)),
-            lambda x, xi: cone(centre, x, xi),
-            [4, 8],
-        )
+def test_quotient_integral_singular_node(monkeypatch):
+    # A zero of |Z phi|^2 = sqrt(2) exp(-2 pi u^2) (re^2 + im^2) at one node
+    # of a row block is refused before the division.
+    products = zak._theta_products
+
+    def zero_at_first_node(x, M, params):
+        u, re, im = products(x, M, params)
+        re[0, 0] = im[0, 0] = 0.0
+        return u, re, im
+
+    monkeypatch.setattr(zak, "_theta_products", zero_at_first_node)
+    for numerator in ("cone", "one"):
+        with pytest.raises(SingularNode, match="M=4 grid"):
+            quotient_integral(numerator, [4, 8])
 
 
 def test_quotient_integral_ladder_validation():
     with pytest.raises(ValueError):
-        quotient_integral(theta_sampler, theta_sampler, [64])
+        quotient_integral("one", [64])
     with pytest.raises(ValueError):
-        quotient_integral(theta_sampler, theta_sampler, [15, 30])
+        quotient_integral("one", [15, 30])
     for ladder in ([64, 64], [128, 64]):
         with pytest.raises(ValueError):
-            quotient_integral(theta_sampler, theta_sampler, ladder)
-    with pytest.raises(ZeroEstimate):
-        quotient_integral(
-            lambda x, xi: np.zeros_like(np.asarray(x, dtype=float)), theta_sampler, [4, 8]
-        )
+            quotient_integral("cone", ladder)
 
 
 def test_grid_function_validation():
@@ -379,7 +394,7 @@ def test_covariance_property(M, n, k):
 @PROPERTIES
 @given(M=EVEN_M, n=st.integers(-16, 16), k=st.integers(-16, 16))
 def test_table_plane_waves_match_enk(M, n, k):
-    X, XI = midpoint_meshgrid(M)
+    X, XI = meshgrid(M)
     table = np.outer(exponential(M, n), exponential(M, -k))
     assert np.max(np.abs(table - enk(n, k, X, XI))) <= 1e-13
 
@@ -388,7 +403,7 @@ def test_table_plane_waves_match_enk(M, n, k):
 @pytest.mark.parametrize("M", [8, 64, 130])
 def test_theta_grid_low_rank_matches_pointwise_form(M, K):
     params = ThetaParams(K)
-    pointwise = gaussian_zak_theta(*midpoint_meshgrid(M), params)
+    pointwise = gaussian_zak_theta(*meshgrid(M), params)
     assert np.max(np.abs(theta_grid(M, params).samples - pointwise)) <= 1e-15
 
 
