@@ -11,15 +11,17 @@ verdict line:
     rp-check          reproducing.rp_check_verdict
     excess-n          reproducing.excess_n_verdict
 
-Exit status: 0 when the asserted outcome holds, 2 when it fails or a
-computation raises a NumericalFailure, 1 on usage or configuration
-errors.  Reports are deterministic for a fixed seed, at any BLAS
-thread count; the only run-dependent content is the "metadata" field,
-which records the argv, the time, the Python, numpy and zakbench
-versions and the OpenBLAS thread count.  That count is 1 unless
-OPENBLAS_NUM_THREADS is set: importing the zakbench package, which
-runs before this module imports numpy, sets the variable to 1 when it
-is unset.
+Exit status: 0 when the asserted outcome holds; 2 when it fails, when
+a computation raises a NumericalFailure, or when a LAPACK routine raises
+numpy's LinAlgError; 1 on bad input, which raises ValueError (or
+OSError for a file that cannot be read or written).  Each error prints
+one line, its class name and message, on stderr.  Reports are
+deterministic for a fixed seed, at any BLAS thread count; the only
+run-dependent content is the "metadata" field, which records the argv,
+the time, the Python, numpy and zakbench versions and the OpenBLAS
+thread count.  That count is 1 unless OPENBLAS_NUM_THREADS is set:
+importing the zakbench package, which runs before this module imports
+numpy, sets the variable to 1 when it is unset.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import json
 import platform
 import sys
 from pathlib import Path
 
 from numpy import __version__ as numpy_version
+from numpy.linalg import LinAlgError
 
 from . import __version__
-from .errors import NumericalFailure, ZakbenchError
+from .errors import NumericalFailure
 from .expsys import ExpSystem, PeriodicSignal, load_signal, save_signal, sweep_verdict
 from .linalg import blas_threads
 from .reports import Verdict, dump_report_json
@@ -221,9 +223,11 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.run(args)
-    except (ZakbenchError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (NumericalFailure, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return ASSERTION_FAILURE if isinstance(exc, NumericalFailure) else USAGE_ERROR
+        # LinAlgError subclasses ValueError: a LAPACK failure is numerical.
+        numerical = isinstance(exc, (NumericalFailure, LinAlgError))
+        return ASSERTION_FAILURE if numerical else USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -1,79 +1,29 @@
-"""Exception types shared across the package.
+"""Numerical failures, the one exception family the package defines.
 
-Every precondition failure raises a named subclass of ZakbenchError so
-callers (and the command line driver) can distinguish configuration
-mistakes from genuine numerical assertion failures.  The numerical
-failures share the base class NumericalFailure: they are raised when
-valid input meets a computation that does not hold at the working
-tolerance, such as a singular operator or an unconverged SVD.
+The command line driver splits errors two ways.  Bad input, such as a
+malformed file, an index outside its window or a parameter outside its
+range, raises a plain ValueError and exits 1.  Valid input that meets a
+computation which does not hold at the working tolerance raises a
+NumericalFailure subclass and exits 2, as does numpy's LinAlgError when
+a LAPACK routine fails (an SVD that does not converge, a singular
+solve).
 """
 
 __all__ = [
-    "ZakbenchError",
     "NumericalFailure",
-    "DimMismatch",
-    "EmptyFamily",
-    "SpectrumFail",
-    "IndexOutOfWindow",
-    "RemovedIndex",
-    "WeightVanishesOnGrid",
-    "ThetaDomain",
-    "ExcludedIndex",
     "SingularNode",
-    "FamilyMismatch",
     "TailNotExact",
     "NotReproducingPair",
     "NoDependence",
-    "HeadDependent",
 ]
 
 
-class ZakbenchError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class NumericalFailure(ZakbenchError):
+class NumericalFailure(Exception):
     """Base class for numerical assertion failures on valid input."""
-
-
-class DimMismatch(ZakbenchError):
-    """Vector or matrix dimensions are incompatible."""
-
-
-class EmptyFamily(ZakbenchError):
-    """An operation that needs at least one vector received none."""
-
-
-class SpectrumFail(NumericalFailure):
-    """The eigensolver or SVD did not converge."""
-
-
-class IndexOutOfWindow(ZakbenchError):
-    """A frequency index lies outside the configured window."""
-
-
-class RemovedIndex(ZakbenchError):
-    """The requested index is the removed element of the system."""
-
-
-class WeightVanishesOnGrid(ZakbenchError):
-    """The weight function vanishes at a sample node, so division fails."""
-
-
-class ThetaDomain(ZakbenchError):
-    """Argument outside the validated strip of the theta evaluator."""
-
-
-class ExcludedIndex(ZakbenchError):
-    """The index pair is excluded from this bound check."""
 
 
 class SingularNode(NumericalFailure):
     """The denominator vanishes at a quadrature node."""
-
-
-class FamilyMismatch(ZakbenchError):
-    """Two families that must align in length or ambient dimension do not."""
 
 
 class TailNotExact(NumericalFailure):
@@ -86,7 +36,3 @@ class NotReproducingPair(NumericalFailure):
 
 class NoDependence(NumericalFailure):
     """Reduction was requested but both heads are linearly independent."""
-
-
-class HeadDependent(ZakbenchError):
-    """The head family must be linearly independent and is not."""

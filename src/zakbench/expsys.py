@@ -11,10 +11,11 @@ together with the closed-form biorthogonal family
     dual_n = (e_n + c_n e_k) / conj(g),   c_n = -exp(2 pi i (n - k) t0),
 
 whose numerator vanishes at the anchor.  The shifted grid keeps weights
-such as g(t) = t nonzero at every node, so the division is always
-defined.  Sampled exponentials with in-window frequencies are exactly
-orthonormal under the 1/N quadrature weight, which the tests exploit
-as an oracle.
+such as g(t) = t nonzero at every node, and a system whose weight
+vanishes at a node is refused when it is built, so the division is
+always defined.  Sampled exponentials with in-window frequencies are
+exactly orthonormal under the 1/N quadrature weight, which the tests
+exploit as an oracle.
 
 On the shifted grid e_n(t_i) = w^(n(2i+1)) with w = exp(pi i/N), so
 every sampled exponential is read from one cached table of the 2N-th
@@ -32,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IndexOutOfWindow, RemovedIndex, WeightVanishesOnGrid
 from .linalg import quadrature_norm
 from .reports import SweepFlags, SweepLevel, SweepReport, Verdict, _read_samples, _write_samples
 
@@ -171,6 +171,8 @@ class ExpSystem:
             raise ValueError(f"removed index {self.removed} outside window {self.window}")
         if not 0.0 <= self.anchor < 1.0:
             raise ValueError(f"anchor must lie in [0, 1), got {self.anchor}")
+        if np.min(np.abs(self.weight.samples)) < 1e-300:
+            raise ValueError("weight vanishes at a grid node")
 
     @property
     def N(self) -> int:
@@ -182,7 +184,7 @@ class ExpSystem:
 
 def _check_in_window(system: ExpSystem, n: int) -> None:
     if abs(n) > system.window:
-        raise IndexOutOfWindow(f"index {n} outside window |n| <= {system.window}")
+        raise ValueError(f"index {n} outside window |n| <= {system.window}")
 
 
 def weighted_exp(system: ExpSystem, n: int) -> np.ndarray:
@@ -201,7 +203,7 @@ def dual_coefficient(system: ExpSystem, n: int) -> complex:
     """
     _check_in_window(system, n)
     if n == system.removed:
-        raise RemovedIndex(f"index {n} is the removed index")
+        raise ValueError(f"index {n} is the removed index")
     p, q = float(system.anchor).as_integer_ratio()
     r = (n - system.removed) * p % q
     if 2 * r > q:
@@ -212,11 +214,8 @@ def dual_coefficient(system: ExpSystem, n: int) -> complex:
 def biorthogonal_dual(system: ExpSystem, n: int) -> np.ndarray:
     """Samples of (e_n + c_n e_k) / conj(g), biorthogonal to the system."""
     c = dual_coefficient(system, n)  # validates the index
-    g = system.weight.samples
-    if np.min(np.abs(g)) < 1e-300:
-        raise WeightVanishesOnGrid("weight vanishes at a grid node")
     numerator = exponential(system.N, n) + c * exponential(system.N, system.removed)
-    return numerator / np.conj(g)
+    return numerator / np.conj(system.weight.samples)
 
 
 def biorthogonality_gram(system: ExpSystem) -> np.ndarray:

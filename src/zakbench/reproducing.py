@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FamilyMismatch,
-    HeadDependent,
-    NoDependence,
-    NotReproducingPair,
-    TailNotExact,
-)
+from .errors import NoDependence, NotReproducingPair, TailNotExact
 from .linalg import gram_matrix, rank_and_span, single_threaded_blas
 from .reports import ExcessReport, RpCheckReport, Verdict
 
@@ -94,13 +88,13 @@ class FiniteFamily:
 
 def _check_aligned(psi: FiniteFamily, phi: FiniteFamily) -> None:
     if len(psi) != len(phi):
-        raise FamilyMismatch(f"family lengths differ: {len(psi)} vs {len(phi)}")
+        raise ValueError(f"family lengths differ: {len(psi)} vs {len(phi)}")
     if psi.ambient_dim != phi.ambient_dim:
-        raise FamilyMismatch(
+        raise ValueError(
             f"ambient dimensions differ: {psi.ambient_dim} vs {phi.ambient_dim}"
         )
     if psi.weight != phi.weight:
-        raise FamilyMismatch(f"weights differ: {psi.weight} vs {phi.weight}")
+        raise ValueError(f"weights differ: {psi.weight} vs {phi.weight}")
 
 
 def s_operator(psi: FiniteFamily, phi: FiniteFamily) -> np.ndarray:
@@ -280,14 +274,14 @@ def span_vectors(psi_head: FiniteFamily, phi_tail: FiniteFamily) -> FiniteFamily
     data.  The returned family lives in plain C^n with weight one.
     """
     if psi_head.ambient_dim != phi_tail.ambient_dim:
-        raise FamilyMismatch(
+        raise ValueError(
             f"ambient dimensions differ: {psi_head.ambient_dim} vs {phi_tail.ambient_dim}"
         )
     n = len(psi_head)
     if n == 0:
-        raise FamilyMismatch("psi head is empty")
+        raise ValueError("psi head is empty")
     if rank_and_span(psi_head.matrix) < n:
-        raise HeadDependent("psi head is linearly dependent")
+        raise ValueError("psi head is linearly dependent")
     if rank_and_span(phi_tail.matrix) < phi_tail.ambient_dim:
         raise TailNotExact("phi tail does not span the ambient space")
     # rows: one vector per tail element m, entries <psi_j, phi_m>

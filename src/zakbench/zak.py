@@ -57,7 +57,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ExcludedIndex, SingularNode, ThetaDomain
+from .errors import SingularNode
 from .expsys import _check_grid_size, exponential, shifted_nodes
 from .linalg import quadrature_norm, single_threaded_blas
 from .reports import EnkBoundReport, LadderReport, Verdict, ZakValidationReport
@@ -197,9 +197,9 @@ def theta1(z, params: ThetaParams = ThetaParams()):
     """
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
-        raise ThetaDomain("arguments must be finite")
+        raise ValueError("arguments must be finite")
     if z.size and float(np.max(np.abs(z.imag))) > THETA_IM_LIMIT:
-        raise ThetaDomain(f"|Im z| exceeds {THETA_IM_LIMIT}")
+        raise ValueError(f"|Im z| exceeds {THETA_IM_LIMIT}")
     vals, term = np.zeros_like(z), np.empty_like(z)
     for odd, c in zip(*_theta_series(params)):
         np.sin(np.multiply(z, odd, out=term), out=term)
@@ -318,10 +318,10 @@ def enk_bound_check(
     2 pi sqrt((n-a)^2 + (k-b)^2) rho relative to the centre distance.
     """
     if (n, k) == (0, 0):
-        raise ExcludedIndex("the (0, 0) plane wave is constant and excluded")
+        raise ValueError("the (0, 0) plane wave is constant and excluded")
     a, b = base
     if (n, k) == (a, b):
-        raise ExcludedIndex(f"index pair {(n, k)} equals the base pair")
+        raise ValueError(f"index pair {(n, k)} equals the base pair")
     if trials < 1:
         raise ValueError("trials must be positive")
     x0, xi0 = center
@@ -473,7 +473,7 @@ def validate_verdict(
     """Invariant checks of the Gaussian's Zak transform on the M x M grid, M even.
 
     Checks the norms of Z phi and of its translate by ``shift`` (not
-    0), covariance for |n|, |k| <= ``cov_range`` (at least 1), the theta
+    0), covariance for |n|, |k| <= ``cov_range`` (from 1 to J), the theta
     form against the direct series, the centre zero, theta1'(0) against
     its closed form at q = exp(-pi), and a ``stored`` grid if given.
     Returns the verdict and the theta grid.
@@ -481,6 +481,10 @@ def validate_verdict(
     _check_grid_size("M", M)
     if cov_range < 1:
         raise ValueError(f"cov_range must be at least 1, got {cov_range}")
+    if cov_range > J >= 1:
+        raise ValueError(
+            f"cov_range {cov_range} exceeds J={J}: a translate by |k| > J leaves the summed window"
+        )
     if shift == 0:
         raise ValueError("shift must be nonzero: shift 0 re-measures the untranslated transform")
     direct = zak_transform(gaussian_atom, M, J)

@@ -165,6 +165,18 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["expsys-sweep", "--g-file", str(nan_weight), "--W", "4", "--out", str(tmp_path)]
     ) == 1
     assert "samples must be finite" in capsys.readouterr().err
+    # A weight that vanishes at a node has no biorthogonal dual: the system is
+    # refused when it is built, before any report is written.
+    zero_out = tmp_path / "zero_weight"
+    for zero_samples in ([[0.0, 0.0]] + [[1.0, 0.0]] * 63, [[0.0, 0.0]] * 64):
+        zero_weight = tmp_path / "zero_weight.json"
+        zero_weight.write_text(json.dumps({"N": 64, "grid": "shifted_midpoint", "samples": zero_samples}))
+        assert cli.main(
+            ["expsys-sweep", "--g-file", str(zero_weight), "--W", "4", "--out", str(zero_out)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == "ValueError: weight vanishes at a grid node\n", err
+    assert not zero_out.exists()
     weight_ok = {"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0], [1, 0]]}
     grid_ok = {"M": 2, "grid": "midpoint", "domain": "unit_square", "samples": [[1, 0]] * 4}
     malformed = {
@@ -186,6 +198,13 @@ def test_usage_error_exit_codes(tmp_path, capsys):
             ["zak-validate", "--M", "16", "--cov-range", cov_range, "--out", str(tmp_path)]
         ) == 1
         assert "cov_range must be at least 1" in capsys.readouterr().err
+    # Translates by |k| > J leave the summed window, so the covariance check
+    # cannot pass; the range is refused before (2R+1)^2 transforms run.
+    cov_out = tmp_path / "cov"
+    assert cli.main(["zak-validate", "--M", "8", "--cov-range", "1000", "--out", str(cov_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: cov_range 1000 exceeds J=6") and err.count("\n") == 1, err
+    assert not cov_out.exists()
     # Grid sizes that are not positive even integers are named as given, before any sampling.
     for command, message in ((["zak-validate", "--M", "0"], "M must be a positive even integer, got 0"),
                              (["zak-validate", "--M", "-4"], "M must be a positive even integer, got -4"),
@@ -213,6 +232,23 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("NotReproducingPair: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, routine",
+    [(["excess-n", "--dim", "8", "--n", "2"], "solve"),  # main thread
+     (["rp-check", "--dim", "8", "--pairs", "4"], "svd")],  # pool threads
+)
+def test_linalg_error_exit_code(tmp_path, capsys, monkeypatch, command, routine):
+    # A LAPACK failure on valid input is numerical (exit 2), although
+    # LinAlgError subclasses ValueError, which marks a usage error.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{routine} did not converge")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    assert cli.main(command + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"LinAlgError: {routine} did not converge\n", err
 
 
 def test_weight_file_roundtrip(tmp_path, capsys):

@@ -8,10 +8,7 @@ import pytest
 
 from zakbench import (
     ExpSystem,
-    IndexOutOfWindow,
     PeriodicSignal,
-    RemovedIndex,
-    WeightVanishesOnGrid,
     biorthogonal_dual,
     biorthogonality_gram,
     dual_coefficient,
@@ -101,7 +98,7 @@ def test_weighted_exp_norm_equals_weight_norm():
 
 
 def test_weighted_exp_window_error():
-    with pytest.raises(IndexOutOfWindow):
+    with pytest.raises(ValueError, match=r"index 9 outside window \|n\| <= 8"):
         weighted_exp(make_system(W=8), 9)
 
 
@@ -117,7 +114,7 @@ def test_dual_coefficient_unit_modulus_and_errors():
     sys_ = make_system()
     for n in sys_.active_indices():
         assert abs(dual_coefficient(sys_, n)) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(RemovedIndex):
+    with pytest.raises(ValueError, match="index 0 is the removed index"):
         dual_coefficient(sys_, 0)
 
 
@@ -157,9 +154,8 @@ def test_biorthogonal_dual_constant_weight_closed_form():
 def test_biorthogonal_dual_weight_zero_error():
     samples = shifted_nodes(32).astype(complex)
     samples[3] = 0.0
-    sys_ = ExpSystem(weight=PeriodicSignal(samples), window=4, removed=0)
-    with pytest.raises(WeightVanishesOnGrid):
-        biorthogonal_dual(sys_, 1)
+    with pytest.raises(ValueError, match="weight vanishes at a grid node"):
+        ExpSystem(weight=PeriodicSignal(samples), window=4, removed=0)
 
 
 def test_biorthogonality_gram_identity_and_refinement():

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from zakbench import zak
 from zakbench import (
-    ExcludedIndex,
     GridFunction,
     SingularNode,
-    ThetaDomain,
     ThetaParams,
     enk,
     enk_bound_check,
@@ -133,10 +131,10 @@ def test_theta1_high_truncation_oracle():
 
 
 def test_theta1_domain_error():
-    with pytest.raises(ThetaDomain):
+    with pytest.raises(ValueError, match=r"\|Im z\| exceeds 4"):
         theta1(5j)
     for z in (0.1 + np.nan * 1j, np.nan, np.inf, np.array([0.2, np.inf + 0j])):
-        with pytest.raises(ThetaDomain):
+        with pytest.raises(ValueError, match="arguments must be finite"):
             theta1(z)
 
 
@@ -221,9 +219,9 @@ def test_enk_bound_check_anchored_pair_from_bound_constant():
 
 
 def test_enk_bound_check_excluded_indices():
-    with pytest.raises(ExcludedIndex):
+    with pytest.raises(ValueError, match=r"the \(0, 0\) plane wave is constant"):
         enk_bound_check(0, 0, trials=10)
-    with pytest.raises(ExcludedIndex):
+    with pytest.raises(ValueError, match=r"index pair \(1, 1\) equals the base pair"):
         enk_bound_check(1, 1, trials=10, base=(1, 1))
 
 
