@@ -22,6 +22,16 @@ every sampled exponential is read from one cached table of the 2N-th
 roots of unity at the integer exponent n(2i+1) mod 2N.  No rounded
 argument 2 pi n t enters, so the phase error stays at the table's
 rounding level for every n instead of growing with |n|.
+
+The quadrature Gram of the sampled system is Toeplitz,
+
+    <g e_a, g e_b> = G(a - b),   G(m) = (1/N) sum_i |g(t_i)|^2 e_m(t_i),
+
+and for |m| <= 2W, inside the alias-free band, G(m) is exp(pi i m/N)
+times entry m of the inverse FFT of |g|^2.  The Schauder sweep sums its
+residuals through G, with one FFT and one dot product per added term,
+and certifies each term norm by the interval |c_n| ||g|| [rho_min,
+rho_max], where rho runs over the moduli of the root table.
 """
 
 from __future__ import annotations
@@ -276,25 +286,53 @@ def schauder_failure_sweep(system: ExpSystem, max_terms: int) -> SweepReport:
     norm ||g|| because |c_n| = 1, so the terms cannot tend to zero and
     the expansion cannot converge in norm; the report flags this when
     the late-level term norms fail to decay.
+
+    No N-vector is summed.  The residual is sum_j beta_j g e_j over a
+    contiguous run of frequencies, beta_k = 1 and beta_n = -conj(c_n),
+    so with the Toeplitz Gram G of the module docstring adding index j
+    raises ||residual||^2 by 2 Re(beta_j sum_j' conj(beta_j') G(j - j'))
+    + |beta_j|^2 G(0), one dot product over the terms added before it.
+    Each G(m) carries an absolute rounding of about eps ||g||^2, so only
+    a residual far below ||g|| loses relative digits.  The term norm
+    ||conj(c_n) g e_n|| lies in |c_n| ||g|| [rho_min, rho_max], rho the
+    moduli of the root table that every sampled e_n is read from; the
+    end farther from ||g|| is reported, so the spread rule of
+    ``sweep_verdict`` is at least as strict as on the sampled terms.
     """
     if not 1 <= max_terms <= system.window:
         raise ValueError(f"max_terms must lie in [1, {system.window}]")
-    k = system.removed
-    target = weighted_exp(system, k)
+    N, W, k = system.N, system.window, system.removed
+    roots, _ = _root_table(N)
     g_norm = system.weight.norm()
+    rho = np.abs(roots)
+    norm_ends = (g_norm * float(rho.min()), g_norm * float(rho.max()))
+
+    # G(m) = (1/N) sum_i |g_i|^2 e_m(t_i) = e^(i pi m/N) ifft(|g|^2)[m], stored
+    # reversed, gram[2W - m] = G(m), so each dot product reads a forward slice.
+    # 2W + 1 <= N/2 gives each |m| <= 2W its own entry of the inverse FFT.
+    m = np.arange(2 * W, -2 * W - 1, -1)
+    gram = np.fft.ifft(np.abs(system.weight.samples) ** 2)[m] * roots[m]
+    g0 = gram[2 * W].real
+    coef = np.zeros(2 * W + 1, dtype=complex)   # conj(beta_n) at n + W
+    coef[k + W] = 1.0
+    lo = hi = k                                 # the added frequencies are lo..hi
+    r2 = g0
 
     levels: list[SweepLevel] = []
-    partial = np.zeros(system.N, dtype=complex)
-    active = set(system.active_indices())
     for L in range(1, max_terms + 1):
-        new_terms = [n for n in (k - L, k + L) if n in active]
         term_norm = 0.0
-        for n in new_terms:
-            term = np.conj(dual_coefficient(system, n)) * weighted_exp(system, n)
-            partial += term
-            term_norm = max(term_norm, quadrature_norm(term))
-        residual = quadrature_norm(target - partial)
-        levels.append(SweepLevel(L=L, residual=residual, term_norm=term_norm))
+        for n in (k - L, k + L):
+            if abs(n) > W:
+                continue
+            c = dual_coefficient(system, n)
+            beta = -c.conjugate()
+            cross = np.dot(coef[lo + W:hi + W + 1], gram[2 * W - n + lo:2 * W - n + hi + 1])
+            r2 += 2.0 * (beta * cross).real + abs(c) ** 2 * g0
+            coef[n + W] = -c
+            lo, hi = min(lo, n), max(hi, n)
+            ends = (abs(c) * norm_ends[0], abs(c) * norm_ends[1])
+            term_norm = max(term_norm, max(ends, key=lambda x: abs(x - g_norm)))
+        levels.append(SweepLevel(L=L, residual=float(np.sqrt(r2)), term_norm=term_norm))
 
     late = [lv.term_norm for lv in levels[-5:]]
     no_norm_convergence = max(late) >= 0.99 * g_norm

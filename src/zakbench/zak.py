@@ -473,9 +473,10 @@ def validate_verdict(
     """Invariant checks of the Gaussian's Zak transform on the M x M grid, M even.
 
     Checks the norms of Z phi and of its translate by ``shift`` (not
-    0), covariance for |n|, |k| <= ``cov_range`` (from 1 to J), the theta
-    form against the direct series, the centre zero, theta1'(0) against
-    its closed form at q = exp(-pi), and a ``stored`` grid if given.
+    0, and in (-J, J]), covariance for |n|, |k| <= ``cov_range`` (from 1
+    to J), the theta form against the direct series, the centre zero,
+    theta1'(0) against its closed form at q = exp(-pi), and a ``stored``
+    grid if given.
     Returns the verdict and the theta grid.
     """
     _check_grid_size("M", M)
@@ -487,6 +488,10 @@ def validate_verdict(
         )
     if shift == 0:
         raise ValueError("shift must be nonzero: shift 0 re-measures the untranslated transform")
+    if J >= 1 and not -J < shift <= J:
+        raise ValueError(
+            f"shift {shift} outside (-J, J] for J={J}: half the translated atom leaves the summed window"
+        )
     direct = zak_transform(gaussian_atom, M, J)
     theta = theta_grid(M, params)
 

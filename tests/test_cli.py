@@ -217,6 +217,12 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert cli.main(["zak-validate", "--M", "16", "--shift", "0", "--out", str(shift_out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValueError: shift must be nonzero") and err.count("\n") == 1, err
+    # A translate by shift > J or shift <= -J puts half the atom outside the
+    # summed window (translated norm 0.7071 at M = 16, J = 6), so it cannot pass.
+    for shift in ("7", "-6"):
+        assert cli.main(["zak-validate", "--M", "16", "--shift", shift, "--out", str(shift_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ValueError: shift {shift} outside (-J, J] for J=6") and err.count("\n") == 1, err
     assert not shift_out.exists()
     for tol in ("nan", "inf", "0", "1e-3"):
         assert cli.main(["excess-n", "--tol", tol, "--out", str(tmp_path)]) == 1

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from zakbench import expsys
+from zakbench.linalg import quadrature_norm
 from zakbench import (
     ExpSystem,
     PeriodicSignal,
@@ -13,6 +15,7 @@ from zakbench import (
     biorthogonality_gram,
     dual_coefficient,
     exponential,
+    inverse_weight_energy,
     load_signal,
     save_signal,
     schauder_failure_sweep,
@@ -29,6 +32,27 @@ def make_system(name="linear", N=64, W=8, removed=0, anchor=0.25):
         removed=removed,
         anchor=anchor,
     )
+
+
+def sampled_sweep(system, max_terms):
+    """(residual, term norm) per level, summed over sampled N-vectors term by term.
+
+    The per-term loop that the Gram form of ``schauder_failure_sweep``
+    replaced, kept as its reference.
+    """
+    k = system.removed
+    target = weighted_exp(system, k)
+    partial = np.zeros(system.N, dtype=complex)
+    levels = []
+    for L in range(1, max_terms + 1):
+        term_norm = 0.0
+        for n in (k - L, k + L):
+            if abs(n) <= system.window:
+                term = np.conj(dual_coefficient(system, n)) * weighted_exp(system, n)
+                partial += term
+                term_norm = max(term_norm, quadrature_norm(term))
+        levels.append((quadrature_norm(target - partial), term_norm))
+    return levels
 
 
 def test_shifted_nodes_avoid_zero():
@@ -191,37 +215,98 @@ def test_sweep_residuals_against_dirichlet_kernel():
     # For g(t) = t and k = 0 the partial sum is S_L = -g (D_L(t - t0) - 1),
     # so g e_0 - S_L = g D_L(t - t0) with D_L(s) = sin((2L+1) pi s)/sin(pi s),
     # evaluated here in mpmath independently of the sampled exponentials.
-    N, W = 256, 16
-    for t0 in (0.25, 0.6180339887):
-        report = schauder_failure_sweep(make_system("linear", N=N, W=W, anchor=t0), W)
-        for L in (1, 8, 16):
-            with mpmath.workdps(30):
-                total = mpmath.mpf(0)
-                for i in range(N):
-                    t = mpmath.mpf(2 * i + 1) / (2 * N)
-                    s = mpmath.pi * (t - mpmath.mpf(t0))
-                    total += (t * mpmath.sin((2 * L + 1) * s) / mpmath.sin(s)) ** 2
-                exact = float(mpmath.sqrt(total / N))
-            residual = report.levels[L - 1].residual
-            assert abs(residual - exact) <= 1e-13 * exact, (t0, L, residual, exact)
+    # At N = 4096 each Gram update sums up to 2W + 1 = 2001 Toeplitz
+    # entries; their accumulated rounding must stay at the oracle's level.
+    for N, W, anchors, levels in ((256, 16, (0.25, 0.6180339887), (1, 8, 16)),
+                                  (4096, 1000, (0.25,), (1, 500, 1000))):
+        for t0 in anchors:
+            report = schauder_failure_sweep(make_system("linear", N=N, W=W, anchor=t0), W)
+            for L in levels:
+                with mpmath.workdps(30):
+                    total = mpmath.mpf(0)
+                    for i in range(N):
+                        t = mpmath.mpf(2 * i + 1) / (2 * N)
+                        s = mpmath.pi * (t - mpmath.mpf(t0))
+                        total += (t * mpmath.sin((2 * L + 1) * s) / mpmath.sin(s)) ** 2
+                    exact = float(mpmath.sqrt(total / N))
+                residual = report.levels[L - 1].residual
+                assert abs(residual - exact) <= 1e-13 * exact, (N, t0, L, residual, exact)
+
+
+@pytest.mark.parametrize("weight", ["linear", "sqrt", "one", "file"])
+def test_sweep_matches_sampled_reference(weight, tmp_path):
+    N, W = 512, 100
+    if weight == "file":
+        # A complex weight read back from a weight file, as --g-file loads it.
+        rng = np.random.default_rng(3)
+        save_signal(PeriodicSignal(rng.standard_normal(N) + 1j * rng.standard_normal(N)), tmp_path / "g.json")
+        signal = load_signal(tmp_path / "g.json")
+    else:
+        signal = PeriodicSignal.from_name(weight, N)
+    g_norm = signal.norm()
+    for k in (0, -37, W - 1):
+        for t0 in (0.0, 0.25, 0.6180339887):
+            for max_terms in (W, W - 13):
+                system = ExpSystem(weight=signal, window=W, removed=k, anchor=t0)
+                report = schauder_failure_sweep(system, max_terms)
+                reference = sampled_sweep(system, max_terms)
+                assert len(report.levels) == len(reference) == max_terms
+                for level, (residual, term_norm) in zip(report.levels, reference):
+                    case = (k, t0, max_terms, level.L)
+                    assert abs(level.residual - residual) <= 1e-14 * residual, case
+                    assert abs(level.term_norm - term_norm) <= 4.5e-16 * g_norm, case
 
 
 def test_sweep_exp_cost(monkeypatch):
     # The sweep reads every exponential from one root table: about N + 1
     # table entries plus one scalar per dual coefficient reach np.exp,
-    # where evaluating each term directly would pass about 2W N.
+    # where evaluating each term directly would pass about 2W N.  It sums
+    # the Gram of |g|^2, so no sampled exponential is built per term
+    # either; the sampled loop made 2W + 1 calls to ``exponential`` here.
     N, W = 4096, 1000
     counted = []
+    calls = []
     exp = np.exp
+    exponential_ = expsys.exponential
 
     def counting_exp(x, *args, **kwargs):
         counted.append(np.size(x))
         return exp(x, *args, **kwargs)
 
+    def counting_exponential(N, n):
+        calls.append(n)
+        return exponential_(N, n)
+
     system = make_system("linear", N=N, W=W)
     monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(expsys, "exponential", counting_exponential)
     assert sweep_verdict(system).passed
     assert 0 < sum(counted) <= 4 * N
+    assert len(calls) <= 4
+
+
+def test_sweep_verdict_fails_on_off_modulus_terms(monkeypatch):
+    # Term norms are certified from |c_n| and the root table's moduli, so
+    # one coefficient or one table entry of modulus 1 + 1e-6 must fail.
+    system = make_system("linear", N=4096, W=1000)
+    assert sweep_verdict(system).passed
+    dual_coefficient_ = expsys.dual_coefficient
+    root_table = expsys._root_table
+
+    def scaled(system, n):
+        c = dual_coefficient_(system, n)
+        return c * (1 + 1e-6) if n == 517 else c
+
+    def perturbed(N):
+        roots, odd = root_table(N)
+        roots = roots.copy()
+        roots[3] *= 1 + 1e-6
+        return roots, odd
+
+    for name, patch in (("dual_coefficient", scaled), ("_root_table", perturbed)):
+        with monkeypatch.context() as m:
+            m.setattr(expsys, name, patch)
+            assert not sweep_verdict(system).passed, name
 
 
 def test_sweep_residuals_never_vanish():
@@ -292,3 +377,20 @@ def test_load_signal_rejects_bad_header(tmp_path):
         path.write_text(f'{{"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0], [{bad}, 0]]}}')
         with pytest.raises(ValueError):
             load_signal(path)
+
+
+@pytest.mark.parametrize("N", [256, 4096, 16384])
+def test_inverse_weight_energy_closed_forms(N):
+    # On the shifted grid (1/N) sum_i 1/|g(t_i)|^2 has exact forms:
+    # linear: N sum_i 1/(i + 1/2)^2 = N (pi^2/2 - psi_1(N + 1/2));
+    # sqrt: sum_i 1/(i + 1/2) = psi(N + 1/2) - psi(1/2); one: 1.
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1) / 2
+        exact = {
+            "linear": float(N * (mpmath.pi ** 2 / 2 - mpmath.psi(1, N + half))),
+            "sqrt": float(mpmath.digamma(N + half) - mpmath.digamma(half)),
+        }
+    for name, value in exact.items():
+        energy = inverse_weight_energy(PeriodicSignal.from_name(name, N).samples)
+        assert abs(energy - value) <= 1e-15 * value, (name, energy, value)
+    assert inverse_weight_energy(PeriodicSignal.from_name("one", N).samples) == 1.0
