@@ -30,18 +30,19 @@ On a tensor grid the sine series separates:
 
 so theta1(pi (v - i u)) = re - i im over rows x and columns xi, where re
 and im are two real products of a rows x (K+1) matrix with a
-(K+1) x columns matrix, and the prefactor is a row factor
-exp(-pi u^2) times a column factor.  theta_grid takes this path, and
-the quotient ladder needs only the modulus
+(K+1) x columns matrix.  theta_grid scales re - i im in place by the
+row factor exp(-pi u^2) and the column factor -2^{1/4} i exp(i pi v),
+and the quotient ladder needs only the modulus
 
     |Z phi|^2 = sqrt(2) exp(-2 pi u^2) (re^2 + im^2),
 
 a real array with no complex grid behind it.  theta1 and
-gaussian_zak_theta evaluate pointwise, for arbitrary points.  The
-column factors depend only on the grid size, so they are computed once
-per grid size and truncation and shared by every row block.  The ladder
-sums its quadrature over blocks of grid rows of bounded size, so its
-memory does not grow with the grid:
+gaussian_zak_theta evaluate pointwise, for arbitrary points.  The only
+cached tables are the products' column factors, sin and cos of
+(2k+1) pi v times theta1's coefficients, computed once per grid size
+and truncation and shared by every row block.  The ladder sums its
+quadrature over blocks of grid rows of bounded size, so its memory
+does not grow with the grid:
 ``quotient-ladder --numerator cone --ladder 1024,2048,4096,8192`` takes
 about 1.2 s wall, 0.2 s of it system time, on a 2-core x86-64 host.
 """
@@ -168,16 +169,9 @@ def modulated_translate(fn: Callable, n: int, k: int) -> Callable:
 
 
 def zak_transform(f: Callable, M: int, J: int) -> GridFunction:
-    """Truncated Zak transform of a line sampler on the midpoint grid.
+    """Truncated Zak transform of the line sampler f on the M x M midpoint grid, M even.
 
-    Parameters
-    ----------
-    f : callable
-        Evaluates the line function on float arrays.
-    M : even int
-        Grid resolution per axis.
-    J : int
-        Translation cutoff; the j-sum runs over |j| <= J.
+    f evaluates the line function on float arrays; the j-sum runs over |j| <= J.
     """
     if J < 1:
         raise ValueError("J must be at least 1")
@@ -233,16 +227,16 @@ def gaussian_zak_theta(x, xi, params: ThetaParams = ThetaParams()):
 
 
 @functools.lru_cache(maxsize=8)
-def _theta_columns(M: int, params: ThetaParams) -> tuple[np.ndarray, ...]:
-    """_theta_outer's read-only column factors on the M shifted nodes xi, v = xi - 1/2.
+def _theta_columns(M: int, params: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
+    """_theta_products' read-only column factors on the M shifted nodes xi, v = xi - 1/2.
 
     sin and cos of (2k+1) pi v times theta1's coefficients, as (M, K+1)
-    tables, then sin(pi v) and cos(pi v) of the prefactor.
+    tables: the only tables cached per grid size and truncation.
     """
     v = shifted_nodes(M) - 0.5
     odd, coef = _theta_series(params)
     col = np.multiply.outer(np.pi * v, odd)   # (2k+1) pi v, the real part of theta1's argument
-    tables = (np.sin(col) * coef, np.cos(col) * coef, np.sin(np.pi * v), np.cos(np.pi * v))
+    tables = (np.sin(col) * coef, np.cos(col) * coef)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -254,7 +248,7 @@ def _theta_products(x, M: int, params: ThetaParams) -> tuple[np.ndarray, np.ndar
     Returns u and the real (len(x), M) products re and im of cosh/sinh
     row factors and the cached column factors (see the module docstring).
     """
-    sin_col, cos_col = _theta_columns(M, params)[:2]
+    sin_col, cos_col = _theta_columns(M, params)
     u = x - 0.5
     row = np.multiply.outer(np.pi * u, _theta_series(params)[0])  # (2k+1) pi u, minus Im of the argument
     # The products have inner dimension K + 1, too small to gain from BLAS
@@ -263,33 +257,13 @@ def _theta_products(x, M: int, params: ThetaParams) -> tuple[np.ndarray, np.ndar
         return u, np.cosh(row) @ sin_col.T, np.sinh(row) @ cos_col.T
 
 
-def _theta_outer(x, M: int, params: ThetaParams) -> np.ndarray:
-    """gaussian_zak_theta on row nodes x times the M shifted nodes.
-
-    Applies the prefactor to _theta_products in gaussian_zak_theta's
-    order of roundings.
-    """
-    u, re, im = _theta_products(x, M, params)
-    sin_v, cos_v = _theta_columns(M, params)[2:]
-    # -2^{1/4} i exp(-pi u^2 + i pi v) = a - i b
-    scale = np.exp(-np.pi * u * u)
-    a = np.multiply.outer(scale, sin_v)
-    a *= 2.0**0.25
-    b = np.multiply.outer(scale, cos_v)
-    b *= 2.0**0.25
-    # (a - i b)(re - i im) = (a re - b im) - i (a im + b re), written in place
-    out = np.empty(re.shape, dtype=complex)
-    np.multiply(a, re, out=out.real)
-    np.multiply(a, im, out=out.imag)
-    out.real -= np.multiply(b, im, out=im)
-    out.imag += np.multiply(b, re, out=re)
-    np.negative(out.imag, out=out.imag)
-    return out
-
-
 def theta_grid(M: int, params: ThetaParams = ThetaParams()) -> GridFunction:
     """Gaussian Zak transform sampled on the midpoint grid via the theta form."""
-    return GridFunction(_theta_outer(shifted_nodes(M), M, params))
+    u, re, im = _theta_products(shifted_nodes(M), M, params)
+    grid = re - 1j * im                                   # theta1(pi (v - i u)), and v = u on these nodes
+    grid *= -(2.0**0.25) * 1j * np.exp(1j * np.pi * u)    # the column factor of the prefactor
+    grid *= np.exp(-np.pi * u * u)[:, None]               # and its row factor
+    return GridFunction(grid)
 
 
 def leading_coefficient(params: ThetaParams = ThetaParams()) -> float:
@@ -476,7 +450,7 @@ def validate_verdict(
     0, and in (-J, J]), covariance for |n|, |k| <= ``cov_range`` (from 1
     to J), the theta form against the direct series, the centre zero,
     theta1'(0) against its closed form at q = exp(-pi), and a ``stored``
-    grid if given.
+    grid if given.  J is at most 16 + max(|shift|, cov_range), past which each added term is 0.0.
     Returns the verdict and the theta grid.
     """
     _check_grid_size("M", M)
@@ -491,6 +465,11 @@ def validate_verdict(
     if J >= 1 and not -J < shift <= J:
         raise ValueError(
             f"shift {shift} outside (-J, J] for J={J}: half the translated atom leaves the summed window"
+        )
+    if J > 16 + max(abs(shift), cov_range):
+        raise ValueError(
+            f"J {J} exceeds 16 + max(|shift|, cov_range) = {16 + max(abs(shift), cov_range)}: phi(x - m) "
+            "is 0.0 in double for x in (0, 1) once |m| >= 17, so every further term adds 0.0"
         )
     direct = zak_transform(gaussian_atom, M, J)
     theta = theta_grid(M, params)

@@ -224,6 +224,14 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"ValueError: shift {shift} outside (-J, J] for J=6") and err.count("\n") == 1, err
     assert not shift_out.exists()
+    # Past J = 16 + max(|shift|, cov_range) every added term is 0.0, so a
+    # larger J is refused before its 2J + 1 outer products run.
+    j_out = tmp_path / "j"
+    assert cli.main(["zak-validate", "--M", "8", "--J", "200000", "--out", str(j_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: J 200000 exceeds 16 + max(|shift|, cov_range) = 18") and err.count("\n") == 1, err
+    assert not j_out.exists()
+    assert cli.main(["zak-validate", "--M", "8", "--J", "18", "--out", str(j_out)]) == 0
     for tol in ("nan", "inf", "0", "1e-3"):
         assert cli.main(["excess-n", "--tol", tol, "--out", str(tmp_path)]) == 1
         assert "tol must lie in" in capsys.readouterr().err

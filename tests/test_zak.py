@@ -192,6 +192,35 @@ def test_theta_grid_memory_does_not_scale_with_truncation():
     assert peak <= 8 * M * M * np.dtype(complex).itemsize
 
 
+def test_theta_grid_memory_stays_at_three_complex_grids():
+    # theta_grid holds the two real products and builds re - i im once, then
+    # scales it in place: 48 bytes per grid point, never a fourth complex grid.
+    M = 1024
+    theta_grid(8)  # one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        theta_grid(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 49 * M * M
+
+
+def test_validate_verdict_bounds_J_by_the_atom_support():
+    # For x in (0, 1), phi(x - m) is 0.0 in double once |m| >= 17 but not at
+    # m = 16, so J past 16 + max(|shift|, cov_range) adds only zero terms.
+    x = np.linspace(0.0, 1.0, 100_001)[1:-1]
+    assert not np.any(gaussian_atom(x - 17)) and not np.any(gaussian_atom(x + 17))
+    assert np.any(gaussian_atom(x - 16))
+    assert np.array_equal(zak_transform(gaussian_atom, 8, 17).samples, zak_transform(gaussian_atom, 8, 16).samples)
+    with pytest.raises(ValueError, match=r"J 19 exceeds 16 \+ max\(\|shift\|, cov_range\) = 18"):
+        validate_verdict(8, J=19)
+    with pytest.raises(ValueError, match=r"J 20 exceeds 16 \+ max\(\|shift\|, cov_range\) = 19"):
+        validate_verdict(8, J=20, shift=-3)
+    assert validate_verdict(8, J=18)[0].passed
+    assert validate_verdict(8, J=19, shift=-3)[0].passed
+
+
 def test_leading_coefficient_against_mpmath():
     # |grad Z phi| at the zero is 2^{1/4} pi |theta1'(0)|, here entirely in mpmath.
     with mpmath.workdps(30):
@@ -271,7 +300,7 @@ def test_ladder_builds_no_complex_grid(monkeypatch):
     def no_complex_grid(*args):
         raise AssertionError("the ladder built a complex theta grid")
 
-    monkeypatch.setattr(zak, "_theta_outer", no_complex_grid)
+    monkeypatch.setattr(zak, "theta_grid", no_complex_grid)
     for name, before in expected.items():
         after = ladder_verdict(name, [64, 128, 256]).report
         assert (after.converges, after.diverges) == (before.converges, before.diverges)
@@ -303,9 +332,9 @@ def test_ladder_memory_does_not_scale_with_grid():
 
 def test_ladder_sine_cost(monkeypatch):
     # theta's column factors are read from one table per grid size:
-    # (K + 1) M sines for the series and M for the prefactor, where
-    # recomputing them for every block of rows would pass about
-    # (K + 2) M^2 / rows, 768 times as many at these sizes.
+    # (K + 1) M sines for the series, where recomputing them for every
+    # block of rows would pass about (K + 1) M^2 / rows, 768 times as
+    # many at these sizes.
     ladder = [4096, 8192]
     counted = []
     sin = np.sin
