@@ -17,6 +17,11 @@ always defined.  Sampled exponentials with in-window frequencies are
 exactly orthonormal under the 1/N quadrature weight, which the tests
 exploit as an oracle.
 
+PeriodicSignal holds shifted-grid samples in one variable, a weight g,
+or in two, a grid function on the unit square such as zak's theta grid,
+with N nodes per axis and quadrature weight 1/N per axis.  An ExpSystem
+takes only a 1-D weight.
+
 On the shifted grid e_n(t_i) = w^(n(2i+1)) with w = exp(pi i/N), so
 every sampled exponential is read from one cached table of the 2N-th
 roots of unity at the integer exponent n(2i+1) mod 2N.  No rounded
@@ -43,7 +48,6 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import quadrature_norm
 from .reports import SweepFlags, SweepLevel, SweepReport, Verdict, _read_samples, _write_samples
 
 __all__ = [
@@ -121,11 +125,13 @@ def exponential(N: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PeriodicSignal:
-    """Complex samples of a circle function on the shifted grid.
+    """Complex samples of a periodic function on the shifted grid, N nodes per axis.
 
-    ``sampler`` keeps the generating function when one is known, which
-    lets hypothesis checks resample the weight on coarser grids.  A
-    signal loaded from disk has no sampler.
+    A 1-D array holds g(t_i) on the circle.  A square 2-D array holds
+    samples[p, q] = f(x_p, xi_q) on the unit square, as zak builds and
+    loads them.  ``sampler`` keeps the generating function of a circle
+    weight when one is known, which lets hypothesis checks resample the
+    weight on coarser grids.  A signal loaded from disk has no sampler.
     """
 
     samples: np.ndarray
@@ -133,18 +139,18 @@ class PeriodicSignal:
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=complex)
-        if arr.ndim != 1:
-            raise ValueError("samples must be a 1d array")
-        _check_grid_size("N", arr.size)
+        if arr.ndim not in (1, 2) or arr.shape != arr.shape[:1] * arr.ndim:
+            raise ValueError(f"samples must be a 1d or square 2d array, got shape {arr.shape}")
+        _check_grid_size("N", arr.shape[0])
         object.__setattr__(self, "samples", arr)
 
     @property
     def N(self) -> int:
-        return self.samples.size
+        return self.samples.shape[0]
 
     def norm(self) -> float:
-        """L2 norm under the 1/N quadrature weight."""
-        return quadrature_norm(self.samples)
+        """L2 norm under the quadrature weight 1/N per axis."""
+        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) / self.samples.size))
 
     @classmethod
     def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], N: int) -> "PeriodicSignal":
@@ -170,6 +176,8 @@ class ExpSystem:
     anchor: float = 0.0      # t0, where the dual numerators vanish
 
     def __post_init__(self):
+        if self.weight.samples.ndim != 1:
+            raise ValueError("weight must be sampled on the circle, got a 2d grid")
         if self.window < 1:
             raise ValueError("window must be at least 1")
         # Keep the window inside the alias-free band of the grid.
@@ -372,6 +380,8 @@ def sweep_verdict(system: ExpSystem, max_terms: int | None = None) -> Verdict:
 
 
 def save_signal(signal: PeriodicSignal, path: str | Path) -> None:
+    if signal.samples.ndim != 1:
+        raise ValueError("a weight file holds 1-D samples; save a 2-D grid with save_grid_function")
     _write_samples(path, {"N": signal.N, "grid": "shifted_midpoint"}, signal.samples)
 
 

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "gram_matrix",
     "rank_and_span",
-    "quadrature_norm",
     "blas_threads",
     "single_threaded_blas",
 ]
@@ -55,11 +54,6 @@ def rank_and_span(vectors: np.ndarray, tol: float = 1e-10) -> int:
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > tol * sv[0]))
-
-
-def quadrature_norm(samples: np.ndarray) -> float:
-    """L2 norm under the uniform quadrature weight 1/samples.size."""
-    return float(np.sqrt(np.sum(np.abs(samples) ** 2) / samples.size))
 
 
 @functools.lru_cache(maxsize=None)

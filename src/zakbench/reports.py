@@ -76,16 +76,12 @@ class LadderReport:
 class EnkBoundReport:
     n: int
     k: int
-    base_n: int
-    base_k: int
-    center_x: float
-    center_xi: float
     trials: int
     seed: int
     pointwise_max_slack: float      # max of |E_nk - 1| minus its bound, <= 0 when the bound holds
     pointwise_violations: int
-    anchored_bound: float           # 2 pi sqrt((n-a)^2 + (k-b)^2) plus rounding allowance
-    anchored_max_ratio: float       # max over samples of |E_nk + c E_ab| / rho
+    anchored_bound: float           # 2 pi sqrt(n^2 + k^2) plus rounding allowance
+    anchored_max_ratio: float       # max over samples of |E_nk - E_nk(1/2, 1/2)| / rho
     anchored_violations: int
     passed: bool
 

@@ -204,6 +204,11 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert cli.main(["zak-validate", "--M", "8", "--cov-range", "1000", "--out", str(cov_out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ValueError: cov_range 1000 exceeds J=6") and err.count("\n") == 1, err
+    # Translates by |k| > J - 3 leave more than the 1e-10 limit unsummed, so
+    # cov_range 4 at J = 6 is refused too (its covariance deviation is 1.9e-6).
+    assert cli.main(["zak-validate", "--M", "8", "--J", "6", "--cov-range", "4", "--out", str(cov_out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValueError: cov_range 4 exceeds J=6 - 3") and err.count("\n") == 1, err
     assert not cov_out.exists()
     # Grid sizes that are not positive even integers are named as given, before any sampling.
     for command, message in ((["zak-validate", "--M", "0"], "M must be a positive even integer, got 0"),

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from zakbench import expsys
-from zakbench.linalg import quadrature_norm
 from zakbench import (
     ExpSystem,
     PeriodicSignal,
@@ -17,10 +16,12 @@ from zakbench import (
     exponential,
     inverse_weight_energy,
     load_signal,
+    save_grid_function,
     save_signal,
     schauder_failure_sweep,
     shifted_nodes,
     sweep_verdict,
+    theta_grid,
     weighted_exp,
 )
 
@@ -50,8 +51,8 @@ def sampled_sweep(system, max_terms):
             if abs(n) <= system.window:
                 term = np.conj(dual_coefficient(system, n)) * weighted_exp(system, n)
                 partial += term
-                term_norm = max(term_norm, quadrature_norm(term))
-        levels.append((quadrature_norm(target - partial), term_norm))
+                term_norm = max(term_norm, PeriodicSignal(term).norm())
+        levels.append((PeriodicSignal(target - partial).norm(), term_norm))
     return levels
 
 
@@ -64,15 +65,24 @@ def test_shifted_nodes_avoid_zero():
 def test_periodic_signal_validation():
     with pytest.raises(ValueError):
         PeriodicSignal(np.ones(7))     # odd N
-    with pytest.raises(ValueError):
-        PeriodicSignal(np.ones((4, 4)))
+    for shape in ((), (2, 2, 2)):
+        with pytest.raises(ValueError, match="1d or square 2d"):
+            PeriodicSignal(np.ones(shape))
     assert PeriodicSignal.from_name("one", 16).norm() == pytest.approx(1.0)
     with pytest.raises(ValueError):
         PeriodicSignal.from_name("bogus", 16)
 
 
+def test_periodic_signal_norm_hand_values():
+    # The quadrature weight is 1/N per axis: 1/N^2 on a square grid.
+    assert PeriodicSignal(np.ones(8, dtype=complex)).norm() == 1.0
+    assert PeriodicSignal(np.array([[3.0, 4j], [0.0, 0.0]])).norm() == 2.5
+
+
 def test_expsystem_validation():
     w = PeriodicSignal.from_name("linear", 32)
+    with pytest.raises(ValueError, match="weight must be sampled on the circle"):
+        ExpSystem(weight=PeriodicSignal(np.ones((32, 32))), window=2, removed=0)
     with pytest.raises(ValueError):
         ExpSystem(weight=w, window=0, removed=0)
     with pytest.raises(ValueError):
@@ -366,6 +376,8 @@ def test_signal_roundtrip(tmp_path):
     assert loaded.N == 32
     assert np.max(np.abs(loaded.samples - sig.samples)) < 1e-15
     assert loaded.sampler is None
+    with pytest.raises(ValueError, match="a weight file holds 1-D samples"):
+        save_signal(theta_grid(4), tmp_path / "grid.json")
 
 
 def test_load_signal_rejects_bad_header(tmp_path):
@@ -377,6 +389,10 @@ def test_load_signal_rejects_bad_header(tmp_path):
         path.write_text(f'{{"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0], [{bad}, 0]]}}')
         with pytest.raises(ValueError):
             load_signal(path)
+    # A theta grid file is a 2-D grid function, not a circle weight.
+    save_grid_function(theta_grid(4), path)
+    with pytest.raises(ValueError, match="unsupported grid 'midpoint'"):
+        load_signal(path)
 
 
 @pytest.mark.parametrize("N", [256, 4096, 16384])

@@ -6,7 +6,6 @@ import pytest
 from zakbench import (
     blas_threads,
     gram_matrix,
-    quadrature_norm,
     rank_and_span,
     single_threaded_blas,
 )
@@ -60,11 +59,6 @@ def test_rank_invariant_under_unitary_mixing():
 def test_rank_empty_family():
     with pytest.raises(ValueError, match="rank_and_span needs at least one vector"):
         rank_and_span(np.zeros((0, 3)))
-
-
-def test_quadrature_norm_hand_values():
-    assert quadrature_norm(np.ones(8, dtype=complex)) == 1.0
-    assert quadrature_norm(np.array([[3.0, 4j], [0.0, 0.0]])) == pytest.approx(2.5)
 
 
 def test_single_threaded_blas_pins_and_restores():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from zakbench import zak
 from zakbench import (
-    GridFunction,
+    PeriodicSignal,
     SingularNode,
     ThetaParams,
     enk,
@@ -24,6 +24,7 @@ from zakbench import (
     modulated_translate,
     quotient_integral,
     save_grid_function,
+    save_signal,
     shifted_nodes,
     theta1,
     theta1_prime_zero,
@@ -166,7 +167,7 @@ def test_theta_prime_closed_form_against_mpmath():
     # is the oracle of zak-validate's theta_prime check.
     oracle = mp_theta1(0, derivative=1).real
     assert abs(zak._THETA1_PRIME_ZERO - oracle) <= 1e-15 * oracle
-    report = validate_verdict(8, J=2)[0].report
+    report = validate_verdict(8, J=5)[0].report
     expected = abs(theta1_prime_zero() - zak._THETA1_PRIME_ZERO) / zak._THETA1_PRIME_ZERO
     assert report.theta_prime_oracle_rel_dev == expected <= 1e-15
 
@@ -174,8 +175,8 @@ def test_theta_prime_closed_form_against_mpmath():
 def test_validate_verdict_rejects_zero_shift():
     # A zero shift would pass the translated-norm check on the untranslated transform.
     with pytest.raises(ValueError, match="shift must be nonzero"):
-        validate_verdict(8, J=2, shift=0)
-    assert validate_verdict(8, J=2, shift=-1)[0].report.translate_shift == -1.0
+        validate_verdict(8, J=5, shift=0)
+    assert validate_verdict(8, J=5, shift=-1)[0].report.translate_shift == -1.0
 
 
 def test_theta_grid_memory_does_not_scale_with_truncation():
@@ -221,6 +222,16 @@ def test_validate_verdict_bounds_J_by_the_atom_support():
     assert validate_verdict(8, J=19, shift=-3)[0].passed
 
 
+@pytest.mark.parametrize("J", [4, 6, 10])
+def test_validate_verdict_bounds_cov_range_by_J(J):
+    # A translate by |k| leaves terms near phi(J - |k|) unsummed: at most
+    # 4e-13 at J - |k| = 3 passes the 1e-10 covariance limit, 1.9e-6 at 2 cannot.
+    report = validate_verdict(8, J=J, cov_range=J - 3)[0].report
+    assert report.passed and report.covariance_max_dev <= 1e-12
+    with pytest.raises(ValueError, match=rf"cov_range {J - 2} exceeds J={J} - 3"):
+        validate_verdict(8, J=J, cov_range=J - 2)
+
+
 def test_leading_coefficient_against_mpmath():
     # |grad Z phi| at the zero is 2^{1/4} pi |theta1'(0)|, here entirely in mpmath.
     with mpmath.workdps(30):
@@ -250,8 +261,8 @@ def test_enk_bound_check_anchored_pair_from_bound_constant():
 def test_enk_bound_check_excluded_indices():
     with pytest.raises(ValueError, match=r"the \(0, 0\) plane wave is constant"):
         enk_bound_check(0, 0, trials=10)
-    with pytest.raises(ValueError, match=r"index pair \(1, 1\) equals the base pair"):
-        enk_bound_check(1, 1, trials=10, base=(1, 1))
+    with pytest.raises(ValueError, match="trials must be positive"):
+        enk_bound_check(1, 1, trials=0)
 
 
 def test_quotient_integral_equal_arguments_give_unit_measure(monkeypatch):
@@ -376,12 +387,14 @@ def test_quotient_integral_ladder_validation():
 
 
 def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        GridFunction(np.zeros((3, 3), dtype=complex))   # odd M
-    with pytest.raises(ValueError):
-        GridFunction(np.zeros((4, 6), dtype=complex))   # not square
-    g = GridFunction(np.ones((4, 4), dtype=complex))
-    assert g.norm() == pytest.approx(1.0)
+    # Square grids share the circle weights' type, with N nodes per axis.
+    with pytest.raises(ValueError, match="N must be a positive even integer, got 3"):
+        PeriodicSignal(np.zeros((3, 3), dtype=complex))   # odd M
+    for shape in ((4, 6), (4, 4, 4)):                       # not square, 3-D
+        with pytest.raises(ValueError, match="1d or square 2d"):
+            PeriodicSignal(np.zeros(shape, dtype=complex))
+    g = PeriodicSignal(np.ones((4, 4), dtype=complex))
+    assert g.N == 4 and g.norm() == 1.0
 
 
 def test_grid_function_roundtrip(tmp_path):
@@ -389,8 +402,10 @@ def test_grid_function_roundtrip(tmp_path):
     path = tmp_path / "grid.json"
     save_grid_function(grid, path)
     loaded = load_grid_function(path)
-    assert loaded.M == 8
+    assert loaded.N == 8
     assert np.max(np.abs(loaded.samples - grid.samples)) < 1e-15
+    with pytest.raises(ValueError, match="a grid file holds a square 2-D grid"):
+        save_grid_function(PeriodicSignal.from_name("linear", 8), tmp_path / "weight.json")
 
 
 def test_load_grid_function_rejects_bad_header(tmp_path):
@@ -401,6 +416,10 @@ def test_load_grid_function_rejects_bad_header(tmp_path):
     samples = "[1, 0], [1, 0], [1, 0], [NaN, 0]"
     path.write_text(f'{{"M": 2, "grid": "midpoint", "domain": "unit_square", "samples": [{samples}]}}')
     with pytest.raises(ValueError):
+        load_grid_function(path)
+    # A circle weight file is not a grid function on the square.
+    save_signal(PeriodicSignal.from_name("linear", 4), path)
+    with pytest.raises(ValueError, match="unsupported grid 'shifted_midpoint'"):
         load_grid_function(path)
 
 
