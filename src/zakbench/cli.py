@@ -42,14 +42,7 @@ from .expsys import ExpSystem, PeriodicSignal, load_signal, save_signal, sweep_v
 from .linalg import blas_threads
 from .reports import Verdict, dump_report_json
 from .reproducing import DEFAULT_TOL, excess_n_verdict, rp_check_verdict
-from .zak import (
-    NAMED_NUMERATORS,
-    ThetaParams,
-    ladder_verdict,
-    load_grid_function,
-    save_grid_function,
-    validate_verdict,
-)
+from .zak import NAMED_NUMERATORS, ladder_verdict, load_grid_function, save_grid_function, validate_verdict
 
 USAGE_ERROR = 1
 ASSERTION_FAILURE = 2
@@ -99,16 +92,14 @@ def _run_expsys_sweep(args: argparse.Namespace) -> int:
 
 def _run_zak_validate(args: argparse.Namespace) -> int:
     stored = load_grid_function(args.theta_file) if args.theta_file is not None else None
-    verdict, theta = validate_verdict(
-        args.M, args.J, ThetaParams(truncation=args.K), args.shift, args.cov_range, stored
-    )
+    verdict, theta = validate_verdict(args.M, stored)
     if args.dump_theta is not None:
         save_grid_function(theta, args.dump_theta)
     return _finish(args, "zak_validate", verdict)
 
 
 def _run_quotient_ladder(args: argparse.Namespace) -> int:
-    verdict = ladder_verdict(args.numerator, args.ladder, ThetaParams(truncation=args.K))
+    verdict = ladder_verdict(args.numerator, args.ladder)
     return _finish(args, f"quotient_ladder_{args.numerator}", verdict)
 
 
@@ -164,10 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="unitarity, covariance, and theta cross-checks of the Zak transform",
     )
     p.add_argument("--M", type=int, default=128, help="grid resolution per axis, even")
-    p.add_argument("--J", type=int, default=6, help="translation cutoff of the direct sum")
-    p.add_argument("--K", type=int, default=8, help="theta series truncation")
-    p.add_argument("--shift", type=int, default=1, help="integer translate for the norm check")
-    p.add_argument("--cov-range", type=int, default=2, help="covariance index range")
     p.add_argument("--dump-theta", default=None, help="write the theta-form grid to this file")
     p.add_argument("--theta-file", default=None, help="check a stored grid file against the theta form")
     p.set_defaults(run=_run_zak_validate)
@@ -181,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ladder", type=_ladder, default="64,128,256,512", help="comma-separated even resolutions"
     )
-    p.add_argument("--K", type=int, default=8, help="theta series truncation")
     p.set_defaults(run=_run_quotient_ladder)
 
     p = sub.add_parser(

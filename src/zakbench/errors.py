@@ -31,7 +31,7 @@ class TailNotExact(NumericalFailure):
 
 
 class NotReproducingPair(NumericalFailure):
-    """The two families fail the reproducing identity at the working tolerance."""
+    """The mixed operator of the two families is numerically singular."""
 
 
 class NoDependence(NumericalFailure):

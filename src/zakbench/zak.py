@@ -43,9 +43,11 @@ a real array with no complex grid behind it.  theta1 and
 gaussian_zak_theta evaluate pointwise, for arbitrary points.  The only
 cached tables are the products' column factors, sin and cos of
 (2k+1) pi v times theta1's coefficients, computed once per grid size
-and truncation and shared by every row block.  The ladder sums its
-quadrature over blocks of grid rows of bounded size, so its memory
-does not grow with the grid:
+and shared by every row block.  The grid paths use the default
+truncation K = 8: every valid K, 5 to 88, gives bit-identical grids,
+since on their strip |Im z| <= pi/2 the first dropped term at K = 5
+is below 1e-48.  The ladder sums its quadrature over blocks of grid
+rows of bounded size, so its memory does not grow with the grid:
 ``quotient-ladder --numerator cone --ladder 1024,2048,4096,8192`` takes
 about 1.2 s wall, 0.2 s of it system time, on a 2-core x86-64 host.
 """
@@ -178,7 +180,7 @@ def theta1(z, params: ThetaParams = ThetaParams()):
     return vals if vals.ndim else complex(vals)
 
 
-def _theta_series(params: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
+def _theta_series(params: ThetaParams = ThetaParams()) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies 2k+1 and coefficients 2 (-1)^k q^{(k+1/2)^2} of theta1, k = 0..K."""
     ks = np.arange(params.truncation + 1)
     return 2 * ks + 1, 2.0 * ((-1.0) ** ks) * GAUSSIAN_NOME ** ((ks + 0.5) ** 2)  # the factor 2 is exact
@@ -204,14 +206,14 @@ def gaussian_zak_theta(x, xi, params: ThetaParams = ThetaParams()):
 
 
 @functools.lru_cache(maxsize=8)
-def _theta_columns(M: int, params: ThetaParams) -> tuple[np.ndarray, np.ndarray]:
+def _theta_columns(M: int) -> tuple[np.ndarray, np.ndarray]:
     """_theta_products' read-only column factors on the M shifted nodes xi, v = xi - 1/2.
 
     sin and cos of (2k+1) pi v times theta1's coefficients, as (M, K+1)
-    tables: the only tables cached per grid size and truncation.
+    tables: the only tables cached per grid size.
     """
     v = shifted_nodes(M) - 0.5
-    odd, coef = _theta_series(params)
+    odd, coef = _theta_series()
     col = np.multiply.outer(np.pi * v, odd)   # (2k+1) pi v, the real part of theta1's argument
     tables = (np.sin(col) * coef, np.cos(col) * coef)
     for table in tables:
@@ -219,24 +221,24 @@ def _theta_columns(M: int, params: ThetaParams) -> tuple[np.ndarray, np.ndarray]
     return tables
 
 
-def _theta_products(x, M: int, params: ThetaParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _theta_products(x, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u = x - 1/2 and theta1(pi (v - i u)) = re - i im on row nodes x times the M shifted nodes.
 
     Returns u and the real (len(x), M) products re and im of cosh/sinh
     row factors and the cached column factors (see the module docstring).
     """
-    sin_col, cos_col = _theta_columns(M, params)
+    sin_col, cos_col = _theta_columns(M)
     u = x - 0.5
-    row = np.multiply.outer(np.pi * u, _theta_series(params)[0])  # (2k+1) pi u, minus Im of the argument
+    row = np.multiply.outer(np.pi * u, _theta_series()[0])  # (2k+1) pi u, minus Im of the argument
     # The products have inner dimension K + 1, too small to gain from BLAS
     # threads, and one thread keeps the grid independent of the thread count.
     with single_threaded_blas():
         return u, np.cosh(row) @ sin_col.T, np.sinh(row) @ cos_col.T
 
 
-def theta_grid(M: int, params: ThetaParams = ThetaParams()) -> PeriodicSignal:
+def theta_grid(M: int) -> PeriodicSignal:
     """Gaussian Zak transform sampled on the midpoint grid via the theta form."""
-    u, re, im = _theta_products(shifted_nodes(M), M, params)
+    u, re, im = _theta_products(shifted_nodes(M), M)
     grid = re - 1j * im                                   # theta1(pi (v - i u)), and v = u on these nodes
     grid *= -(2.0**0.25) * 1j * np.exp(1j * np.pi * u)    # the column factor of the prefactor
     grid *= np.exp(-np.pi * u * u)[:, None]               # and its row factor
@@ -301,11 +303,7 @@ def enk_bound_check(n: int, k: int, trials: int, seed: int = 0) -> EnkBoundRepor
     )
 
 
-def quotient_integral(
-    numerator: str,
-    refinement_ladder: Sequence[int],
-    params: ThetaParams = ThetaParams(),
-) -> LadderReport:
+def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> LadderReport:
     """Midpoint-rule ladder for the integral of a named numerator over |Z phi|^2.
 
     NAMED_NUMERATORS gives the squared numerator as a function of
@@ -315,10 +313,12 @@ def quotient_integral(
     formed from theta1's two real products (see the module docstring).
     The block height keeps a block near a fixed number of grid values,
     so memory does not grow with M, and math.fsum adds the block sums.
-    The report flags ``converges`` when the final refinement moves the
-    estimate by less than the stabilisation threshold and ``diverges``
-    when every step grows by more than the growth threshold.  Grid
-    evidence cannot certify an infinite integral, so the report says so.
+    theta1 runs at the default truncation K = 8 (see the module
+    docstring).  The report flags ``converges`` when the final
+    refinement moves the estimate by less than the stabilisation
+    threshold and ``diverges`` when every step grows by more than the
+    growth threshold.  Grid evidence cannot certify an infinite
+    integral, so the report says so.
     """
     squared_numerator = NAMED_NUMERATORS[numerator][0]
     ladder = [int(M) for M in refinement_ladder]
@@ -330,7 +330,7 @@ def quotient_integral(
         raise ValueError("ladder resolutions must strictly increase")
 
     def block_sum(x: np.ndarray, v: np.ndarray) -> float:
-        u, re, im = _theta_products(x, v.size, params)
+        u, re, im = _theta_products(x, v.size)
         den = np.square(re, out=re)
         den += np.square(im, out=im)
         den *= (math.sqrt(2.0) * np.exp(-2.0 * np.pi * u * u))[:, None]
@@ -380,16 +380,12 @@ NAMED_NUMERATORS: dict[str, tuple[Callable, str]] = {
 }
 
 
-def ladder_verdict(
-    numerator: str,
-    refinement_ladder: Sequence[int],
-    params: ThetaParams = ThetaParams(),
-) -> Verdict:
+def ladder_verdict(numerator: str, refinement_ladder: Sequence[int]) -> Verdict:
     """Quotient ladder of a named numerator against |Z phi|^2.
 
     Passes when the ladder shows the outcome NAMED_NUMERATORS expects.
     """
-    report = quotient_integral(numerator, refinement_ladder, params)
+    report = quotient_integral(numerator, refinement_ladder)
     expect = NAMED_NUMERATORS[numerator][1]
     passed = report.converges if expect == "converges" else report.diverges
     flag = "converges" if report.converges else ("diverges" if report.diverges else "undecided")
@@ -398,47 +394,20 @@ def ladder_verdict(
     return Verdict(report, passed, detail, rows)
 
 
-def validate_verdict(
-    M: int,
-    J: int = 6,
-    params: ThetaParams = ThetaParams(),
-    shift: int = 1,
-    cov_range: int = 2,
-    stored: PeriodicSignal | None = None,
-) -> tuple[Verdict, PeriodicSignal]:
+def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verdict, PeriodicSignal]:
     """Invariant checks of the Gaussian's Zak transform on the M x M grid, M even.
 
-    Checks the norms of Z phi and of its translate by ``shift`` (not
-    0, and in (-J, J]), covariance for |n|, |k| <= ``cov_range`` (from 1
-    to J - 3), the theta form against the direct series, the centre zero,
-    theta1'(0) against its closed form at q = exp(-pi), and a ``stored``
-    grid if given.  A translate by |k| leaves terms of the atom near
-    phi(J - |k|) outside the summed window: the covariance deviation at
-    M = 8 is at most 4e-13 at J - |k| = 3, but 1.9e-6 at 2, above the
-    1e-10 limit.  J is at most 16 + max(|shift|, cov_range), past which
-    each added term is 0.0.  Returns the verdict and the theta grid.
+    Checks the norms of Z phi and of its translate by 1, covariance for
+    |n|, |k| <= 2, the theta form against the direct series, the centre
+    zero, theta1'(0) against its closed form at q = exp(-pi), and a
+    ``stored`` grid if given.  The direct series sums |j| <= 6 and theta1
+    runs at its default truncation K = 8.  Returns the verdict and the
+    theta grid.
     """
     _check_grid_size("M", M)
-    if cov_range < 1:
-        raise ValueError(f"cov_range must be at least 1, got {cov_range}")
-    if J >= 1 and cov_range > J - 3:
-        raise ValueError(
-            f"cov_range {cov_range} exceeds J={J} - 3: a translate by |k| > J - 3 leaves atom "
-            "weight above the 1e-10 covariance limit outside the summed window"
-        )
-    if shift == 0:
-        raise ValueError("shift must be nonzero: shift 0 re-measures the untranslated transform")
-    if J >= 1 and not -J < shift <= J:
-        raise ValueError(
-            f"shift {shift} outside (-J, J] for J={J}: half the translated atom leaves the summed window"
-        )
-    if J > 16 + max(abs(shift), cov_range):
-        raise ValueError(
-            f"J {J} exceeds 16 + max(|shift|, cov_range) = {16 + max(abs(shift), cov_range)}: phi(x - m) "
-            "is 0.0 in double for x in (0, 1) once |m| >= 17, so every further term adds 0.0"
-        )
+    J, shift, cov_range = 6, 1, 2  # every translate m keeps J - |m| >= 4: phi(4) < 1e-21 is left unsummed
     direct = zak_transform(gaussian_atom, M, J)
-    theta = theta_grid(M, params)
+    theta = theta_grid(M)
 
     shifted = zak_transform(modulated_translate(gaussian_atom, 0, shift), M, J)
 
@@ -452,9 +421,9 @@ def validate_verdict(
             cov_dev = max(cov_dev, float(np.max(np.abs(lhs.samples - rhs))))
 
     theta_dev = float(np.max(np.abs(theta.samples - direct.samples)))
-    center_abs = abs(gaussian_zak_theta(0.5, 0.5, params))
-    corner = abs(gaussian_zak_theta(0.0, 0.0, params))
-    prime = theta1_prime_zero(params)
+    center_abs = abs(gaussian_zak_theta(0.5, 0.5))
+    corner = abs(gaussian_zak_theta(0.0, 0.0))
+    prime = theta1_prime_zero()
     prime_rel = abs(prime - _THETA1_PRIME_ZERO) / _THETA1_PRIME_ZERO
 
     checks = {
@@ -466,13 +435,13 @@ def validate_verdict(
         "theta_prime": prime_rel <= 1e-13 and prime >= 0.9,
     }
     if stored is not None:
-        reference = theta if stored.N == M else theta_grid(stored.N, params)
+        reference = theta if stored.N == M else theta_grid(stored.N)
         checks["theta_file"] = float(np.max(np.abs(stored.samples - reference.samples))) <= 1e-12
 
     report = ZakValidationReport(
         M=M,
         J=J,
-        truncation_K=params.truncation,
+        truncation_K=ThetaParams().truncation,
         gaussian_norm=direct.norm(),
         translated_norm=shifted.norm(),
         translate_shift=float(shift),

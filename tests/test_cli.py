@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zakbench import cli
+from zakbench import cli, reproducing
+from zakbench.errors import TailNotExact
 from zakbench.linalg import blas_threads
 
 REPO = Path(__file__).resolve().parents[1]
@@ -147,16 +148,6 @@ def test_usage_error_exit_codes(tmp_path, capsys):
              "--out", str(tmp_path)]
         ) == 1
     assert cli.main(["rp-check", "--trials", "0", "--out", str(tmp_path)]) == 1
-    # A truncation whose sine terms overflow on the validated strip is refused
-    # before anything runs, so no report holds its NaN.
-    capsys.readouterr()
-    overflow_out = tmp_path / "overflow"
-    for command in (["zak-validate", "--M", "8"],
-                    ["quotient-ladder", "--numerator", "cone", "--ladder", "4,8"]):
-        assert cli.main(command + ["--K", "300", "--out", str(overflow_out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("ValueError: truncation 300 overflows") and err.count("\n") == 1, err
-    assert not overflow_out.exists()
     assert cli.main(["excess-n", "--trials", "0", "--out", str(tmp_path)]) == 1
     nan_weight = tmp_path / "nan_weight.json"
     samples = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 63
@@ -193,23 +184,6 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("ValueError: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
-    for cov_range in ("-1", "0"):
-        assert cli.main(
-            ["zak-validate", "--M", "16", "--cov-range", cov_range, "--out", str(tmp_path)]
-        ) == 1
-        assert "cov_range must be at least 1" in capsys.readouterr().err
-    # Translates by |k| > J leave the summed window, so the covariance check
-    # cannot pass; the range is refused before (2R+1)^2 transforms run.
-    cov_out = tmp_path / "cov"
-    assert cli.main(["zak-validate", "--M", "8", "--cov-range", "1000", "--out", str(cov_out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ValueError: cov_range 1000 exceeds J=6") and err.count("\n") == 1, err
-    # Translates by |k| > J - 3 leave more than the 1e-10 limit unsummed, so
-    # cov_range 4 at J = 6 is refused too (its covariance deviation is 1.9e-6).
-    assert cli.main(["zak-validate", "--M", "8", "--J", "6", "--cov-range", "4", "--out", str(cov_out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ValueError: cov_range 4 exceeds J=6 - 3") and err.count("\n") == 1, err
-    assert not cov_out.exists()
     # Grid sizes that are not positive even integers are named as given, before any sampling.
     for command, message in ((["zak-validate", "--M", "0"], "M must be a positive even integer, got 0"),
                              (["zak-validate", "--M", "-4"], "M must be a positive even integer, got -4"),
@@ -218,25 +192,6 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"ValueError: {message}\n", err
     assert not (tmp_path / "size").exists()
-    shift_out = tmp_path / "shift"
-    assert cli.main(["zak-validate", "--M", "16", "--shift", "0", "--out", str(shift_out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ValueError: shift must be nonzero") and err.count("\n") == 1, err
-    # A translate by shift > J or shift <= -J puts half the atom outside the
-    # summed window (translated norm 0.7071 at M = 16, J = 6), so it cannot pass.
-    for shift in ("7", "-6"):
-        assert cli.main(["zak-validate", "--M", "16", "--shift", shift, "--out", str(shift_out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"ValueError: shift {shift} outside (-J, J] for J=6") and err.count("\n") == 1, err
-    assert not shift_out.exists()
-    # Past J = 16 + max(|shift|, cov_range) every added term is 0.0, so a
-    # larger J is refused before its 2J + 1 outer products run.
-    j_out = tmp_path / "j"
-    assert cli.main(["zak-validate", "--M", "8", "--J", "200000", "--out", str(j_out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ValueError: J 200000 exceeds 16 + max(|shift|, cov_range) = 18") and err.count("\n") == 1, err
-    assert not j_out.exists()
-    assert cli.main(["zak-validate", "--M", "8", "--J", "18", "--out", str(j_out)]) == 0
     for tol in ("nan", "inf", "0", "1e-3"):
         assert cli.main(["excess-n", "--tol", tol, "--out", str(tmp_path)]) == 1
         assert "tol must lie in" in capsys.readouterr().err
@@ -244,13 +199,41 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert cli.main([]) == 1
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
-    # A valid run whose pair misses a tolerance below the rounding floor is
-    # a numerical failure, not a usage error.
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # A valid run whose pair misses a tolerance below the rounding floor
+    # fails its assertion: the report is written and records the deviation.
     assert cli.main(["excess-n", "--tol", "1e-18", "--out", str(tmp_path)]) == 2
+    assert read_report(tmp_path / "excess_n.json")["margins"]["pair_identity_deviation"] > 1e-18
+    out, err = capsys.readouterr()
+    assert out.startswith("excess-n: FAIL (pair identity deviation ") and err == "", (out, err)
+    # A NumericalFailure raised mid-run also exits 2, with one stderr line and no report.
+    def fail(*args, **kwargs):
+        raise TailNotExact("tail stops spanning")
+
+    monkeypatch.setattr(reproducing, "excess_n_identities", fail)
+    failed_out = tmp_path / "failed"
+    assert cli.main(["excess-n", "--out", str(failed_out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("NotReproducingPair: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err
+    assert err == "TailNotExact: tail stops spanning\n", err
+    assert not failed_out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["zak-validate", "--M", "8", "--J", "6"],
+     ["zak-validate", "--M", "8", "--K", "8"],
+     ["zak-validate", "--M", "8", "--shift", "1"],
+     ["zak-validate", "--M", "8", "--cov-range", "2"],
+     ["quotient-ladder", "--numerator", "cone", "--ladder", "4,8", "--K", "8"]],
+)
+def test_removed_series_flags_are_usage_errors(tmp_path, capsys, command):
+    # zak-validate and quotient-ladder run at one fixed series setting, so
+    # the flags that once moved it are unknown arguments.
+    out = tmp_path / "out"
+    assert cli.main(command + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(command[-2:])}" in err and "Traceback" not in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -167,16 +167,10 @@ def test_theta_prime_closed_form_against_mpmath():
     # is the oracle of zak-validate's theta_prime check.
     oracle = mp_theta1(0, derivative=1).real
     assert abs(zak._THETA1_PRIME_ZERO - oracle) <= 1e-15 * oracle
-    report = validate_verdict(8, J=5)[0].report
+    report = validate_verdict(8)[0].report
+    assert (report.J, report.truncation_K, report.translate_shift, report.covariance_range) == (6, 8, 1.0, 2)
     expected = abs(theta1_prime_zero() - zak._THETA1_PRIME_ZERO) / zak._THETA1_PRIME_ZERO
     assert report.theta_prime_oracle_rel_dev == expected <= 1e-15
-
-
-def test_validate_verdict_rejects_zero_shift():
-    # A zero shift would pass the translated-norm check on the untranslated transform.
-    with pytest.raises(ValueError, match="shift must be nonzero"):
-        validate_verdict(8, J=5, shift=0)
-    assert validate_verdict(8, J=5, shift=-1)[0].report.translate_shift == -1.0
 
 
 def test_theta_grid_memory_does_not_scale_with_truncation():
@@ -205,31 +199,6 @@ def test_theta_grid_memory_stays_at_three_complex_grids():
     finally:
         tracemalloc.stop()
     assert peak <= 49 * M * M
-
-
-def test_validate_verdict_bounds_J_by_the_atom_support():
-    # For x in (0, 1), phi(x - m) is 0.0 in double once |m| >= 17 but not at
-    # m = 16, so J past 16 + max(|shift|, cov_range) adds only zero terms.
-    x = np.linspace(0.0, 1.0, 100_001)[1:-1]
-    assert not np.any(gaussian_atom(x - 17)) and not np.any(gaussian_atom(x + 17))
-    assert np.any(gaussian_atom(x - 16))
-    assert np.array_equal(zak_transform(gaussian_atom, 8, 17).samples, zak_transform(gaussian_atom, 8, 16).samples)
-    with pytest.raises(ValueError, match=r"J 19 exceeds 16 \+ max\(\|shift\|, cov_range\) = 18"):
-        validate_verdict(8, J=19)
-    with pytest.raises(ValueError, match=r"J 20 exceeds 16 \+ max\(\|shift\|, cov_range\) = 19"):
-        validate_verdict(8, J=20, shift=-3)
-    assert validate_verdict(8, J=18)[0].passed
-    assert validate_verdict(8, J=19, shift=-3)[0].passed
-
-
-@pytest.mark.parametrize("J", [4, 6, 10])
-def test_validate_verdict_bounds_cov_range_by_J(J):
-    # A translate by |k| leaves terms near phi(J - |k|) unsummed: at most
-    # 4e-13 at J - |k| = 3 passes the 1e-10 covariance limit, 1.9e-6 at 2 cannot.
-    report = validate_verdict(8, J=J, cov_range=J - 3)[0].report
-    assert report.passed and report.covariance_max_dev <= 1e-12
-    with pytest.raises(ValueError, match=rf"cov_range {J - 2} exceeds J={J} - 3"):
-        validate_verdict(8, J=J, cov_range=J - 2)
 
 
 def test_leading_coefficient_against_mpmath():
@@ -269,7 +238,7 @@ def test_quotient_integral_equal_arguments_give_unit_measure(monkeypatch):
     # re = 2^{-1/4} exp(pi u^2) and im = 0 cancel the prefactor of
     # |Z phi|^2 = sqrt(2) exp(-2 pi u^2) (re^2 + im^2), so the constant
     # numerator's quotient is 1 at every node.
-    def unit_modulus(x, M, params):
+    def unit_modulus(x, M):
         u = x - 0.5
         re = np.repeat(2.0**-0.25 * np.exp(np.pi * u * u)[:, None], M, axis=1)
         return u, re, np.zeros_like(re)
@@ -365,8 +334,8 @@ def test_quotient_integral_singular_node(monkeypatch):
     # of a row block is refused before the division.
     products = zak._theta_products
 
-    def zero_at_first_node(x, M, params):
-        u, re, im = products(x, M, params)
+    def zero_at_first_node(x, M):
+        u, re, im = products(x, M)
         re[0, 0] = im[0, 0] = 0.0
         return u, re, im
 
@@ -448,9 +417,21 @@ def test_table_plane_waves_match_enk(M, n, k):
 @pytest.mark.parametrize("K", [5, 8, 20])
 @pytest.mark.parametrize("M", [8, 64, 130])
 def test_theta_grid_low_rank_matches_pointwise_form(M, K):
-    params = ThetaParams(K)
-    pointwise = gaussian_zak_theta(*meshgrid(M), params)
-    assert np.max(np.abs(theta_grid(M, params).samples - pointwise)) <= 1e-15
+    # theta_grid runs at the default truncation; the pointwise form at any valid K agrees.
+    pointwise = gaussian_zak_theta(*meshgrid(M), ThetaParams(K))
+    assert np.max(np.abs(theta_grid(M).samples - pointwise)) <= 1e-15
+
+
+def test_theta_truncation_changes_no_value():
+    # Every valid truncation, K = 5 to 88, gives the same doubles, which is why
+    # theta_grid, the ladder and zak-validate run at the default K = 8 alone.
+    X, XI = meshgrid(64)
+    reference = ThetaParams(5)
+    for K in (8, 20, 88):
+        params = ThetaParams(K)
+        assert np.array_equal(gaussian_zak_theta(X, XI, params), gaussian_zak_theta(X, XI, reference))
+        assert theta1_prime_zero(params) == theta1_prime_zero(reference)
+        assert leading_coefficient(params) == leading_coefficient(reference)
 
 
 @PROPERTIES
