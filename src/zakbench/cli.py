@@ -14,8 +14,10 @@ verdict line:
 Exit status: 0 when the asserted outcome holds; 2 when it fails, when
 a computation raises a NumericalFailure, or when a LAPACK routine raises
 numpy's LinAlgError; 1 on bad input, which raises ValueError (or
-OSError for a file that cannot be read or written).  Each error prints
-one line, its class name and message, on stderr.  Reports are
+OSError for a file that cannot be read or written, or MemoryError for
+sizes too large for the host), and on unknown or malformed arguments.
+Each error prints one line on stderr: its class name and message, or
+argparse's message without the usage text.  Reports are
 deterministic for a fixed seed, at any BLAS thread count; the only
 run-dependent content is the "metadata" field, which records the argv,
 the time, the Python, numpy and zakbench versions and the OpenBLAS
@@ -84,7 +86,7 @@ def _run_expsys_sweep(args: argparse.Namespace) -> int:
     else:
         weight = PeriodicSignal.from_name(args.g, args.N)
     system = ExpSystem(weight=weight, window=args.W, removed=args.k, anchor=args.t0)
-    verdict = sweep_verdict(system, args.max_terms)
+    verdict = sweep_verdict(system)
     if args.dump_weight is not None:
         save_signal(weight, args.dump_weight)
     return _finish(args, "expsys_sweep", verdict)
@@ -104,24 +106,26 @@ def _run_quotient_ladder(args: argparse.Namespace) -> int:
 
 
 def _run_rp_check(args: argparse.Namespace) -> int:
-    verdict = rp_check_verdict(args.dim, args.pairs, args.trials, args.seed)
+    verdict = rp_check_verdict(args.dim, args.pairs, args.seed)
     return _finish(args, "rp_check", verdict)
 
 
 def _run_excess_n(args: argparse.Namespace) -> int:
     verdict = excess_n_verdict(
-        args.dim,
-        args.n,
-        tol=args.tol,
-        trials=args.trials,
-        seed=args.seed,
-        dependent_head=args.dependent_head,
+        args.dim, args.n, tol=args.tol, seed=args.seed, dependent_head=args.dependent_head
     )
     return _finish(args, "excess_n", verdict)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one line, as every other error is printed; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zakbench",
         description="diagnostics for weighted exponential systems, Zak transforms, "
         "and reproducing pairs",
@@ -145,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--W", type=int, default=16, help="frequency window half-width")
     p.add_argument("--k", type=int, default=0, help="removed index")
     p.add_argument("--t0", type=float, default=0.25, help="anchor point in [0, 1)")
-    p.add_argument("--max-terms", type=int, default=None, help="sweep levels, default W")
     p.add_argument("--dump-weight", default=None, help="write the weight samples to this file")
     p.set_defaults(run=_run_expsys_sweep)
 
@@ -177,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, default=8, help="ambient dimension")
     p.add_argument("--pairs", type=int, default=20, help="random pairs to test")
-    p.add_argument("--trials", type=int, default=8, help="random probes per pair")
     p.set_defaults(run=_run_rp_check)
 
     p = sub.add_parser(
@@ -188,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=8, help="ambient dimension")
     p.add_argument("--n", type=int, default=1, help="head length")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="working tolerance")
-    p.add_argument("--trials", type=int, default=20, help="random probes")
     p.add_argument(
         "--dependent-head",
         action="store_true",
@@ -209,8 +210,10 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.run(args)
-    except (NumericalFailure, ValueError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except (NumericalFailure, ValueError, OSError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; print the public name.
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"{name}: {exc}", file=sys.stderr)
         # LinAlgError subclasses ValueError: a LAPACK failure is numerical.
         numerical = isinstance(exc, (NumericalFailure, LinAlgError))
         return ASSERTION_FAILURE if numerical else USAGE_ERROR

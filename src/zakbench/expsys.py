@@ -129,13 +129,14 @@ class PeriodicSignal:
 
     A 1-D array holds g(t_i) on the circle.  A square 2-D array holds
     samples[p, q] = f(x_p, xi_q) on the unit square, as zak builds and
-    loads them.  ``sampler`` keeps the generating function of a circle
-    weight when one is known, which lets hypothesis checks resample the
-    weight on coarser grids.  A signal loaded from disk has no sampler.
+    loads them.  ``name`` is the key in NAMED_WEIGHTS of the circle
+    weight the samples were drawn from, which lets hypothesis checks
+    resample the weight on coarser grids.  A signal given as samples
+    only, such as one loaded from disk, has no name.
     """
 
     samples: np.ndarray
-    sampler: Callable[[np.ndarray], np.ndarray] | None = None
+    name: str | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=complex)
@@ -153,17 +154,12 @@ class PeriodicSignal:
         return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) / self.samples.size))
 
     @classmethod
-    def from_function(cls, fn: Callable[[np.ndarray], np.ndarray], N: int) -> "PeriodicSignal":
-        _check_grid_size("N", N)
-        return cls(np.asarray(fn(shifted_nodes(N)), dtype=complex), sampler=fn)
-
-    @classmethod
     def from_name(cls, name: str, N: int) -> "PeriodicSignal":
-        try:
-            fn = NAMED_WEIGHTS[name]
-        except KeyError:
+        """The named weight sampled on the shifted grid of N nodes."""
+        if name not in NAMED_WEIGHTS:
             raise ValueError(f"unknown weight name {name!r}, expected one of {sorted(NAMED_WEIGHTS)}")
-        return cls.from_function(fn, N)
+        _check_grid_size("N", N)
+        return cls(NAMED_WEIGHTS[name](shifted_nodes(N)), name=name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +258,7 @@ def _hypothesis_notes(system: ExpSystem) -> list[str]:
     not raised, because the duals stay biorthogonal regardless.
     """
     notes: list[str] = []
-    fn = system.weight.sampler
-    if fn is None:
+    if system.weight.name is None:
         energy = inverse_weight_energy(system.weight.samples)
         notes.append(
             f"weight given as samples only; inverse weight energy {energy:.6g} at N={system.N}, "
@@ -271,7 +266,8 @@ def _hypothesis_notes(system: ExpSystem) -> list[str]:
         )
         return notes
     ladder = sorted({max(4, system.N // 4), max(4, system.N // 2), system.N})
-    energies = [inverse_weight_energy(np.asarray(fn(shifted_nodes(n)))) for n in ladder]
+    fn = NAMED_WEIGHTS[system.weight.name]
+    energies = [inverse_weight_energy(fn(shifted_nodes(n))) for n in ladder]
     ratios = [b / a for a, b in zip(energies, energies[1:])]
     grows = all(r >= ENERGY_GROWTH_RATIO for r in ratios)
     detail = ", ".join(f"N={n}: {e:.6g}" for n, e in zip(ladder, energies))
@@ -282,10 +278,12 @@ def _hypothesis_notes(system: ExpSystem) -> list[str]:
     return notes
 
 
-def schauder_failure_sweep(system: ExpSystem, max_terms: int) -> SweepReport:
+def schauder_failure_sweep(system: ExpSystem) -> SweepReport:
     """Partial sums of the dual expansion of the removed element.
 
-    Levels are concentric in |n - k|.  Level L reports the residual
+    Levels are concentric in |n - k| and run over L = 1..W, W the
+    window, so the last level has added every active index when the
+    removed index is 0.  Level L reports the residual
     || g e_k - S_L || of the partial sum
 
         S_L = sum over 0 < |n - k| <= L, |n| <= W of conj(c_n) g e_n
@@ -307,8 +305,6 @@ def schauder_failure_sweep(system: ExpSystem, max_terms: int) -> SweepReport:
     end farther from ||g|| is reported, so the spread rule of
     ``sweep_verdict`` is at least as strict as on the sampled terms.
     """
-    if not 1 <= max_terms <= system.window:
-        raise ValueError(f"max_terms must lie in [1, {system.window}]")
     N, W, k = system.N, system.window, system.removed
     roots, _ = _root_table(N)
     g_norm = system.weight.norm()
@@ -327,7 +323,7 @@ def schauder_failure_sweep(system: ExpSystem, max_terms: int) -> SweepReport:
     r2 = g0
 
     levels: list[SweepLevel] = []
-    for L in range(1, max_terms + 1):
+    for L in range(1, W + 1):
         term_norm = 0.0
         for n in (k - L, k + L):
             if abs(n) > W:
@@ -358,14 +354,14 @@ def schauder_failure_sweep(system: ExpSystem, max_terms: int) -> SweepReport:
     )
 
 
-def sweep_verdict(system: ExpSystem, max_terms: int | None = None) -> Verdict:
+def sweep_verdict(system: ExpSystem) -> Verdict:
     """Dual-expansion sweep of the removed element, checked for its failure.
 
-    Passes when the report flags no norm convergence and every nonzero
-    term norm sits within 1e-9 ||g|| of the weight's norm ||g||, as
-    |c_n| = 1 demands.  ``max_terms`` defaults to the window.
+    Runs all W levels of ``schauder_failure_sweep``.  Passes when the
+    report flags no norm convergence and every nonzero term norm sits
+    within 1e-9 ||g|| of the weight's norm ||g||, as |c_n| = 1 demands.
     """
-    report = schauder_failure_sweep(system, system.window if max_terms is None else max_terms)
+    report = schauder_failure_sweep(system)
     g_norm = system.weight.norm()
     term_norms = [lv.term_norm for lv in report.levels if lv.term_norm > 0.0]
     norm_spread = max(abs(t - g_norm) for t in term_norms) if term_norms else float("inf")

@@ -175,7 +175,7 @@ def _read_samples(path: str | Path, size_key: str, header: dict, ndim: int) -> n
         if payload.get(key) != value:
             raise ValueError(f"unsupported {key} {payload.get(key)!r}")
     size = payload.get(size_key)
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:  # JSON true loads as a bool, which is an int
         raise ValueError(f"{size_key} must be a positive integer, got {size!r}")
     try:
         samples = np.array([complex(re, im) for re, im in payload.get("samples")], dtype=complex)

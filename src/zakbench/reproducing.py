@@ -509,9 +509,9 @@ def random_pair_check(
     )
 
 
-def rp_check_verdict(dim: int, pairs: int, trials: int, seed: int) -> Verdict:
-    """random_pair_check, judged by the report's own pass flag."""
-    report = random_pair_check(dim, pairs, trials, seed)
+def rp_check_verdict(dim: int, pairs: int, seed: int) -> Verdict:
+    """random_pair_check at its default 8 probes per pair, judged by the report's own pass flag."""
+    report = random_pair_check(dim, pairs, seed=seed)
     names = ("max_identity_deviation", "max_adjoint_asymmetry", "min_invertibility_margin")
     rows = [(name, getattr(report, name), report.passed) for name in names]
     detail = (
@@ -525,11 +525,10 @@ def excess_n_verdict(
     dim: int,
     n: int,
     tol: float = DEFAULT_TOL,
-    trials: int = 20,
     seed: int = 0,
     dependent_head: bool = False,
 ) -> Verdict:
-    """Excess identities on a seeded random pair.
+    """Excess identities on a seeded random pair, at excess_n_identities' default 20 probes.
 
     Passes when the pair identity deviation is <= tol and every residual is <= 10 tol.
     """
@@ -537,7 +536,7 @@ def excess_n_verdict(
         raise ValueError(f"tol must lie in (0, {MAX_TOL:.0e}], got {tol}")
     with single_threaded_blas():  # equal seeds give equal payloads at any BLAS thread count
         phi, psi = random_excess_pair(dim, n, np.random.default_rng(seed), dependent_head)
-        report = excess_n_identities(phi, psi, n, tol=tol, trials=trials, seed=seed)
+        report = excess_n_identities(phi, psi, n, tol=tol, seed=seed)
     limit = 10.0 * tol
     pair_dev = report.margins["pair_identity_deviation"]
     passed = pair_dev <= tol and all(value <= limit for value in report.residuals.values())

@@ -80,7 +80,7 @@ def test_acceptance_02_term_norms_block_convergence():
         term = np.conj(dual_coefficient(system, n)) * weighted_exp(system, n)
         term_norm = float(np.sqrt(np.sum(np.abs(term) ** 2) / system.N))
         term_devs.append(abs(term_norm - g_norm))
-    report = schauder_failure_sweep(system, max_terms=16)
+    report = schauder_failure_sweep(system)
     elapsed = time.monotonic() - start
     ok = (
         max(term_devs) <= 1e-12 * g_norm

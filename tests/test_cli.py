@@ -147,8 +147,6 @@ def test_usage_error_exit_codes(tmp_path, capsys):
             ["quotient-ladder", "--numerator", "cone", "--ladder", ladder,
              "--out", str(tmp_path)]
         ) == 1
-    assert cli.main(["rp-check", "--trials", "0", "--out", str(tmp_path)]) == 1
-    assert cli.main(["excess-n", "--trials", "0", "--out", str(tmp_path)]) == 1
     nan_weight = tmp_path / "nan_weight.json"
     samples = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 63
     nan_weight.write_text(json.dumps({"N": 64, "grid": "shifted_midpoint", "samples": samples}))
@@ -224,15 +222,45 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
      ["zak-validate", "--M", "8", "--K", "8"],
      ["zak-validate", "--M", "8", "--shift", "1"],
      ["zak-validate", "--M", "8", "--cov-range", "2"],
-     ["quotient-ladder", "--numerator", "cone", "--ladder", "4,8", "--K", "8"]],
+     ["quotient-ladder", "--numerator", "cone", "--ladder", "4,8", "--K", "8"],
+     ["expsys-sweep", "--N", "64", "--W", "4", "--max-terms", "4"],
+     ["rp-check", "--trials", "8"],
+     ["excess-n", "--trials", "20"]],
 )
 def test_removed_series_flags_are_usage_errors(tmp_path, capsys, command):
-    # zak-validate and quotient-ladder run at one fixed series setting, so
-    # the flags that once moved it are unknown arguments.
+    # zak-validate and quotient-ladder run at one fixed series setting, the
+    # sweep runs all W levels and the pair checks at fixed probe counts, so
+    # the flags that once moved them are unknown arguments.
     out = tmp_path / "out"
     assert cli.main(command + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"unrecognized arguments: {' '.join(command[-2:])}" in err and "Traceback" not in err, err
+    assert err == f"zakbench: error: unrecognized arguments: {' '.join(command[-2:])}\n", err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, verdict",
+    [(["expsys-sweep"], "sweep_verdict"),
+     (["zak-validate"], "validate_verdict"),
+     (["rp-check"], "rp_check_verdict")],
+)
+def test_memory_error_is_a_usage_error(tmp_path, capsys, monkeypatch, command, verdict):
+    # An input too large for the host, such as zak-validate --M 1000000, is
+    # bad configuration: exit 1 with one line.  The verdict raises numpy's
+    # kind of MemoryError, a private subclass, at default sizes, so nothing
+    # large is allocated: on a host that overcommits memory a real attempt
+    # is killed instead.
+    class _ArrayMemoryError(MemoryError):
+        pass
+
+    def fail(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(cli, verdict, fail)
+    out = tmp_path / "out"
+    assert cli.main(command + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "MemoryError: Unable to allocate 14.6 TiB for an array\n", err
     assert not out.exists()
 
 

@@ -35,7 +35,7 @@ def make_system(name="linear", N=64, W=8, removed=0, anchor=0.25):
     )
 
 
-def sampled_sweep(system, max_terms):
+def sampled_sweep(system):
     """(residual, term norm) per level, summed over sampled N-vectors term by term.
 
     The per-term loop that the Gram form of ``schauder_failure_sweep``
@@ -45,7 +45,7 @@ def sampled_sweep(system, max_terms):
     target = weighted_exp(system, k)
     partial = np.zeros(system.N, dtype=complex)
     levels = []
-    for L in range(1, max_terms + 1):
+    for L in range(1, system.window + 1):
         term_norm = 0.0
         for n in (k - L, k + L):
             if abs(n) <= system.window:
@@ -211,7 +211,7 @@ def test_biorthogonality_gram_identity_and_refinement():
 
 def test_sweep_term_norms_and_flag():
     sys_ = make_system("linear", N=128, W=16)
-    report = schauder_failure_sweep(sys_, 16)
+    report = schauder_failure_sweep(sys_)
     g_norm = sys_.weight.norm()
     for level in report.levels:
         assert abs(level.term_norm - g_norm) <= 1e-12
@@ -230,7 +230,7 @@ def test_sweep_residuals_against_dirichlet_kernel():
     for N, W, anchors, levels in ((256, 16, (0.25, 0.6180339887), (1, 8, 16)),
                                   (4096, 1000, (0.25,), (1, 500, 1000))):
         for t0 in anchors:
-            report = schauder_failure_sweep(make_system("linear", N=N, W=W, anchor=t0), W)
+            report = schauder_failure_sweep(make_system("linear", N=N, W=W, anchor=t0))
             for L in levels:
                 with mpmath.workdps(30):
                     total = mpmath.mpf(0)
@@ -256,15 +256,14 @@ def test_sweep_matches_sampled_reference(weight, tmp_path):
     g_norm = signal.norm()
     for k in (0, -37, W - 1):
         for t0 in (0.0, 0.25, 0.6180339887):
-            for max_terms in (W, W - 13):
-                system = ExpSystem(weight=signal, window=W, removed=k, anchor=t0)
-                report = schauder_failure_sweep(system, max_terms)
-                reference = sampled_sweep(system, max_terms)
-                assert len(report.levels) == len(reference) == max_terms
-                for level, (residual, term_norm) in zip(report.levels, reference):
-                    case = (k, t0, max_terms, level.L)
-                    assert abs(level.residual - residual) <= 1e-14 * residual, case
-                    assert abs(level.term_norm - term_norm) <= 4.5e-16 * g_norm, case
+            system = ExpSystem(weight=signal, window=W, removed=k, anchor=t0)
+            report = schauder_failure_sweep(system)
+            reference = sampled_sweep(system)
+            assert len(report.levels) == len(reference) == W
+            for level, (residual, term_norm) in zip(report.levels, reference):
+                case = (k, t0, level.L)
+                assert abs(level.residual - residual) <= 1e-14 * residual, case
+                assert abs(level.term_norm - term_norm) <= 4.5e-16 * g_norm, case
 
 
 def test_sweep_exp_cost(monkeypatch):
@@ -321,12 +320,12 @@ def test_sweep_verdict_fails_on_off_modulus_terms(monkeypatch):
 
 def test_sweep_residuals_never_vanish():
     # Terms of constant norm cannot sum to the target function.
-    report = schauder_failure_sweep(make_system("linear", N=128, W=16), 16)
+    report = schauder_failure_sweep(make_system("linear", N=128, W=16))
     assert min(lv.residual for lv in report.levels) > 0.01
 
 
 def test_sweep_hypothesis_note_for_integrable_inverse():
-    report = schauder_failure_sweep(make_system("one", N=128, W=16), 8)
+    report = schauder_failure_sweep(make_system("one", N=128, W=16))
     notes = " ".join(report.flags.hypothesis_notes)
     assert "fails" in notes
     # the duals stay biorthogonal regardless of the failed hypothesis
@@ -336,7 +335,7 @@ def test_sweep_hypothesis_note_for_integrable_inverse():
 
 
 def test_sweep_hypothesis_note_for_linear_weight():
-    report = schauder_failure_sweep(make_system("linear", N=128, W=16), 8)
+    report = schauder_failure_sweep(make_system("linear", N=128, W=16))
     notes = " ".join(report.flags.hypothesis_notes)
     assert "grows" in notes
 
@@ -345,7 +344,7 @@ def test_sweep_hypothesis_ladder_on_small_grids():
     # The ladder must compare distinct grids: on N = 6 and 8 a repeated
     # coarse size once gave a ratio of exactly 1, which read as "fails".
     def notes(name, N):
-        report = schauder_failure_sweep(make_system(name, N=N, W=1), 1)
+        report = schauder_failure_sweep(make_system(name, N=N, W=1))
         return " ".join(report.flags.hypothesis_notes)
 
     for N in (6, 8):
@@ -359,23 +358,19 @@ def test_sweep_hypothesis_ladder_on_small_grids():
 def test_sweep_sampler_free_signal_notes_missing_ladder():
     samples = PeriodicSignal.from_name("linear", 64).samples
     sys_ = ExpSystem(weight=PeriodicSignal(samples), window=8, removed=0)
-    report = schauder_failure_sweep(sys_, 4)
+    report = schauder_failure_sweep(sys_)
     assert any("ladder unavailable" in note for note in report.flags.hypothesis_notes)
-
-
-def test_sweep_max_terms_validation():
-    with pytest.raises(ValueError):
-        schauder_failure_sweep(make_system(W=8), 9)
 
 
 def test_signal_roundtrip(tmp_path):
     sig = PeriodicSignal.from_name("sqrt", 32)
+    assert sig.name == "sqrt"
     path = tmp_path / "weight.json"
     save_signal(sig, path)
     loaded = load_signal(path)
     assert loaded.N == 32
     assert np.max(np.abs(loaded.samples - sig.samples)) < 1e-15
-    assert loaded.sampler is None
+    assert loaded.name is None
     with pytest.raises(ValueError, match="a weight file holds 1-D samples"):
         save_signal(theta_grid(4), tmp_path / "grid.json")
 
@@ -389,6 +384,10 @@ def test_load_signal_rejects_bad_header(tmp_path):
         path.write_text(f'{{"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0], [{bad}, 0]]}}')
         with pytest.raises(ValueError):
             load_signal(path)
+    # JSON true loads as a bool, which is an int, and is not a size.
+    path.write_text('{"N": true, "grid": "shifted_midpoint", "samples": [[1, 0]]}')
+    with pytest.raises(ValueError, match="N must be a positive integer, got True"):
+        load_signal(path)
     # A theta grid file is a 2-D grid function, not a circle weight.
     save_grid_function(theta_grid(4), path)
     with pytest.raises(ValueError, match="unsupported grid 'midpoint'"):

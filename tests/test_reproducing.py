@@ -538,6 +538,15 @@ def test_random_pair_check_report():
     assert report.min_invertibility_margin >= 0.25 - 1e-12
 
 
+def test_probe_counts_must_be_positive():
+    # The commands run at fixed probe counts; the library guards stay.
+    phi, psi = random_excess_pair(6, 1, np.random.default_rng(23))
+    with pytest.raises(ValueError, match="trials must be positive"):
+        excess_n_identities(phi, psi, n=1, trials=0)
+    with pytest.raises(ValueError, match="trials must be positive"):
+        random_pair_check(trials=0)
+
+
 def test_random_pair_check_restores_blas_threads(monkeypatch):
     # The pairs run on single-threaded OpenBLAS; the caller's thread count
     # comes back after a normal return and after a worker raises, and the

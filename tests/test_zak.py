@@ -386,6 +386,9 @@ def test_load_grid_function_rejects_bad_header(tmp_path):
     path.write_text(f'{{"M": 2, "grid": "midpoint", "domain": "unit_square", "samples": [{samples}]}}')
     with pytest.raises(ValueError):
         load_grid_function(path)
+    path.write_text('{"M": true, "grid": "midpoint", "domain": "unit_square", "samples": [[1, 0]]}')
+    with pytest.raises(ValueError, match="M must be a positive integer, got True"):
+        load_grid_function(path)
     # A circle weight file is not a grid function on the square.
     save_signal(PeriodicSignal.from_name("linear", 4), path)
     with pytest.raises(ValueError, match="unsupported grid 'shifted_midpoint'"):
