@@ -256,6 +256,13 @@ def _hypothesis_notes(system: ExpSystem) -> list[str]:
     The construction needs 1/g outside L2; a bounded ladder means the
     hypothesis fails (for example g identically one) and is reported,
     not raised, because the duals stay biorthogonal regardless.
+
+    Known limit: "grows" asks every doubling to raise the energy by the
+    ratio ENERGY_GROWTH_RATIO, and an energy that diverges like log N
+    rises by only log 2 per doubling, below that ratio once it passes
+    log 2 / 0.05 = 13.9.  So from N = 524288 on, sqrt's ladder
+    (13.747, 14.4402, 15.1333 there) is noted as bounded, although
+    1/sqrt(t) is not in L2.  The note does not enter the verdict.
     """
     notes: list[str] = []
     if system.weight.name is None:

@@ -1,12 +1,8 @@
-"""Dense complex linear algebra on weighted coordinate spaces.
+"""Dense complex linear algebra on plain coordinate space C^n.
 
 All inner products are conjugate-linear in the second argument:
 
-    <u, v> = weight * sum_i u[i] * conj(v[i])
-
-The weight is the quadrature weight of the underlying discretisation
-(1/N for N samples of the circle, 1/M^2 for an M x M grid on the unit
-square, 1 for plain coordinate space).
+    <u, v> = sum_i u[i] * conj(v[i])
 
 The thread count of the loaded OpenBLAS can be read and held at one
 thread, so that callers running BLAS work on their own threads get the
@@ -41,10 +37,10 @@ def _as_matrix(family: np.ndarray, caller: str) -> np.ndarray:
     return arr
 
 
-def gram_matrix(family: np.ndarray, weight: float) -> np.ndarray:
-    """Hermitian Gram matrix G[j, k] = <family[j], family[k]>."""
+def gram_matrix(family: np.ndarray) -> np.ndarray:
+    """Hermitian Gram matrix G[j, k] = <family[j], family[k]> of the rows."""
     mat = _as_matrix(family, "gram_matrix")
-    return float(weight) * (mat @ mat.conj().T)
+    return mat @ mat.conj().T
 
 
 def rank_and_span(vectors: np.ndarray, tol: float = 1e-10) -> int:

@@ -166,7 +166,8 @@ def _read_samples(path: str | Path, size_key: str, header: dict, ndim: int) -> n
     """Samples of a file from _write_samples, shaped (size,) * ndim.
 
     ``size`` is the positive integer under ``size_key``.  Any other
-    header, payload shape or non-finite sample raises a one-line ValueError.
+    header, payload shape, boolean or non-finite sample raises a
+    one-line ValueError.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
@@ -177,8 +178,11 @@ def _read_samples(path: str | Path, size_key: str, header: dict, ndim: int) -> n
     size = payload.get(size_key)
     if type(size) is not int or size < 1:  # JSON true loads as a bool, which is an int
         raise ValueError(f"{size_key} must be a positive integer, got {size!r}")
+    pairs = payload.get("samples")
     try:
-        samples = np.array([complex(re, im) for re, im in payload.get("samples")], dtype=complex)
+        samples = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        if any(type(part) is bool for pair in pairs for part in pair):
+            raise TypeError  # complex() takes JSON true and false as 1 and 0
     except (TypeError, ValueError, OverflowError):
         raise ValueError("samples must be a list of [re, im] number pairs") from None
     if samples.size != size**ndim:

@@ -1,9 +1,9 @@
 """Reproducing pairs of finite vector families.
 
-Two ordered families psi, phi in a weighted coordinate space form a
+Two ordered families psi, phi in plain coordinate space C^n form a
 reproducing pair when the mixed operator
 
-    S f = weight * sum_i <f, psi_i> phi_i
+    S f = sum_i <f, psi_i> phi_i
 
 is the identity (after normalising by S^{-1} it always is, whenever S
 is invertible).  The functions here quantify how the pair behaves when
@@ -14,7 +14,7 @@ from the tail expansion, and dropping the head entirely still leaves a
 valid expansion of the inner product.  All identities are exact in
 finite dimensions; the reports carry their rounding-level residuals.
 
-The weak identities <f, g> = weight * sum_i <f, psi_i> <phi_i, g> are
+The weak identities <f, g> = sum_i <f, psi_i> <phi_i, g> are
 tested on seeded random probes f, g.  The probes are the rows of two
 matrices, and one routine checks all of them at once with one matrix
 product per family.
@@ -59,14 +59,12 @@ MAX_TOL = 1e-6       # above this the 10 tol acceptance line passes almost anyth
 
 @dataclass(frozen=True, eq=False)
 class FiniteFamily:
-    """Ordered family of vectors; the ordering is part of the identity.
+    """Ordered family of vectors in C^n; the ordering is part of the identity.
 
-    Rows of ``matrix`` are the vectors.  ``weight`` is the quadrature
-    weight of the ambient inner product.
+    Rows of ``matrix`` are the vectors.
     """
 
     matrix: np.ndarray
-    weight: float = 1.0
 
     def __post_init__(self):
         arr = np.asarray(self.matrix, dtype=complex)
@@ -74,8 +72,6 @@ class FiniteFamily:
             raise ValueError("matrix must be 2d with vectors as rows")
         if arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError("family must contain at least one nonempty vector")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
         object.__setattr__(self, "matrix", arr)
 
     def __len__(self) -> int:
@@ -93,33 +89,29 @@ def _check_aligned(psi: FiniteFamily, phi: FiniteFamily) -> None:
         raise ValueError(
             f"ambient dimensions differ: {psi.ambient_dim} vs {phi.ambient_dim}"
         )
-    if psi.weight != phi.weight:
-        raise ValueError(f"weights differ: {psi.weight} vs {phi.weight}")
 
 
 def s_operator(psi: FiniteFamily, phi: FiniteFamily) -> np.ndarray:
-    """Matrix of f -> weight * sum_i <f, psi_i> phi_i on coordinates.
+    """Matrix of f -> sum_i <f, psi_i> phi_i on coordinates.
 
     The adjoint of s_operator(psi, phi) is s_operator(phi, psi); both
     are assembled from the same products, so the relation holds to
     entrywise rounding.
     """
     _check_aligned(psi, phi)
-    return psi.weight * (phi.matrix.T @ psi.matrix.conj())
+    return phi.matrix.T @ psi.matrix.conj()
 
 
 def _complex_gaussian_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
 
 
-def _identity_deviation(
-    psi_mat: np.ndarray, phi_mat: np.ndarray, w: float, fs: np.ndarray, gs: np.ndarray
-) -> float:
-    """Worst |<f, g> - w sum_i <f, psi_i> <phi_i, g>| / (w ||f|| ||g||) over probe rows f, g."""
-    cf = w * (fs @ psi_mat.conj().T)                    # <f, psi_i>, one row per probe
-    cg = w * (gs.conj() @ phi_mat.T)                    # <phi_i, g>
-    lhs = w * np.sum(gs.conj() * fs, axis=1)            # <f, g>
-    scale = w * np.linalg.norm(fs, axis=1) * np.linalg.norm(gs, axis=1)
+def _identity_deviation(psi_mat: np.ndarray, phi_mat: np.ndarray, fs: np.ndarray, gs: np.ndarray) -> float:
+    """Worst |<f, g> - sum_i <f, psi_i> <phi_i, g>| / (||f|| ||g||) over probe rows f, g."""
+    cf = fs @ psi_mat.conj().T                          # <f, psi_i>, one row per probe
+    cg = gs.conj() @ phi_mat.T                          # <phi_i, g>
+    lhs = np.sum(gs.conj() * fs, axis=1)                # <f, g>
+    scale = np.linalg.norm(fs, axis=1) * np.linalg.norm(gs, axis=1)
     return float(np.max(np.abs(lhs - np.sum(cf * cg, axis=1)) / scale))
 
 
@@ -135,7 +127,7 @@ def reproducing_identity_check(
     trials: int = 32,
     seed: int = 0,
 ) -> float:
-    """Test <f, g> = weight * sum_i <f, psi_i> <phi_i, g> on random pairs.
+    """Test <f, g> = sum_i <f, psi_i> <phi_i, g> on random pairs.
 
     Draws ``trials`` probe pairs as the rows of two matrices and checks
     them all at once.  Returns |lhs - rhs| normalised by ||f|| ||g||,
@@ -145,14 +137,14 @@ def reproducing_identity_check(
     if trials < 1:
         raise ValueError("trials must be positive")
     fs, gs = _probes(seed, trials, psi.ambient_dim)
-    return _identity_deviation(psi.matrix, phi.matrix, psi.weight, fs, gs)
+    return _identity_deviation(psi.matrix, phi.matrix, fs, gs)
 
 
 def _normalized(S: np.ndarray, sv: np.ndarray, phi: FiniteFamily) -> FiniteFamily:
     """S^{-1} phi, given the mixed operator S and its singular values sv."""
     if sv[-1] <= 1e-14 * sv[0]:
         raise NotReproducingPair("mixed operator is numerically singular")
-    return FiniteFamily(np.linalg.solve(S, phi.matrix.T).T, phi.weight)
+    return FiniteFamily(np.linalg.solve(S, phi.matrix.T).T)
 
 
 def normalize_pair(psi: FiniteFamily, phi: FiniteFamily) -> FiniteFamily:
@@ -167,11 +159,11 @@ def canonical_dual_frame(family: FiniteFamily) -> FiniteFamily:
     Pairing a spanning family with its canonical dual gives a mixed
     operator equal to the identity up to the linear solve's rounding.
     """
-    frame_op = family.weight * (family.matrix.T @ family.matrix.conj())
+    frame_op = family.matrix.T @ family.matrix.conj()
     ev = np.linalg.eigvalsh(frame_op)
     if ev[0] <= 1e-14 * ev[-1]:
         raise ValueError("family does not span the ambient space")
-    return FiniteFamily(np.linalg.solve(frame_op, family.matrix.T).T, family.weight)
+    return FiniteFamily(np.linalg.solve(frame_op, family.matrix.T).T)
 
 
 def _first_dependent_row(mat: np.ndarray, tol: float) -> int | None:
@@ -240,30 +232,25 @@ def _reduce_once(
 
 
 def reduce_dependent_pair(
-    phi_head: FiniteFamily,
-    psi_head: FiniteFamily,
-    tol: float = 1e-10,
+    phi_head: FiniteFamily, psi_head: FiniteFamily
 ) -> tuple[FiniteFamily, FiniteFamily, str]:
     """Shorten a head pair with one dependent side by one element.
 
     The returned pair has length n - 1, spans subspaces of the original
     spans, and generates the same bilinear form
-    sum_k <f, psi_k> <phi_k, g> for every f and g.  The third element
+    sum_k <f, psi_k> <phi_k, g> for every f and g.  Dependence is judged
+    at rank_and_span's relative tolerance 1e-10.  The third element
     describes which side was reduced and how.
     """
     _check_aligned(psi_head, phi_head)
     if len(phi_head) < 2:
         raise ValueError("reduction needs heads of length at least 2")
-    reduced = _reduce_once(phi_head.matrix, psi_head.matrix, tol)
+    reduced = _reduce_once(phi_head.matrix, psi_head.matrix, 1e-10)
     if reduced is None:
         raise NoDependence("both heads are linearly independent at the working tolerance")
     phi_red, psi_red, note = reduced
     logger.info("reduce_dependent_pair: %s", note)
-    return (
-        FiniteFamily(phi_red, phi_head.weight),
-        FiniteFamily(psi_red, psi_head.weight),
-        note,
-    )
+    return FiniteFamily(phi_red), FiniteFamily(psi_red), note
 
 
 def span_vectors(psi_head: FiniteFamily, phi_tail: FiniteFamily) -> FiniteFamily:
@@ -271,7 +258,7 @@ def span_vectors(psi_head: FiniteFamily, phi_tail: FiniteFamily) -> FiniteFamily
 
     With an independent head and a complete tail these vectors span all
     of C^n, which is what lets head coefficients be recovered from tail
-    data.  The returned family lives in plain C^n with weight one.
+    data.  The returned family lives in C^n.
     """
     if psi_head.ambient_dim != phi_tail.ambient_dim:
         raise ValueError(
@@ -285,8 +272,7 @@ def span_vectors(psi_head: FiniteFamily, phi_tail: FiniteFamily) -> FiniteFamily
     if rank_and_span(phi_tail.matrix) < phi_tail.ambient_dim:
         raise TailNotExact("phi tail does not span the ambient space")
     # rows: one vector per tail element m, entries <psi_j, phi_m>
-    vecs = psi_head.weight * (phi_tail.matrix.conj() @ psi_head.matrix.T)
-    return FiniteFamily(vecs, 1.0)
+    return FiniteFamily(phi_tail.matrix.conj() @ psi_head.matrix.T)
 
 
 def excess_n_identities(
@@ -313,7 +299,6 @@ def excess_n_identities(
         raise ValueError(f"head length {n} must lie in [0, {len(phi)})")
     if trials < 1:
         raise ValueError("trials must be positive")
-    w = phi.weight
     dim = phi.ambient_dim
     notes: list[str] = []
 
@@ -336,13 +321,13 @@ def excess_n_identities(
             f"tail length {tail_phi.shape[0]} != ambient dimension {dim}; "
             "the finite model of an exact sequence needs a minimal complete tail"
         )
-    tail_gram = gram_matrix(tail_phi, w)
+    tail_gram = gram_matrix(tail_phi)
     tail_margin = float(np.linalg.eigvalsh(tail_gram)[0])
     if tail_margin <= tol:
         raise TailNotExact(f"tail gram margin {tail_margin:.3e} at or below tol {tol:.3e}")
 
     fs, gs = _probes(seed, trials, dim)
-    pair_dev = _identity_deviation(psi_mat, phi_mat, w, fs, gs)
+    pair_dev = _identity_deviation(psi_mat, phi_mat, fs, gs)
 
     # Biorthogonal family of the tail, unique since the tail is a basis.
     tilde = np.linalg.solve(tail_gram, tail_phi)
@@ -351,11 +336,11 @@ def excess_n_identities(
         notes.append("trivial branch: psi head is zero, the tail duals equal the psi tail")
 
     def worst_row(rows: np.ndarray) -> float:  # 0.0 when there are no rows
-        return float(max(np.sqrt(w) * np.linalg.norm(rows, axis=1), default=0.0))
+        return float(max(np.linalg.norm(rows, axis=1), default=0.0))
 
     # An empty head (n = 0) makes every head product below empty and its residual 0.
     # Partner correction: tilde_j = psi_j + sum_{k<n} <tilde_j, phi_k> psi_k.
-    head_ip = w * (tilde @ phi_mat[:n].conj().T)          # <tilde_j, phi_k>
+    head_ip = tilde @ phi_mat[:n].conj().T                # <tilde_j, phi_k>
     partner_residual = worst_row(tilde - (psi_mat[n:] + head_ip @ psi_mat[:n]))
     # Head reconstruction from the tail expansion: phi_k = sum_j <phi_k, tilde_j> phi_j.
     coef = head_ip.conj().T                               # <phi_k, tilde_j>
@@ -364,8 +349,8 @@ def excess_n_identities(
     # Final chain <f, g> = sum_j <f, tilde_j> <phi_j, g>, and the head
     # coefficient identity <phi_k, g> = sum_j <phi_k, tilde_j> <phi_j, g>,
     # on the probes of the pair identity.
-    chain_worst = _identity_deviation(tilde, tail_phi, w, fs, gs)
-    cg = w * (gs.conj() @ phi_mat.T)                      # <phi_i, g>, one row per probe
+    chain_worst = _identity_deviation(tilde, tail_phi, fs, gs)
+    cg = gs.conj() @ phi_mat.T                            # <phi_i, g>, one row per probe
     u, cg_tail = cg[:, :n], cg[:, n:]
     u_err = np.linalg.norm(u - cg_tail @ coef.T, axis=1)
     vector_worst = np.max(u_err / np.maximum(np.linalg.norm(u, axis=1), 1e-30))
@@ -393,16 +378,16 @@ def excess_n_identities(
     )
 
 
-def random_spanning_family(dim: int, count: int, rng: np.random.Generator) -> FiniteFamily:
-    """Random family with all singular values clipped into [0.5, 2].
+def random_spanning_family(dim: int, rng: np.random.Generator) -> FiniteFamily:
+    """Random basis of C^dim, dim vectors with all singular values clipped into [0.5, 2].
 
     Clipping keeps every experiment away from accidental near-degeneracy
     while preserving the randomness of the singular subspaces, so rank
-    and margin preconditions hold by construction for count >= dim.
+    and margin preconditions hold by construction.
     """
-    if count < 1 or dim < 1:
-        raise ValueError("count and dim must be positive")
-    return _clipped(_complex_gaussian_vectors(rng, count, dim))
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    return _clipped(_complex_gaussian_vectors(rng, dim, dim))
 
 
 def _clipped(raw: np.ndarray) -> FiniteFamily:
@@ -426,7 +411,7 @@ def random_excess_pair(
     """
     if n < 0:
         raise ValueError("head length must be nonnegative")
-    tail = random_spanning_family(dim, dim, rng)
+    tail = random_spanning_family(dim, rng)
     head = _complex_gaussian_vectors(rng, n, dim) / np.sqrt(dim)
     if dependent_head:
         if n < 2:

@@ -43,11 +43,12 @@ a real array with no complex grid behind it.  theta1 and
 gaussian_zak_theta evaluate pointwise, for arbitrary points.  The only
 cached tables are the products' column factors, sin and cos of
 (2k+1) pi v times theta1's coefficients, computed once per grid size
-and shared by every row block.  The grid paths use the default
-truncation K = 8: every valid K, 5 to 88, gives bit-identical grids,
-since on their strip |Im z| <= pi/2 the first dropped term at K = 5
-is below 1e-48.  The ladder sums its quadrature over blocks of grid
-rows of bounded size, so its memory does not grow with the grid:
+and shared by every row block.  Only theta1 takes a truncation; the
+grid paths, gaussian_zak_theta and theta1'(0) use the default K = 8:
+on the unit square every valid K, 5 to 88, gives bit-identical values,
+since on its strip |Im z| <= pi/2 the first dropped term at K = 5 is
+below 1e-48.  The ladder sums its quadrature over blocks of grid rows
+of bounded size, so its memory does not grow with the grid:
 ``quotient-ladder --numerator cone --ladder 1024,2048,4096,8192`` takes
 about 1.2 s wall, 0.2 s of it system time, on a 2-core x86-64 host.
 """
@@ -186,14 +187,14 @@ def _theta_series(params: ThetaParams = ThetaParams()) -> tuple[np.ndarray, np.n
     return 2 * ks + 1, 2.0 * ((-1.0) ** ks) * GAUSSIAN_NOME ** ((ks + 0.5) ** 2)  # the factor 2 is exact
 
 
-def theta1_prime_zero(params: ThetaParams = ThetaParams()) -> float:
-    """theta1'(0) = 2 sum_{k>=0} (-1)^k (2k+1) q^{(k+1/2)^2}."""
-    odd, coef = _theta_series(params)
+def theta1_prime_zero() -> float:
+    """theta1'(0) = 2 sum_{k>=0} (-1)^k (2k+1) q^{(k+1/2)^2}, at the default truncation K = 8."""
+    odd, coef = _theta_series()
     return float(np.sum(odd * coef))
 
 
-def gaussian_zak_theta(x, xi, params: ThetaParams = ThetaParams()):
-    """Closed theta form of the Gaussian's Zak transform.
+def gaussian_zak_theta(x, xi):
+    """Closed theta form of the Gaussian's Zak transform, theta1 at its default truncation.
 
     Vanishes exactly at (1/2, 1/2) and matches the direct j-sum of
     zak_transform(gaussian_atom, ...) to rounding everywhere else.
@@ -201,7 +202,7 @@ def gaussian_zak_theta(x, xi, params: ThetaParams = ThetaParams()):
     u = np.asarray(x, dtype=float) - 0.5
     v = np.asarray(xi, dtype=float) - 0.5
     pref = -(2.0**0.25) * 1j * np.exp(-np.pi * u * u + 1j * np.pi * v)
-    vals = pref * theta1(np.pi * (v - 1j * u), params)
+    vals = pref * theta1(np.pi * (v - 1j * u))
     return vals if np.ndim(vals) else complex(vals)
 
 
@@ -245,9 +246,9 @@ def theta_grid(M: int) -> PeriodicSignal:
     return PeriodicSignal(grid)
 
 
-def leading_coefficient(params: ThetaParams = ThetaParams()) -> float:
+def leading_coefficient() -> float:
     """|gradient| of the Zak zero: 2^{1/4} pi |theta1'(0)|."""
-    return float(2.0**0.25 * np.pi * abs(theta1_prime_zero(params)))
+    return float(2.0**0.25 * np.pi * abs(theta1_prime_zero()))
 
 
 def enk(n: int, k: int, x, xi):

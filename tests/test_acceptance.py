@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from zakbench import zak
 from zakbench import (
     ExpSystem,
     FiniteFamily,
@@ -36,7 +37,6 @@ from zakbench import (
     theta_grid,
     weighted_exp,
     zak_transform,
-    ThetaParams,
 )
 
 MONOTONE_FLOOR = 1e-12  # additive slack for already-exact sequences
@@ -114,8 +114,7 @@ def test_acceptance_04_theta_cross_validation():
     grid_dev = float(np.max(np.abs(direct.samples - theta.samples)))
     center_abs = abs(gaussian_zak_theta(0.5, 0.5))
     v8 = theta1_prime_zero()
-    v20 = theta1_prime_zero(ThetaParams(truncation=20))
-    prime_rel = abs(v8 - v20) / abs(v20)
+    prime_rel = abs(v8 - zak._THETA1_PRIME_ZERO) / zak._THETA1_PRIME_ZERO  # pi^{3/4} / (sqrt(2) Gamma(3/4)^3)
     ok = grid_dev <= 1e-10 and center_abs < 1e-12 and prime_rel <= 1e-13 and v8 >= 0.9
     verdict(4, ok, f"grid dev {grid_dev:.2e}, center {center_abs:.2e}, slope rel {prime_rel:.2e}")
 
@@ -153,9 +152,9 @@ def test_acceptance_07_excess_one_identities():
     worst = 0.0
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        tail = random_spanning_family(dim, dim, rng).matrix
+        tail = random_spanning_family(dim, rng).matrix
         head = (rng.standard_normal((1, dim)) + 1j * rng.standard_normal((1, dim))) / np.sqrt(dim)
-        phi = FiniteFamily(np.vstack([head, tail]), 1.0)
+        phi = FiniteFamily(np.vstack([head, tail]))
         psi = canonical_dual_frame(phi)  # pseudoinverse-based partner
         report = excess_n_identities(phi, psi, 1, trials=8, seed=seed)
         worst = max(worst, max(report.residuals.values()))
@@ -168,14 +167,13 @@ def test_acceptance_08_excess_n_pipeline():
     form_dev = 0.0
     for seed in range(100):
         rng = np.random.default_rng(2000 + seed)
-        tail = random_spanning_family(dim, dim, rng).matrix
+        tail = random_spanning_family(dim, rng).matrix
         dep = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
         coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         dep = np.vstack([dep, coeffs @ dep])
-        psi = FiniteFamily(np.vstack([dep, tail]), 1.0)
+        psi = FiniteFamily(np.vstack([dep, tail]))
         phi = FiniteFamily(
-            rng.standard_normal((len(psi), dim)) + 1j * rng.standard_normal((len(psi), dim)),
-            1.0,
+            rng.standard_normal((len(psi), dim)) + 1j * rng.standard_normal((len(psi), dim))
         )
         reduced_phi, reduced_psi, _ = reduce_dependent_pair(phi, psi)
         before = s_operator(psi, phi)
@@ -187,19 +185,17 @@ def test_acceptance_08_excess_n_pipeline():
     for seed in range(100):
         rng = np.random.default_rng(3000 + seed)
         n = 1 + seed % 3
-        head = FiniteFamily(
-            rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)), 1.0
-        )
-        tail = random_spanning_family(dim, dim, rng)
+        head = FiniteFamily(rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+        tail = random_spanning_family(dim, rng)
         ranks_ok = ranks_ok and rank_and_span(span_vectors(head, tail).matrix) == n
 
     worst_residual = 0.0
     for n in (2, 3):
         for seed in range(10):
             rng = np.random.default_rng(4000 + 10 * n + seed)
-            tail = random_spanning_family(dim, dim, rng).matrix
+            tail = random_spanning_family(dim, rng).matrix
             head = (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) / np.sqrt(dim)
-            phi = FiniteFamily(np.vstack([head, tail]), 1.0)
+            phi = FiniteFamily(np.vstack([head, tail]))
             psi = canonical_dual_frame(phi)
             report = excess_n_identities(phi, psi, n=n, trials=8, seed=seed)
             worst_residual = max(worst_residual, max(report.residuals.values()))

@@ -380,9 +380,10 @@ def test_load_signal_rejects_bad_header(tmp_path):
     path.write_text('{"N": 2, "grid": "uniform", "samples": [[1, 0], [1, 0]]}')
     with pytest.raises(ValueError):
         load_signal(path)
-    for bad in ("NaN", "Infinity"):
+    # JSON true loads as a bool, which complex() would take as 1.
+    for bad, message in (("NaN", "finite"), ("Infinity", "finite"), ("true", "number pairs")):
         path.write_text(f'{{"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0], [{bad}, 0]]}}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             load_signal(path)
     # JSON true loads as a bool, which is an int, and is not a size.
     path.write_text('{"N": true, "grid": "shifted_midpoint", "samples": [[1, 0]]}')

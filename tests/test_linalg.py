@@ -16,19 +16,19 @@ def test_gram_matrix_dft_orthogonality_oracle():
     N = 64
     t = (np.arange(N) + 0.5) / N
     rows = np.array([np.exp(2j * np.pi * n * t) for n in range(-5, 6)])
-    gram = gram_matrix(rows, weight=1.0 / N)
+    gram = gram_matrix(rows) / N
     assert np.max(np.abs(gram - np.eye(11))) < 1e-13
 
 
 def test_gram_matrix_hand_value_and_bounds():
     v = np.array([1.0, 0.0])
-    gram = gram_matrix(np.array([v, v]), 1.0)
+    gram = gram_matrix(np.array([v, v]))
     assert np.allclose(gram, np.ones((2, 2)))
 
 
 def test_gram_matrix_empty_family():
     with pytest.raises(ValueError, match="gram_matrix needs at least one vector"):
-        gram_matrix(np.zeros((0, 4)), 1.0)
+        gram_matrix(np.zeros((0, 4)))
 
 
 def test_rank_known_values():

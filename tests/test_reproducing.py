@@ -33,23 +33,21 @@ from zakbench import (
 )
 
 
-def onb(dim, weight=1.0):
-    return FiniteFamily(np.eye(dim, dtype=complex), weight)
+def onb(dim):
+    return FiniteFamily(np.eye(dim, dtype=complex))
 
 
-def random_family(dim, count, seed, weight=1.0):
+def random_family(dim, count, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return FiniteFamily(mat, weight)
+    return FiniteFamily(scale * mat)
 
 
 def test_finite_family_validation():
     with pytest.raises(ValueError):
-        FiniteFamily(np.zeros((0, 3), dtype=complex), 1.0)
+        FiniteFamily(np.zeros((0, 3), dtype=complex))
     with pytest.raises(ValueError):
-        FiniteFamily(np.eye(2, dtype=complex), 0.0)
-    with pytest.raises(ValueError):
-        FiniteFamily(np.zeros((2, 2, 2), dtype=complex), 1.0)
+        FiniteFamily(np.zeros((2, 2, 2), dtype=complex))
     fam = onb(3)
     assert len(fam) == 3
     assert fam.ambient_dim == 3
@@ -63,7 +61,7 @@ def test_s_operator_orthonormal_basis_is_identity():
 
 def test_s_operator_scaled_partner():
     phi = onb(3)
-    psi = FiniteFamily(2.0 * np.eye(3, dtype=complex), 1.0)
+    psi = FiniteFamily(2.0 * np.eye(3, dtype=complex))
     S = s_operator(psi, phi)
     assert np.max(np.abs(S - 2.0 * np.eye(3))) < 1e-15
 
@@ -82,8 +80,6 @@ def test_s_operator_family_mismatch():
         s_operator(onb(3), FiniteFamily(np.eye(3, 4, dtype=complex)))
     with pytest.raises(ValueError, match="family lengths differ: 3 vs 4"):
         s_operator(onb(3), onb(4))
-    with pytest.raises(ValueError, match="weights differ: 1.0 vs 0.5"):
-        s_operator(onb(3), onb(3, weight=0.5))
 
 
 def test_s_operator_adjoint_symmetry():
@@ -105,19 +101,15 @@ def test_reproducing_identity_orthonormal_basis():
 
 def test_reproducing_identity_zero_padding_changes_nothing():
     fam = onb(4)
-    padded_phi = FiniteFamily(
-        np.vstack([fam.matrix, np.zeros((1, 4), dtype=complex)]), 1.0
-    )
-    padded_psi = FiniteFamily(
-        np.vstack([fam.matrix, np.zeros((1, 4), dtype=complex)]), 1.0
-    )
+    padded_phi = FiniteFamily(np.vstack([fam.matrix, np.zeros((1, 4), dtype=complex)]))
+    padded_psi = FiniteFamily(np.vstack([fam.matrix, np.zeros((1, 4), dtype=complex)]))
     # the zero pair contributes nothing
     assert reproducing_identity_check(padded_psi, padded_phi, trials=16, seed=3) < 1e-12
 
 
 def test_reproducing_identity_detects_non_reproducing_pair():
     phi = onb(3)
-    psi = FiniteFamily(np.diag([1.0, 2.0, 4.0]).astype(complex), 1.0)
+    psi = FiniteFamily(np.diag([1.0, 2.0, 4.0]).astype(complex))
     # diag(1,2,4) is not reproducing
     assert reproducing_identity_check(psi, phi, trials=4, seed=0) > 0.1
 
@@ -125,14 +117,14 @@ def test_reproducing_identity_detects_non_reproducing_pair():
 def looped_identity_check(psi, phi, trials, seed):
     """The per-probe loop that reproducing_identity_check replaced, as the reference."""
     rng = np.random.default_rng(seed)
-    dim, w = psi.ambient_dim, psi.weight
+    dim = psi.ambient_dim
     fs = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
     gs = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
     worst = 0.0
     for f, g in zip(fs, gs):
-        lhs = w * np.vdot(g, f)
-        rhs = np.sum(w * (psi.matrix.conj() @ f) * (w * (phi.matrix @ g.conj())))
-        worst = max(worst, abs(lhs - rhs) / (w * np.linalg.norm(f) * np.linalg.norm(g)))
+        lhs = np.vdot(g, f)
+        rhs = np.sum((psi.matrix.conj() @ f) * (phi.matrix @ g.conj()))
+        worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(f) * np.linalg.norm(g)))
     return float(worst)
 
 
@@ -140,9 +132,11 @@ def looped_identity_check(psi, phi, trials, seed):
 @pytest.mark.parametrize("weight", [1.0, 1 / 64, 0.25])
 @pytest.mark.parametrize("dim, count", [(5, 8), (12, 20)])
 def test_identity_check_matches_probe_loop(dim, count, weight, trials):
-    # All probes at once give the loop's value up to rounding.
-    psi = random_family(dim, count, seed=41, weight=weight)
-    phi = random_family(dim, count, seed=43, weight=weight)
+    # All probes at once give the loop's value up to rounding.  Rows scaled
+    # by sqrt(weight) give the deviation of the pair under the inner product
+    # weight * <u, v>.
+    psi = random_family(dim, count, seed=41, scale=np.sqrt(weight))
+    phi = random_family(dim, count, seed=43, scale=np.sqrt(weight))
     batch = reproducing_identity_check(psi, phi, trials, seed=5)
     loop = looped_identity_check(psi, phi, trials, seed=5)
     assert batch > 0.01  # far from reproducing
@@ -161,7 +155,7 @@ def test_normalize_pair_restores_identity():
 
 
 def test_normalize_pair_rejects_singular_operator():
-    phi = FiniteFamily(np.vstack([np.ones((3, 3), dtype=complex)]), 1.0)
+    phi = FiniteFamily(np.vstack([np.ones((3, 3), dtype=complex)]))
     psi = onb(3)
     with pytest.raises(NotReproducingPair):
         normalize_pair(psi, phi)
@@ -174,7 +168,7 @@ def test_canonical_dual_frame_orthonormal_self_dual():
 
 
 def test_canonical_dual_frame_rejects_non_spanning():
-    fam = FiniteFamily(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex), 1.0)
+    fam = FiniteFamily(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         canonical_dual_frame(fam)
 
@@ -185,9 +179,7 @@ def weighted_exp_families(N, W, weight_name):
     system = ExpSystem(weight=signal, window=W, removed=0, anchor=0.25)
     rows = [weighted_exp(system, n) for n in system.active_indices()]
     duals = [biorthogonal_dual(system, n) for n in system.active_indices()]
-    phi = FiniteFamily(np.array(rows), 1.0 / N)
-    psi = FiniteFamily(np.array(duals), 1.0 / N)
-    return system, phi, psi
+    return system, FiniteFamily(np.array(rows)), FiniteFamily(np.array(duals))
 
 
 def test_weighted_exponential_pair_identity_converges():
@@ -200,7 +192,7 @@ def test_weighted_exponential_pair_identity_converges():
         coeffs = rng.standard_normal(len(phi)) + 1j * rng.standard_normal(len(phi))
         f = coeffs @ phi.matrix
         g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        w = phi.weight
+        w = 1.0 / N  # the quadrature weight of the N-point circle
         lhs = w * np.vdot(g, f)
         rhs = (w * (psi.matrix.conj() @ f)) @ (w * (phi.matrix @ g.conj()))
         gaps.append(abs(lhs - rhs) / max(abs(lhs), 1e-30))
@@ -215,7 +207,7 @@ def test_excess_one_augmented_basis():
     dim = 8
     basis = np.eye(dim, dtype=complex)
     extra = basis.sum(axis=0)[None, :]
-    phi = FiniteFamily(np.vstack([extra, basis]), 1.0)
+    phi = FiniteFamily(np.vstack([extra, basis]))
     psi = canonical_dual_frame(phi)
     report = excess_n_identities(phi, psi, 1)
     assert report.n == 1
@@ -229,7 +221,7 @@ def test_excess_one_zero_head_trivial_branch():
     dim = 5
     phi_mat = np.vstack([np.ones((1, dim), dtype=complex), np.eye(dim, dtype=complex)])
     psi_mat = np.vstack([np.zeros((1, dim), dtype=complex), np.eye(dim, dtype=complex)])
-    report = excess_n_identities(FiniteFamily(phi_mat, 1.0), FiniteFamily(psi_mat, 1.0), 1)
+    report = excess_n_identities(FiniteFamily(phi_mat), FiniteFamily(psi_mat), 1)
     assert report.n == 1
     assert any("trivial branch" in note for note in report.notes)
     for value in report.residuals.values():
@@ -245,9 +237,7 @@ def test_excess_one_unitary_invariance():
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, _ = np.linalg.qr(raw)
     rotated = excess_n_identities(
-        FiniteFamily(phi.matrix @ Q, phi.weight),
-        FiniteFamily(psi.matrix @ Q, psi.weight),
-        1,
+        FiniteFamily(phi.matrix @ Q), FiniteFamily(psi.matrix @ Q), 1
     )
     for key in base.residuals:
         assert abs(base.residuals[key] - rotated.residuals[key]) < 1e-12
@@ -257,7 +247,7 @@ def test_excess_n_two_head_example():
     dim = 6
     basis = np.eye(dim, dtype=complex)
     head = np.vstack([basis[0] + basis[1], basis[2] - basis[3]])
-    phi = FiniteFamily(np.vstack([head, basis]), 1.0)
+    phi = FiniteFamily(np.vstack([head, basis]))
     psi = canonical_dual_frame(phi)
     report = excess_n_identities(phi, psi, n=2)
     assert report.n == 2
@@ -271,7 +261,7 @@ def test_excess_n_zero_head_vector_triggers_reduction():
     phi, psi = random_excess_pair(dim, 2, rng)
     psi_mat = psi.matrix.copy()
     psi_mat[1] = 0.0
-    psi_zeroed = FiniteFamily(psi_mat, psi.weight)
+    psi_zeroed = FiniteFamily(psi_mat)
     fixed_phi = normalize_pair(psi_zeroed, phi)
     report = excess_n_identities(fixed_phi, psi_zeroed, n=2)
     assert report.n == 1
@@ -298,13 +288,13 @@ def test_excess_n_tail_not_exact():
     basis = np.eye(dim, dtype=complex)
     # tail shorter than the dimension
     mat = np.vstack([np.ones((1, dim), dtype=complex), basis[:-1]])
-    fam = FiniteFamily(mat, 1.0)
+    fam = FiniteFamily(mat)
     with pytest.raises(TailNotExact):
         excess_n_identities(fam, fam, n=1)
     # tail of the right length but degenerate
     bad_tail = basis.copy()
     bad_tail[-1] = bad_tail[0]
-    fam2 = FiniteFamily(np.vstack([np.ones((1, dim), dtype=complex), bad_tail]), 1.0)
+    fam2 = FiniteFamily(np.vstack([np.ones((1, dim), dtype=complex), bad_tail]))
     with pytest.raises(TailNotExact):
         excess_n_identities(fam2, fam2, n=1)
 
@@ -319,7 +309,7 @@ def test_excess_n_rejects_non_pair():
 
 def test_reduce_dependent_pair_doubled_vector():
     u = np.array([[1.0, 0.0]], dtype=complex)
-    psi = FiniteFamily(np.vstack([u, 2 * u]), 1.0)
+    psi = FiniteFamily(np.vstack([u, 2 * u]))
     phi = random_family(2, 2, seed=23)
     reduced_phi, reduced_psi, note = reduce_dependent_pair(phi, psi)
     assert len(reduced_psi) == 1
@@ -333,7 +323,7 @@ def test_reduce_dependent_pair_sum_vector():
     rng = np.random.default_rng(29)
     u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    psi = FiniteFamily(np.vstack([u, v, u + v]), 1.0)
+    psi = FiniteFamily(np.vstack([u, v, u + v]))
     phi = random_family(4, 3, seed=31)
     reduced_phi, reduced_psi, _ = reduce_dependent_pair(phi, psi)
     assert len(reduced_psi) == 2
@@ -351,7 +341,7 @@ def test_reduce_dependent_pair_sum_vector():
 
 def test_reduce_dependent_pair_phi_side():
     u = np.array([[0.0, 1.0, 0.0]], dtype=complex)
-    phi = FiniteFamily(np.vstack([u, 3 * u]), 1.0)
+    phi = FiniteFamily(np.vstack([u, 3 * u]))
     psi = random_family(3, 2, seed=37)
     reduced_phi, reduced_psi, note = reduce_dependent_pair(phi, psi)
     assert len(reduced_phi) == 1
@@ -368,7 +358,7 @@ def test_reduce_dependent_pair_requires_dependence():
 
 
 def test_reduce_dependent_pair_needs_two_vectors():
-    fam = FiniteFamily(np.zeros((1, 3), dtype=complex), 1.0)
+    fam = FiniteFamily(np.zeros((1, 3), dtype=complex))
     with pytest.raises(ValueError):
         reduce_dependent_pair(fam, fam)
 
@@ -406,13 +396,12 @@ def test_reduction_preserves_operator_form():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         dim = 6
-        tail = random_spanning_family(dim, dim, rng).matrix
+        tail = random_spanning_family(dim, rng).matrix
         dep = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
         dep = np.vstack([dep, dep[0] - 0.5 * dep[1]])
-        psi = FiniteFamily(np.vstack([dep, tail]), 1.0)
+        psi = FiniteFamily(np.vstack([dep, tail]))
         phi = FiniteFamily(
-            rng.standard_normal((len(psi), dim)) + 1j * rng.standard_normal((len(psi), dim)),
-            1.0,
+            rng.standard_normal((len(psi), dim)) + 1j * rng.standard_normal((len(psi), dim))
         )
         reduced_phi, reduced_psi, _ = reduce_dependent_pair(phi, psi)
         before = s_operator(psi, phi)
@@ -476,8 +465,8 @@ def test_excess_residuals_unitary_invariance_property(dim, dependent, seed, data
 
 def test_span_vectors_standard_basis():
     dim, n = 5, 2
-    head = FiniteFamily(np.eye(dim, dtype=complex)[:n], 1.0)
-    tail = FiniteFamily(np.eye(dim, dtype=complex), 1.0)
+    head = FiniteFamily(np.eye(dim, dtype=complex)[:n])
+    tail = FiniteFamily(np.eye(dim, dtype=complex))
     vecs = span_vectors(head, tail)
     assert len(vecs) == dim
     expected = np.zeros((dim, n), dtype=complex)
@@ -490,19 +479,15 @@ def test_span_vectors_full_rank_random():
     for seed in range(10):
         rng = np.random.default_rng(500 + seed)
         dim, n = 7, 3
-        head = FiniteFamily(
-            rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)), 1.0
-        )
-        tail = random_spanning_family(dim, dim, rng)
+        head = FiniteFamily(rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+        tail = random_spanning_family(dim, rng)
         vecs = span_vectors(head, tail)
         assert rank_and_span(vecs.matrix) == n
 
 
 def test_span_vectors_rejects_dependent_head():
     dim = 4
-    head = FiniteFamily(
-        np.vstack([np.ones((1, dim)), 2 * np.ones((1, dim))]).astype(complex), 1.0
-    )
+    head = FiniteFamily(np.vstack([np.ones((1, dim)), 2 * np.ones((1, dim))]).astype(complex))
     tail = onb(dim)
     with pytest.raises(ValueError, match="psi head is linearly dependent"):
         span_vectors(head, tail)
@@ -510,15 +495,15 @@ def test_span_vectors_rejects_dependent_head():
 
 def test_span_vectors_rejects_incomplete_tail():
     dim = 4
-    head = FiniteFamily(np.eye(dim, dtype=complex)[:1], 1.0)
-    tail = FiniteFamily(np.eye(dim, dtype=complex)[:2], 1.0)
+    head = FiniteFamily(np.eye(dim, dtype=complex)[:1])
+    tail = FiniteFamily(np.eye(dim, dtype=complex)[:2])
     with pytest.raises(TailNotExact):
         span_vectors(head, tail)
 
 
 def test_random_spanning_family_margin():
     rng = np.random.default_rng(41)
-    fam = random_spanning_family(6, 6, rng)
+    fam = random_spanning_family(6, rng)
     sigma = np.linalg.svd(fam.matrix, compute_uv=False)
     assert sigma[-1] >= 0.5 - 1e-12
     assert sigma[0] <= 2.0 + 1e-12
@@ -585,8 +570,8 @@ def test_random_pair_check_matches_serial_loop():
     deviations, asymmetries, margins = [], [], []
     with single_threaded_blas():
         for _ in range(pairs):
-            phi = random_spanning_family(dim, dim, rng)
-            psi = random_spanning_family(dim, dim, rng)
+            phi = random_spanning_family(dim, rng)
+            psi = random_spanning_family(dim, rng)
             raw = s_operator(psi, phi)
             margins.append(float(np.linalg.svd(raw, compute_uv=False)[-1]))
             normalized = FiniteFamily(np.linalg.solve(raw, phi.matrix.T).T)

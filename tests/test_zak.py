@@ -386,6 +386,10 @@ def test_load_grid_function_rejects_bad_header(tmp_path):
     path.write_text(f'{{"M": 2, "grid": "midpoint", "domain": "unit_square", "samples": [{samples}]}}')
     with pytest.raises(ValueError):
         load_grid_function(path)
+    samples = "[1, 0], [1, 0], [1, 0], [1, false]"  # JSON false loads as a bool, which complex() takes as 0
+    path.write_text(f'{{"M": 2, "grid": "midpoint", "domain": "unit_square", "samples": [{samples}]}}')
+    with pytest.raises(ValueError, match="samples must be a list of \\[re, im\\] number pairs"):
+        load_grid_function(path)
     path.write_text('{"M": true, "grid": "midpoint", "domain": "unit_square", "samples": [[1, 0]]}')
     with pytest.raises(ValueError, match="M must be a positive integer, got True"):
         load_grid_function(path)
@@ -417,24 +421,38 @@ def test_table_plane_waves_match_enk(M, n, k):
     assert np.max(np.abs(table - enk(n, k, X, XI))) <= 1e-13
 
 
+def pointwise_theta_form(x, xi, K):
+    """gaussian_zak_theta's closed form with theta1 truncated at K."""
+    u, v = x - 0.5, xi - 0.5
+    pref = -(2.0**0.25) * 1j * np.exp(-np.pi * u * u + 1j * np.pi * v)
+    return pref * theta1(np.pi * (v - 1j * u), ThetaParams(K))
+
+
+def truncated_theta1_prime_zero(K):
+    """theta1_prime_zero's sum 2 sum_{k<=K} (-1)^k (2k+1) q^{(k+1/2)^2} at truncation K."""
+    odd, coef = zak._theta_series(ThetaParams(K))
+    return float(np.sum(odd * coef))
+
+
 @pytest.mark.parametrize("K", [5, 8, 20])
 @pytest.mark.parametrize("M", [8, 64, 130])
 def test_theta_grid_low_rank_matches_pointwise_form(M, K):
     # theta_grid runs at the default truncation; the pointwise form at any valid K agrees.
-    pointwise = gaussian_zak_theta(*meshgrid(M), ThetaParams(K))
+    pointwise = pointwise_theta_form(*meshgrid(M), K)
     assert np.max(np.abs(theta_grid(M).samples - pointwise)) <= 1e-15
 
 
 def test_theta_truncation_changes_no_value():
     # Every valid truncation, K = 5 to 88, gives the same doubles, which is why
-    # theta_grid, the ladder and zak-validate run at the default K = 8 alone.
+    # gaussian_zak_theta, theta1'(0), theta_grid, the ladder and zak-validate
+    # run at the default K = 8 alone.
     X, XI = meshgrid(64)
-    reference = ThetaParams(5)
+    assert np.array_equal(pointwise_theta_form(X, XI, 8), gaussian_zak_theta(X, XI))
+    assert truncated_theta1_prime_zero(8) == theta1_prime_zero()
+    reference = pointwise_theta_form(X, XI, 5)
     for K in (8, 20, 88):
-        params = ThetaParams(K)
-        assert np.array_equal(gaussian_zak_theta(X, XI, params), gaussian_zak_theta(X, XI, reference))
-        assert theta1_prime_zero(params) == theta1_prime_zero(reference)
-        assert leading_coefficient(params) == leading_coefficient(reference)
+        assert np.array_equal(pointwise_theta_form(X, XI, K), reference)
+        assert truncated_theta1_prime_zero(K) == truncated_theta1_prime_zero(5)
 
 
 @PROPERTIES
