@@ -27,28 +27,23 @@ __all__ = [
 ]
 
 
-def _as_matrix(family: np.ndarray, caller: str) -> np.ndarray:
-    """The (count, dim) array of a nonempty family of vectors, as complex."""
-    arr = np.asarray(family, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a family of vectors, got ndim={arr.ndim}")
-    if arr.shape[0] == 0:
-        raise ValueError(f"{caller} needs at least one vector")
-    return arr
+def _as_family(arr: np.ndarray) -> np.ndarray:
+    """arr as a complex (count, dim) family of vectors as rows, count and dim at least 1."""
+    mat = np.asarray(arr, dtype=complex)
+    if mat.ndim != 2 or 0 in mat.shape:
+        raise ValueError(f"a family must be a nonempty 2-D array with vectors as rows, got shape {mat.shape}")
+    return mat
 
 
 def gram_matrix(family: np.ndarray) -> np.ndarray:
     """Hermitian Gram matrix G[j, k] = <family[j], family[k]> of the rows."""
-    mat = _as_matrix(family, "gram_matrix")
+    mat = _as_family(family)
     return mat @ mat.conj().T
 
 
 def rank_and_span(vectors: np.ndarray, tol: float = 1e-10) -> int:
     """Numerical rank: singular values above tol * (largest singular value)."""
-    mat = _as_matrix(vectors, "rank_and_span")
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
+    sv = np.linalg.svd(_as_family(vectors), compute_uv=False)
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 

@@ -1,7 +1,8 @@
 """Reproducing pairs of finite vector families.
 
-Two ordered families psi, phi in plain coordinate space C^n form a
-reproducing pair when the mixed operator
+A family is a complex (count, dim) array with its vectors as rows; the
+row order is part of every identity.  Two ordered families psi, phi in
+plain coordinate space C^n form a reproducing pair when the mixed operator
 
     S f = sum_i <f, psi_i> phi_i
 
@@ -25,12 +26,11 @@ from __future__ import annotations
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoDependence, NotReproducingPair, TailNotExact
-from .linalg import gram_matrix, rank_and_span, single_threaded_blas
+from .linalg import _as_family, gram_matrix, rank_and_span, single_threaded_blas
 from .reports import ExcessReport, RpCheckReport, Verdict
 
 logger = logging.getLogger(__name__)
@@ -38,7 +38,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "DEFAULT_TOL",
     "MAX_TOL",
-    "FiniteFamily",
     "s_operator",
     "reproducing_identity_check",
     "normalize_pair",
@@ -57,49 +56,23 @@ DEFAULT_TOL = 1e-11  # working tolerance of the excess identities
 MAX_TOL = 1e-6       # above this the 10 tol acceptance line passes almost anything
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteFamily:
-    """Ordered family of vectors in C^n; the ordering is part of the identity.
-
-    Rows of ``matrix`` are the vectors.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("matrix must be 2d with vectors as rows")
-        if arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise ValueError("family must contain at least one nonempty vector")
-        object.__setattr__(self, "matrix", arr)
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.shape[1]
+def _aligned(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi and phi as complex families of one shape."""
+    psi, phi = _as_family(psi), _as_family(phi)
+    if psi.shape != phi.shape:
+        raise ValueError(f"family shapes differ: {psi.shape} vs {phi.shape}")
+    return psi, phi
 
 
-def _check_aligned(psi: FiniteFamily, phi: FiniteFamily) -> None:
-    if len(psi) != len(phi):
-        raise ValueError(f"family lengths differ: {len(psi)} vs {len(phi)}")
-    if psi.ambient_dim != phi.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {psi.ambient_dim} vs {phi.ambient_dim}"
-        )
-
-
-def s_operator(psi: FiniteFamily, phi: FiniteFamily) -> np.ndarray:
+def s_operator(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Matrix of f -> sum_i <f, psi_i> phi_i on coordinates.
 
     The adjoint of s_operator(psi, phi) is s_operator(phi, psi); both
     are assembled from the same products, so the relation holds to
     entrywise rounding.
     """
-    _check_aligned(psi, phi)
-    return phi.matrix.T @ psi.matrix.conj()
+    psi, phi = _aligned(psi, phi)
+    return phi.T @ psi.conj()
 
 
 def _complex_gaussian_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -122,8 +95,8 @@ def _probes(seed: int, trials: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reproducing_identity_check(
-    psi: FiniteFamily,
-    phi: FiniteFamily,
+    psi: np.ndarray,
+    phi: np.ndarray,
     trials: int = 32,
     seed: int = 0,
 ) -> float:
@@ -133,37 +106,38 @@ def reproducing_identity_check(
     them all at once.  Returns |lhs - rhs| normalised by ||f|| ||g||,
     maximised over the trials, so it reads as an operator-norm-level gap.
     """
-    _check_aligned(psi, phi)
+    psi, phi = _aligned(psi, phi)
     if trials < 1:
         raise ValueError("trials must be positive")
-    fs, gs = _probes(seed, trials, psi.ambient_dim)
-    return _identity_deviation(psi.matrix, phi.matrix, fs, gs)
+    fs, gs = _probes(seed, trials, psi.shape[1])
+    return _identity_deviation(psi, phi, fs, gs)
 
 
-def _normalized(S: np.ndarray, sv: np.ndarray, phi: FiniteFamily) -> FiniteFamily:
+def _normalized(S: np.ndarray, sv: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """S^{-1} phi, given the mixed operator S and its singular values sv."""
     if sv[-1] <= 1e-14 * sv[0]:
         raise NotReproducingPair("mixed operator is numerically singular")
-    return FiniteFamily(np.linalg.solve(S, phi.matrix.T).T)
+    return np.linalg.solve(S, phi.T).T
 
 
-def normalize_pair(psi: FiniteFamily, phi: FiniteFamily) -> FiniteFamily:
+def normalize_pair(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Replace phi by S^{-1} phi so the mixed operator becomes the identity."""
     S = s_operator(psi, phi)
-    return _normalized(S, np.linalg.svd(S, compute_uv=False), phi)
+    return _normalized(S, np.linalg.svd(S, compute_uv=False), _as_family(phi))
 
 
-def canonical_dual_frame(family: FiniteFamily) -> FiniteFamily:
+def canonical_dual_frame(family: np.ndarray) -> np.ndarray:
     """Dual frame S_frame^{-1} applied to each vector.
 
     Pairing a spanning family with its canonical dual gives a mixed
     operator equal to the identity up to the linear solve's rounding.
     """
-    frame_op = family.matrix.T @ family.matrix.conj()
+    family = _as_family(family)
+    frame_op = family.T @ family.conj()
     ev = np.linalg.eigvalsh(frame_op)
     if ev[0] <= 1e-14 * ev[-1]:
         raise ValueError("family does not span the ambient space")
-    return FiniteFamily(np.linalg.solve(frame_op, family.matrix.T).T)
+    return np.linalg.solve(frame_op, family.T).T
 
 
 def _first_dependent_row(mat: np.ndarray, tol: float) -> int | None:
@@ -232,8 +206,8 @@ def _reduce_once(
 
 
 def reduce_dependent_pair(
-    phi_head: FiniteFamily, psi_head: FiniteFamily
-) -> tuple[FiniteFamily, FiniteFamily, str]:
+    phi_head: np.ndarray, psi_head: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, str]:
     """Shorten a head pair with one dependent side by one element.
 
     The returned pair has length n - 1, spans subspaces of the original
@@ -242,42 +216,38 @@ def reduce_dependent_pair(
     at rank_and_span's relative tolerance 1e-10.  The third element
     describes which side was reduced and how.
     """
-    _check_aligned(psi_head, phi_head)
+    psi_head, phi_head = _aligned(psi_head, phi_head)
     if len(phi_head) < 2:
         raise ValueError("reduction needs heads of length at least 2")
-    reduced = _reduce_once(phi_head.matrix, psi_head.matrix, 1e-10)
+    reduced = _reduce_once(phi_head, psi_head, 1e-10)
     if reduced is None:
         raise NoDependence("both heads are linearly independent at the working tolerance")
-    phi_red, psi_red, note = reduced
-    logger.info("reduce_dependent_pair: %s", note)
-    return FiniteFamily(phi_red), FiniteFamily(psi_red), note
+    logger.info("reduce_dependent_pair: %s", reduced[2])
+    return reduced
 
 
-def span_vectors(psi_head: FiniteFamily, phi_tail: FiniteFamily) -> FiniteFamily:
+def span_vectors(psi_head: np.ndarray, phi_tail: np.ndarray) -> np.ndarray:
     """Coordinate vectors v_m = (<psi_0, phi_m>, ..., <psi_{n-1}, phi_m>).
 
     With an independent head and a complete tail these vectors span all
     of C^n, which is what lets head coefficients be recovered from tail
     data.  The returned family lives in C^n.
     """
-    if psi_head.ambient_dim != phi_tail.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {psi_head.ambient_dim} vs {phi_tail.ambient_dim}"
-        )
-    n = len(psi_head)
-    if n == 0:
-        raise ValueError("psi head is empty")
-    if rank_and_span(psi_head.matrix) < n:
+    psi_head, phi_tail = _as_family(psi_head), _as_family(phi_tail)
+    n, dim = psi_head.shape
+    if phi_tail.shape[1] != dim:
+        raise ValueError(f"family dimensions differ: {dim} vs {phi_tail.shape[1]}")
+    if rank_and_span(psi_head) < n:
         raise ValueError("psi head is linearly dependent")
-    if rank_and_span(phi_tail.matrix) < phi_tail.ambient_dim:
+    if rank_and_span(phi_tail) < dim:
         raise TailNotExact("phi tail does not span the ambient space")
     # rows: one vector per tail element m, entries <psi_j, phi_m>
-    return FiniteFamily(phi_tail.matrix.conj() @ psi_head.matrix.T)
+    return phi_tail.conj() @ psi_head.T
 
 
 def excess_n_identities(
-    phi: FiniteFamily,
-    psi: FiniteFamily,
+    phi: np.ndarray,
+    psi: np.ndarray,
     n: int,
     tol: float = DEFAULT_TOL,
     trials: int = 20,
@@ -294,16 +264,17 @@ def excess_n_identities(
     Dependent heads are reduced away pair by pair before the residuals
     are formed; the report notes record the reduction chain.
     """
-    _check_aligned(psi, phi)
-    if not 0 <= n < len(phi):
-        raise ValueError(f"head length {n} must lie in [0, {len(phi)})")
+    psi, phi = _aligned(psi, phi)
+    count, dim = phi.shape
+    if not 0 <= n < count:
+        raise ValueError(f"head length {n} must lie in [0, {count})")
     if trials < 1:
         raise ValueError("trials must be positive")
-    dim = phi.ambient_dim
     notes: list[str] = []
 
-    phi_mat = phi.matrix.copy()
-    psi_mat = psi.matrix.copy()
+    # C-order copies: on canonical_dual_frame's F-ordered output the products below use more memory.
+    phi_mat = phi.copy()
+    psi_mat = psi.copy()
 
     # Normalise away dependent heads first; each pass drops one element.
     # A length-one head never reduces: a zero vector there contributes
@@ -378,7 +349,7 @@ def excess_n_identities(
     )
 
 
-def random_spanning_family(dim: int, rng: np.random.Generator) -> FiniteFamily:
+def random_spanning_family(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random basis of C^dim, dim vectors with all singular values clipped into [0.5, 2].
 
     Clipping keeps every experiment away from accidental near-degeneracy
@@ -390,10 +361,10 @@ def random_spanning_family(dim: int, rng: np.random.Generator) -> FiniteFamily:
     return _clipped(_complex_gaussian_vectors(rng, dim, dim))
 
 
-def _clipped(raw: np.ndarray) -> FiniteFamily:
+def _clipped(raw: np.ndarray) -> np.ndarray:
     """The family of raw's rows with its singular values clipped into [0.5, 2]."""
     u, s, vh = np.linalg.svd(raw, full_matrices=False)
-    return FiniteFamily(u @ (np.clip(s, 0.5, 2.0)[:, None] * vh))
+    return u @ (np.clip(s, 0.5, 2.0)[:, None] * vh)
 
 
 def random_excess_pair(
@@ -401,7 +372,7 @@ def random_excess_pair(
     n: int,
     rng: np.random.Generator,
     dependent_head: bool = False,
-) -> tuple[FiniteFamily, FiniteFamily]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reproducing pair with n head elements over a guaranteed-exact tail.
 
     phi stacks n random head vectors on a clipped random basis; psi is
@@ -417,7 +388,7 @@ def random_excess_pair(
         if n < 2:
             raise ValueError("a dependent head needs at least two elements")
         head[-1] = 2.0 * head[0]
-    phi = FiniteFamily(np.vstack([head, tail.matrix]))
+    phi = np.vstack([head, tail])
     return phi, canonical_dual_frame(phi)
 
 
@@ -459,6 +430,8 @@ def random_pair_check(
     thread, so the report does not depend on the host's thread count.
     Where OpenBLAS cannot be held, one thread checks the pairs in turn.
     """
+    if dim < 1:
+        raise ValueError("dim must be positive")
     if pairs < 1:
         raise ValueError("pairs must be positive")
     if trials < 1:

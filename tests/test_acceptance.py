@@ -12,7 +12,6 @@ import numpy as np
 from zakbench import zak
 from zakbench import (
     ExpSystem,
-    FiniteFamily,
     PeriodicSignal,
     biorthogonality_gram,
     canonical_dual_frame,
@@ -152,9 +151,9 @@ def test_acceptance_07_excess_one_identities():
     worst = 0.0
     for seed in range(50):
         rng = np.random.default_rng(seed)
-        tail = random_spanning_family(dim, rng).matrix
+        tail = random_spanning_family(dim, rng)
         head = (rng.standard_normal((1, dim)) + 1j * rng.standard_normal((1, dim))) / np.sqrt(dim)
-        phi = FiniteFamily(np.vstack([head, tail]))
+        phi = np.vstack([head, tail])
         psi = canonical_dual_frame(phi)  # pseudoinverse-based partner
         report = excess_n_identities(phi, psi, 1, trials=8, seed=seed)
         worst = max(worst, max(report.residuals.values()))
@@ -167,14 +166,12 @@ def test_acceptance_08_excess_n_pipeline():
     form_dev = 0.0
     for seed in range(100):
         rng = np.random.default_rng(2000 + seed)
-        tail = random_spanning_family(dim, rng).matrix
+        tail = random_spanning_family(dim, rng)
         dep = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
         coeffs = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         dep = np.vstack([dep, coeffs @ dep])
-        psi = FiniteFamily(np.vstack([dep, tail]))
-        phi = FiniteFamily(
-            rng.standard_normal((len(psi), dim)) + 1j * rng.standard_normal((len(psi), dim))
-        )
+        psi = np.vstack([dep, tail])
+        phi = rng.standard_normal((len(psi), dim)) + 1j * rng.standard_normal((len(psi), dim))
         reduced_phi, reduced_psi, _ = reduce_dependent_pair(phi, psi)
         before = s_operator(psi, phi)
         after = s_operator(reduced_psi, reduced_phi)
@@ -185,17 +182,17 @@ def test_acceptance_08_excess_n_pipeline():
     for seed in range(100):
         rng = np.random.default_rng(3000 + seed)
         n = 1 + seed % 3
-        head = FiniteFamily(rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+        head = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         tail = random_spanning_family(dim, rng)
-        ranks_ok = ranks_ok and rank_and_span(span_vectors(head, tail).matrix) == n
+        ranks_ok = ranks_ok and rank_and_span(span_vectors(head, tail)) == n
 
     worst_residual = 0.0
     for n in (2, 3):
         for seed in range(10):
             rng = np.random.default_rng(4000 + 10 * n + seed)
-            tail = random_spanning_family(dim, rng).matrix
+            tail = random_spanning_family(dim, rng)
             head = (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) / np.sqrt(dim)
-            phi = FiniteFamily(np.vstack([head, tail]))
+            phi = np.vstack([head, tail])
             psi = canonical_dual_frame(phi)
             report = excess_n_identities(phi, psi, n=n, trials=8, seed=seed)
             worst_residual = max(worst_residual, max(report.residuals.values()))

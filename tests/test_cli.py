@@ -190,6 +190,11 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"ValueError: {message}\n", err
     assert not (tmp_path / "size").exists()
+    for dim in ("0", "-1"):
+        assert cli.main(["rp-check", "--dim", dim, "--out", str(tmp_path / "dim")]) == 1
+        err = capsys.readouterr().err
+        assert err == "ValueError: dim must be positive\n", err
+    assert not (tmp_path / "dim").exists()
     for tol in ("nan", "inf", "0", "1e-3"):
         assert cli.main(["excess-n", "--tol", tol, "--out", str(tmp_path)]) == 1
         assert "tol must lie in" in capsys.readouterr().err

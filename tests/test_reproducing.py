@@ -1,5 +1,6 @@
 """Tests for finite reproducing pairs, excess identities, and head reduction."""
 
+import re
 import sys
 
 import numpy as np
@@ -13,7 +14,6 @@ from zakbench import (
     PeriodicSignal,
     biorthogonal_dual,
     weighted_exp,
-    FiniteFamily,
     NoDependence,
     NotReproducingPair,
     TailNotExact,
@@ -34,23 +34,13 @@ from zakbench import (
 
 
 def onb(dim):
-    return FiniteFamily(np.eye(dim, dtype=complex))
+    return np.eye(dim, dtype=complex)
 
 
 def random_family(dim, count, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return FiniteFamily(scale * mat)
-
-
-def test_finite_family_validation():
-    with pytest.raises(ValueError):
-        FiniteFamily(np.zeros((0, 3), dtype=complex))
-    with pytest.raises(ValueError):
-        FiniteFamily(np.zeros((2, 2, 2), dtype=complex))
-    fam = onb(3)
-    assert len(fam) == 3
-    assert fam.ambient_dim == 3
+    return scale * mat
 
 
 def test_s_operator_orthonormal_basis_is_identity():
@@ -61,7 +51,7 @@ def test_s_operator_orthonormal_basis_is_identity():
 
 def test_s_operator_scaled_partner():
     phi = onb(3)
-    psi = FiniteFamily(2.0 * np.eye(3, dtype=complex))
+    psi = 2.0 * np.eye(3, dtype=complex)
     S = s_operator(psi, phi)
     assert np.max(np.abs(S - 2.0 * np.eye(3))) < 1e-15
 
@@ -73,13 +63,69 @@ def test_s_operator_canonical_dual_gives_identity():
     assert np.max(np.abs(S - np.eye(5))) < 1e-10
 
 
-def test_s_operator_family_mismatch():
-    with pytest.raises(ValueError, match="family lengths differ: 3 vs 4"):
-        s_operator(onb(3), random_family(3, 4, seed=1))
-    with pytest.raises(ValueError, match="ambient dimensions differ: 3 vs 4"):
-        s_operator(onb(3), FiniteFamily(np.eye(3, 4, dtype=complex)))
-    with pytest.raises(ValueError, match="family lengths differ: 3 vs 4"):
-        s_operator(onb(3), onb(4))
+# Every public entry point that takes families, called with psi before phi
+# and valid values for its other arguments.
+FAMILY_ENTRY_POINTS = {
+    "s_operator": s_operator,
+    "reproducing_identity_check": reproducing_identity_check,
+    "normalize_pair": normalize_pair,
+    "reduce_dependent_pair": lambda psi, phi: reduce_dependent_pair(phi, psi),
+    "excess_n_identities": lambda psi, phi: excess_n_identities(phi, psi, 0),
+    "span_vectors": span_vectors,
+    "canonical_dual_frame": canonical_dual_frame,
+}
+MALFORMED_FAMILIES = {
+    "1d": np.ones(3),
+    "3d": np.ones((2, 3, 3)),
+    "no_vectors": np.ones((0, 3)),
+    "empty_vectors": np.ones((3, 0)),
+}
+
+
+def malformed_family_cases():
+    for name, entry in FAMILY_ENTRY_POINTS.items():
+        arity = 1 if name == "canonical_dual_frame" else 2
+        for label, bad in MALFORMED_FAMILIES.items():
+            for slot in range(arity):
+                args = [onb(3)] * arity
+                args[slot] = bad
+                message = f"a family must be a nonempty 2-D array with vectors as rows, got shape {bad.shape}"
+                yield pytest.param(entry, args, message, id=f"{name}-{label}-arg{slot}")
+        if name == "span_vectors":  # head and tail lengths differ by design; dimensions may not
+            yield pytest.param(entry, [onb(3), np.eye(3, 4)], "family dimensions differ: 3 vs 4",
+                               id=f"{name}-unequal_dims")
+        elif arity == 2:
+            for label, phi in (("unequal_counts", np.eye(4, 3)), ("unequal_dims", np.eye(3, 4))):
+                message = f"family shapes differ: (3, 3) vs {phi.shape}"
+                yield pytest.param(entry, [onb(3), phi], message, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("entry, args, message", malformed_family_cases())
+def test_entry_points_refuse_malformed_families(entry, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(*args)
+
+
+def test_entry_points_leave_inputs_unwritten():
+    # Callers pass their own buffers: no entry point may write into them,
+    # on the reduction path of excess_n_identities included.
+    rng = np.random.default_rng(47)
+    phi, psi = random_excess_pair(6, 3, rng, dependent_head=True)
+    dep = np.vstack([phi[:2], 2.0 * phi[:1]])
+    calls = [
+        (s_operator, (psi, phi)),
+        (reproducing_identity_check, (psi, phi)),
+        (normalize_pair, (psi, phi)),
+        (canonical_dual_frame, (phi,)),
+        (reduce_dependent_pair, (dep, psi[:3])),
+        (span_vectors, (psi[:2], phi[3:])),
+        (lambda phi, psi: excess_n_identities(phi, psi, 3), (phi, psi)),
+    ]
+    for entry, args in calls:
+        saved = [arg.copy() for arg in args]
+        entry(*args)
+        for arg, before in zip(args, saved):
+            assert np.array_equal(arg, before), entry
 
 
 def test_s_operator_adjoint_symmetry():
@@ -101,15 +147,15 @@ def test_reproducing_identity_orthonormal_basis():
 
 def test_reproducing_identity_zero_padding_changes_nothing():
     fam = onb(4)
-    padded_phi = FiniteFamily(np.vstack([fam.matrix, np.zeros((1, 4), dtype=complex)]))
-    padded_psi = FiniteFamily(np.vstack([fam.matrix, np.zeros((1, 4), dtype=complex)]))
+    padded_phi = np.vstack([fam, np.zeros((1, 4), dtype=complex)])
+    padded_psi = np.vstack([fam, np.zeros((1, 4), dtype=complex)])
     # the zero pair contributes nothing
     assert reproducing_identity_check(padded_psi, padded_phi, trials=16, seed=3) < 1e-12
 
 
 def test_reproducing_identity_detects_non_reproducing_pair():
     phi = onb(3)
-    psi = FiniteFamily(np.diag([1.0, 2.0, 4.0]).astype(complex))
+    psi = np.diag([1.0, 2.0, 4.0]).astype(complex)
     # diag(1,2,4) is not reproducing
     assert reproducing_identity_check(psi, phi, trials=4, seed=0) > 0.1
 
@@ -117,13 +163,13 @@ def test_reproducing_identity_detects_non_reproducing_pair():
 def looped_identity_check(psi, phi, trials, seed):
     """The per-probe loop that reproducing_identity_check replaced, as the reference."""
     rng = np.random.default_rng(seed)
-    dim = psi.ambient_dim
+    dim = psi.shape[1]
     fs = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
     gs = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
     worst = 0.0
     for f, g in zip(fs, gs):
         lhs = np.vdot(g, f)
-        rhs = np.sum((psi.matrix.conj() @ f) * (phi.matrix @ g.conj()))
+        rhs = np.sum((psi.conj() @ f) * (phi @ g.conj()))
         worst = max(worst, abs(lhs - rhs) / (np.linalg.norm(f) * np.linalg.norm(g)))
     return float(worst)
 
@@ -155,7 +201,7 @@ def test_normalize_pair_restores_identity():
 
 
 def test_normalize_pair_rejects_singular_operator():
-    phi = FiniteFamily(np.vstack([np.ones((3, 3), dtype=complex)]))
+    phi = np.ones((3, 3), dtype=complex)
     psi = onb(3)
     with pytest.raises(NotReproducingPair):
         normalize_pair(psi, phi)
@@ -164,11 +210,11 @@ def test_normalize_pair_rejects_singular_operator():
 def test_canonical_dual_frame_orthonormal_self_dual():
     fam = onb(4)
     dual = canonical_dual_frame(fam)
-    assert np.max(np.abs(dual.matrix - fam.matrix)) < 1e-14
+    assert np.max(np.abs(dual - fam)) < 1e-14
 
 
 def test_canonical_dual_frame_rejects_non_spanning():
-    fam = FiniteFamily(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex))
+    fam = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
         canonical_dual_frame(fam)
 
@@ -179,7 +225,7 @@ def weighted_exp_families(N, W, weight_name):
     system = ExpSystem(weight=signal, window=W, removed=0, anchor=0.25)
     rows = [weighted_exp(system, n) for n in system.active_indices()]
     duals = [biorthogonal_dual(system, n) for n in system.active_indices()]
-    return system, FiniteFamily(np.array(rows)), FiniteFamily(np.array(duals))
+    return system, np.array(rows), np.array(duals)
 
 
 def test_weighted_exponential_pair_identity_converges():
@@ -190,11 +236,11 @@ def test_weighted_exponential_pair_identity_converges():
         system, phi, psi = weighted_exp_families(N, 4, "linear")
         rng = np.random.default_rng(11)
         coeffs = rng.standard_normal(len(phi)) + 1j * rng.standard_normal(len(phi))
-        f = coeffs @ phi.matrix
+        f = coeffs @ phi
         g = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         w = 1.0 / N  # the quadrature weight of the N-point circle
         lhs = w * np.vdot(g, f)
-        rhs = (w * (psi.matrix.conj() @ f)) @ (w * (phi.matrix @ g.conj()))
+        rhs = (w * (psi.conj() @ f)) @ (w * (phi @ g.conj()))
         gaps.append(abs(lhs - rhs) / max(abs(lhs), 1e-30))
     assert gaps[0] < 1e-3
     assert gaps[1] <= gaps[0] + 1e-12
@@ -207,7 +253,7 @@ def test_excess_one_augmented_basis():
     dim = 8
     basis = np.eye(dim, dtype=complex)
     extra = basis.sum(axis=0)[None, :]
-    phi = FiniteFamily(np.vstack([extra, basis]))
+    phi = np.vstack([extra, basis])
     psi = canonical_dual_frame(phi)
     report = excess_n_identities(phi, psi, 1)
     assert report.n == 1
@@ -221,7 +267,7 @@ def test_excess_one_zero_head_trivial_branch():
     dim = 5
     phi_mat = np.vstack([np.ones((1, dim), dtype=complex), np.eye(dim, dtype=complex)])
     psi_mat = np.vstack([np.zeros((1, dim), dtype=complex), np.eye(dim, dtype=complex)])
-    report = excess_n_identities(FiniteFamily(phi_mat), FiniteFamily(psi_mat), 1)
+    report = excess_n_identities(phi_mat, psi_mat, 1)
     assert report.n == 1
     assert any("trivial branch" in note for note in report.notes)
     for value in report.residuals.values():
@@ -236,9 +282,7 @@ def test_excess_one_unitary_invariance():
 
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, _ = np.linalg.qr(raw)
-    rotated = excess_n_identities(
-        FiniteFamily(phi.matrix @ Q), FiniteFamily(psi.matrix @ Q), 1
-    )
+    rotated = excess_n_identities(phi @ Q, psi @ Q, 1)
     for key in base.residuals:
         assert abs(base.residuals[key] - rotated.residuals[key]) < 1e-12
 
@@ -247,7 +291,7 @@ def test_excess_n_two_head_example():
     dim = 6
     basis = np.eye(dim, dtype=complex)
     head = np.vstack([basis[0] + basis[1], basis[2] - basis[3]])
-    phi = FiniteFamily(np.vstack([head, basis]))
+    phi = np.vstack([head, basis])
     psi = canonical_dual_frame(phi)
     report = excess_n_identities(phi, psi, n=2)
     assert report.n == 2
@@ -259,9 +303,8 @@ def test_excess_n_zero_head_vector_triggers_reduction():
     dim = 6
     rng = np.random.default_rng(19)
     phi, psi = random_excess_pair(dim, 2, rng)
-    psi_mat = psi.matrix.copy()
-    psi_mat[1] = 0.0
-    psi_zeroed = FiniteFamily(psi_mat)
+    psi_zeroed = psi.copy()
+    psi_zeroed[1] = 0.0
     fixed_phi = normalize_pair(psi_zeroed, phi)
     report = excess_n_identities(fixed_phi, psi_zeroed, n=2)
     assert report.n == 1
@@ -287,14 +330,13 @@ def test_excess_n_tail_not_exact():
     dim = 5
     basis = np.eye(dim, dtype=complex)
     # tail shorter than the dimension
-    mat = np.vstack([np.ones((1, dim), dtype=complex), basis[:-1]])
-    fam = FiniteFamily(mat)
+    fam = np.vstack([np.ones((1, dim), dtype=complex), basis[:-1]])
     with pytest.raises(TailNotExact):
         excess_n_identities(fam, fam, n=1)
     # tail of the right length but degenerate
     bad_tail = basis.copy()
     bad_tail[-1] = bad_tail[0]
-    fam2 = FiniteFamily(np.vstack([np.ones((1, dim), dtype=complex), bad_tail]))
+    fam2 = np.vstack([np.ones((1, dim), dtype=complex), bad_tail])
     with pytest.raises(TailNotExact):
         excess_n_identities(fam2, fam2, n=1)
 
@@ -309,13 +351,13 @@ def test_excess_n_rejects_non_pair():
 
 def test_reduce_dependent_pair_doubled_vector():
     u = np.array([[1.0, 0.0]], dtype=complex)
-    psi = FiniteFamily(np.vstack([u, 2 * u]))
+    psi = np.vstack([u, 2 * u])
     phi = random_family(2, 2, seed=23)
     reduced_phi, reduced_psi, note = reduce_dependent_pair(phi, psi)
     assert len(reduced_psi) == 1
-    assert np.max(np.abs(reduced_psi.matrix - u)) < 1e-14
-    expected = phi.matrix[0] + 2.0 * phi.matrix[1]
-    assert np.max(np.abs(reduced_phi.matrix[0] - expected)) < 1e-12
+    assert np.max(np.abs(reduced_psi - u)) < 1e-14
+    expected = phi[0] + 2.0 * phi[1]
+    assert np.max(np.abs(reduced_phi[0] - expected)) < 1e-12
     assert "psi" in note
 
 
@@ -323,7 +365,7 @@ def test_reduce_dependent_pair_sum_vector():
     rng = np.random.default_rng(29)
     u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    psi = FiniteFamily(np.vstack([u, v, u + v]))
+    psi = np.vstack([u, v, u + v])
     phi = random_family(4, 3, seed=31)
     reduced_phi, reduced_psi, _ = reduce_dependent_pair(phi, psi)
     assert len(reduced_psi) == 2
@@ -334,20 +376,20 @@ def test_reduce_dependent_pair_sum_vector():
         trial = np.random.default_rng(seed)
         f = trial.standard_normal(4) + 1j * trial.standard_normal(4)
         g = trial.standard_normal(4) + 1j * trial.standard_normal(4)
-        lhs = (psi.matrix.conj() @ f) @ (phi.matrix @ g.conj())
-        rhs = (reduced_psi.matrix.conj() @ f) @ (reduced_phi.matrix @ g.conj())
+        lhs = (psi.conj() @ f) @ (phi @ g.conj())
+        rhs = (reduced_psi.conj() @ f) @ (reduced_phi @ g.conj())
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 def test_reduce_dependent_pair_phi_side():
     u = np.array([[0.0, 1.0, 0.0]], dtype=complex)
-    phi = FiniteFamily(np.vstack([u, 3 * u]))
+    phi = np.vstack([u, 3 * u])
     psi = random_family(3, 2, seed=37)
     reduced_phi, reduced_psi, note = reduce_dependent_pair(phi, psi)
     assert len(reduced_phi) == 1
     assert "phi" in note
-    expected = psi.matrix[0] + np.conj(3.0) * psi.matrix[1]
-    assert np.max(np.abs(reduced_psi.matrix[0] - expected)) < 1e-12
+    expected = psi[0] + np.conj(3.0) * psi[1]
+    assert np.max(np.abs(reduced_psi[0] - expected)) < 1e-12
 
 
 def test_reduce_dependent_pair_requires_dependence():
@@ -358,7 +400,7 @@ def test_reduce_dependent_pair_requires_dependence():
 
 
 def test_reduce_dependent_pair_needs_two_vectors():
-    fam = FiniteFamily(np.zeros((1, 3), dtype=complex))
+    fam = np.zeros((1, 3), dtype=complex)
     with pytest.raises(ValueError):
         reduce_dependent_pair(fam, fam)
 
@@ -396,13 +438,11 @@ def test_reduction_preserves_operator_form():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         dim = 6
-        tail = random_spanning_family(dim, rng).matrix
+        tail = random_spanning_family(dim, rng)
         dep = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
         dep = np.vstack([dep, dep[0] - 0.5 * dep[1]])
-        psi = FiniteFamily(np.vstack([dep, tail]))
-        phi = FiniteFamily(
-            rng.standard_normal((len(psi), dim)) + 1j * rng.standard_normal((len(psi), dim))
-        )
+        psi = np.vstack([dep, tail])
+        phi = rng.standard_normal((len(psi), dim)) + 1j * rng.standard_normal((len(psi), dim))
         reduced_phi, reduced_psi, _ = reduce_dependent_pair(phi, psi)
         before = s_operator(psi, phi)
         after = s_operator(reduced_psi, reduced_phi)
@@ -431,7 +471,6 @@ def test_reduction_preserves_operator_form_property(dim, side, seed, data):
     dep[j] = (rng.standard_normal(j) + 1j * rng.standard_normal(j)) @ dep[:j]
     other = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     psi, phi = (dep, other) if side == "psi" else (other, dep)
-    psi, phi = FiniteFamily(psi), FiniteFamily(phi)
     reduced_phi, reduced_psi, note = reduce_dependent_pair(phi, psi)
     assert len(reduced_phi) == len(reduced_psi) == n - 1
     assert note.startswith(f"eliminated {side} head element {j} ")
@@ -455,7 +494,7 @@ def test_excess_residuals_unitary_invariance_property(dim, dependent, seed, data
     phi, psi = random_excess_pair(dim, n, rng, dependent_head=dependent)
     Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     base = excess_n_identities(phi, psi, n)
-    rotated = excess_n_identities(FiniteFamily(phi.matrix @ Q), FiniteFamily(psi.matrix @ Q), n)
+    rotated = excess_n_identities(phi @ Q, psi @ Q, n)
     assert rotated.n == base.n == n - dependent
     assert len(rotated.notes) == len(base.notes)
     for key in base.residuals:
@@ -465,29 +504,29 @@ def test_excess_residuals_unitary_invariance_property(dim, dependent, seed, data
 
 def test_span_vectors_standard_basis():
     dim, n = 5, 2
-    head = FiniteFamily(np.eye(dim, dtype=complex)[:n])
-    tail = FiniteFamily(np.eye(dim, dtype=complex))
+    head = np.eye(dim, dtype=complex)[:n]
+    tail = np.eye(dim, dtype=complex)
     vecs = span_vectors(head, tail)
     assert len(vecs) == dim
     expected = np.zeros((dim, n), dtype=complex)
     expected[:n, :n] = np.eye(n)
-    assert np.max(np.abs(vecs.matrix - expected)) < 1e-14
-    assert rank_and_span(vecs.matrix) == n
+    assert np.max(np.abs(vecs - expected)) < 1e-14
+    assert rank_and_span(vecs) == n
 
 
 def test_span_vectors_full_rank_random():
     for seed in range(10):
         rng = np.random.default_rng(500 + seed)
         dim, n = 7, 3
-        head = FiniteFamily(rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+        head = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
         tail = random_spanning_family(dim, rng)
         vecs = span_vectors(head, tail)
-        assert rank_and_span(vecs.matrix) == n
+        assert rank_and_span(vecs) == n
 
 
 def test_span_vectors_rejects_dependent_head():
     dim = 4
-    head = FiniteFamily(np.vstack([np.ones((1, dim)), 2 * np.ones((1, dim))]).astype(complex))
+    head = np.vstack([np.ones((1, dim)), 2 * np.ones((1, dim))]).astype(complex)
     tail = onb(dim)
     with pytest.raises(ValueError, match="psi head is linearly dependent"):
         span_vectors(head, tail)
@@ -495,8 +534,8 @@ def test_span_vectors_rejects_dependent_head():
 
 def test_span_vectors_rejects_incomplete_tail():
     dim = 4
-    head = FiniteFamily(np.eye(dim, dtype=complex)[:1])
-    tail = FiniteFamily(np.eye(dim, dtype=complex)[:2])
+    head = np.eye(dim, dtype=complex)[:1]
+    tail = np.eye(dim, dtype=complex)[:2]
     with pytest.raises(TailNotExact):
         span_vectors(head, tail)
 
@@ -504,7 +543,7 @@ def test_span_vectors_rejects_incomplete_tail():
 def test_random_spanning_family_margin():
     rng = np.random.default_rng(41)
     fam = random_spanning_family(6, rng)
-    sigma = np.linalg.svd(fam.matrix, compute_uv=False)
+    sigma = np.linalg.svd(fam, compute_uv=False)
     assert sigma[-1] >= 0.5 - 1e-12
     assert sigma[0] <= 2.0 + 1e-12
 
@@ -574,7 +613,7 @@ def test_random_pair_check_matches_serial_loop():
             psi = random_spanning_family(dim, rng)
             raw = s_operator(psi, phi)
             margins.append(float(np.linalg.svd(raw, compute_uv=False)[-1]))
-            normalized = FiniteFamily(np.linalg.solve(raw, phi.matrix.T).T)
+            normalized = np.linalg.solve(raw, phi.T).T
             pair_seed = int(rng.integers(2**31))
             deviations.append(reproducing_identity_check(psi, normalized, trials, pair_seed))
             S = s_operator(psi, normalized)
