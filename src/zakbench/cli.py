@@ -189,7 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, default=8, help="ambient dimension")
     p.add_argument("--n", type=int, default=1, help="head length")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="working tolerance")
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_TOL,
+        help="pass limit only: pair deviation <= tol, residuals <= 10 tol; "
+        "head dependence is judged at the fixed relative tolerance 1e-10",
+    )
     p.add_argument(
         "--dependent-head",
         action="store_true",

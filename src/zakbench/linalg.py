@@ -26,6 +26,8 @@ __all__ = [
     "single_threaded_blas",
 ]
 
+_RANK_TOL = 1e-10  # relative tolerance of every rank and dependence decision
+
 
 def _as_family(arr: np.ndarray) -> np.ndarray:
     """arr as a complex (count, dim) family of vectors as rows, count and dim at least 1."""
@@ -41,10 +43,10 @@ def gram_matrix(family: np.ndarray) -> np.ndarray:
     return mat @ mat.conj().T
 
 
-def rank_and_span(vectors: np.ndarray, tol: float = 1e-10) -> int:
-    """Numerical rank: singular values above tol * (largest singular value)."""
+def rank_and_span(vectors: np.ndarray) -> int:
+    """Numerical rank: singular values above _RANK_TOL = 1e-10 times the largest."""
     sv = np.linalg.svd(_as_family(vectors), compute_uv=False)
-    return int(np.count_nonzero(sv > tol * sv[0]))
+    return int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
 
 
 @functools.lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from collections import deque
 import numpy as np
 
 from .errors import NoDependence, NotReproducingPair, TailNotExact
-from .linalg import _as_family, gram_matrix, rank_and_span, single_threaded_blas
+from .linalg import _RANK_TOL, _as_family, gram_matrix, rank_and_span, single_threaded_blas
 from .reports import ExcessReport, RpCheckReport, Verdict
 
 logger = logging.getLogger(__name__)
@@ -52,7 +52,8 @@ __all__ = [
     "excess_n_verdict",
 ]
 
-DEFAULT_TOL = 1e-11  # working tolerance of the excess identities
+# excess-n's pass limit only; head dependence is judged at linalg._RANK_TOL = 1e-10.
+DEFAULT_TOL = 1e-11  # pair deviation <= tol, residuals <= 10 tol
 MAX_TOL = 1e-6       # above this the 10 tol acceptance line passes almost anything
 
 
@@ -140,7 +141,7 @@ def canonical_dual_frame(family: np.ndarray) -> np.ndarray:
     return np.linalg.solve(frame_op, family.T).T
 
 
-def _first_dependent_row(mat: np.ndarray, tol: float) -> int | None:
+def _first_dependent_row(mat: np.ndarray) -> int | None:
     """First row that adds nothing to the span of its predecessors, or None.
 
     By interlacing, adding a row cannot raise a prefix's smallest
@@ -149,23 +150,19 @@ def _first_dependent_row(mat: np.ndarray, tol: float) -> int | None:
     matrix, the first deficient prefix is found by bisection.
     """
     n = mat.shape[0]
-    if rank_and_span(mat, tol) == n:
+    if rank_and_span(mat) == n:
         return None
     lo, hi = 0, n - 1  # mat[: hi + 1] is rank deficient
     while lo < hi:
         mid = (lo + hi) // 2
-        if rank_and_span(mat[: mid + 1], tol) <= mid:
+        if rank_and_span(mat[: mid + 1]) <= mid:
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
-def _reduce_once(
-    phi_mat: np.ndarray,
-    psi_mat: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, str] | None:
+def _reduce_once(phi_mat: np.ndarray, psi_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, str] | None:
     """Drop one dependent head element, correcting the other family.
 
     When psi_{last} = sum_j c_j psi_j the bilinear form
@@ -177,9 +174,9 @@ def _reduce_once(
     rank is taken at most once.
     """
     n = phi_mat.shape[0]
-    if (j := _first_dependent_row(psi_mat, tol)) is not None:
+    if (j := _first_dependent_row(psi_mat)) is not None:
         dep_mat, other_mat, role = psi_mat, phi_mat, "psi"
-    elif (j := _first_dependent_row(phi_mat, tol)) is not None:
+    elif (j := _first_dependent_row(phi_mat)) is not None:
         dep_mat, other_mat, role = phi_mat, psi_mat, "phi"
     else:
         return None
@@ -192,7 +189,7 @@ def _reduce_once(
 
     coeffs, *_ = np.linalg.lstsq(dep_mat[:-1].T, dep_mat[-1], rcond=None)
     fit_residual = np.linalg.norm(dep_mat[:-1].T @ coeffs - dep_mat[-1])
-    if fit_residual > tol * (1.0 + np.linalg.norm(dep_mat[-1])):
+    if fit_residual > _RANK_TOL * (1.0 + np.linalg.norm(dep_mat[-1])):
         raise NoDependence(
             f"dependent element sits {fit_residual:.3e} away from the span of the others"
         )
@@ -212,14 +209,14 @@ def reduce_dependent_pair(
 
     The returned pair has length n - 1, spans subspaces of the original
     spans, and generates the same bilinear form
-    sum_k <f, psi_k> <phi_k, g> for every f and g.  Dependence is judged
-    at rank_and_span's relative tolerance 1e-10.  The third element
-    describes which side was reduced and how.
+    sum_k <f, psi_k> <phi_k, g> for every f and g.  Dependence and the
+    fit are judged at the fixed relative tolerance linalg._RANK_TOL =
+    1e-10.  The third element describes which side was reduced and how.
     """
     psi_head, phi_head = _aligned(psi_head, phi_head)
     if len(phi_head) < 2:
         raise ValueError("reduction needs heads of length at least 2")
-    reduced = _reduce_once(phi_head, psi_head, 1e-10)
+    reduced = _reduce_once(phi_head, psi_head)
     if reduced is None:
         raise NoDependence("both heads are linearly independent at the working tolerance")
     logger.info("reduce_dependent_pair: %s", reduced[2])
@@ -246,12 +243,7 @@ def span_vectors(psi_head: np.ndarray, phi_tail: np.ndarray) -> np.ndarray:
 
 
 def excess_n_identities(
-    phi: np.ndarray,
-    psi: np.ndarray,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    trials: int = 20,
-    seed: int = 0,
+    phi: np.ndarray, psi: np.ndarray, n: int, trials: int = 20, seed: int = 0
 ) -> ExcessReport:
     """Identities for a family exceeding a minimal complete tail by an n-element head.
 
@@ -261,8 +253,9 @@ def excess_n_identities(
     reported and should sit at rounding level whenever the
     preconditions hold.  The pair identity's own deviation on the same
     probes is reported as the margin ``pair_identity_deviation``.
-    Dependent heads are reduced away pair by pair before the residuals
-    are formed; the report notes record the reduction chain.
+    Dependent heads are reduced away as in reduce_dependent_pair; the
+    report notes record the reduction chain.  The tail check ignores
+    scale: canonical_dual_frame's criterion on the tail Gram matrix.
     """
     psi, phi = _aligned(psi, phi)
     count, dim = phi.shape
@@ -279,7 +272,7 @@ def excess_n_identities(
     # Normalise away dependent heads first; each pass drops one element.
     # A length-one head never reduces: a zero vector there contributes
     # nothing and the identities hold as written (the trivial branch).
-    while n > 1 and (reduced := _reduce_once(phi_mat[:n], psi_mat[:n], tol)) is not None:
+    while n > 1 and (reduced := _reduce_once(phi_mat[:n], psi_mat[:n])) is not None:
         phi_head_red, psi_head_red, note = reduced
         phi_mat = np.vstack([phi_head_red, phi_mat[n:]])
         psi_mat = np.vstack([psi_head_red, psi_mat[n:]])
@@ -293,9 +286,10 @@ def excess_n_identities(
             "the finite model of an exact sequence needs a minimal complete tail"
         )
     tail_gram = gram_matrix(tail_phi)
-    tail_margin = float(np.linalg.eigvalsh(tail_gram)[0])
-    if tail_margin <= tol:
-        raise TailNotExact(f"tail gram margin {tail_margin:.3e} at or below tol {tol:.3e}")
+    ev = np.linalg.eigvalsh(tail_gram)
+    tail_margin = float(ev[0])
+    if tail_margin <= 1e-14 * ev[-1]:
+        raise TailNotExact(f"tail gram margin {tail_margin:.3e} at or below 1e-14 x largest {ev[-1]:.3e}")
 
     fs, gs = _probes(seed, trials, dim)
     pair_dev = _identity_deviation(psi_mat, phi_mat, fs, gs)
@@ -494,7 +488,7 @@ def excess_n_verdict(
         raise ValueError(f"tol must lie in (0, {MAX_TOL:.0e}], got {tol}")
     with single_threaded_blas():  # equal seeds give equal payloads at any BLAS thread count
         phi, psi = random_excess_pair(dim, n, np.random.default_rng(seed), dependent_head)
-        report = excess_n_identities(phi, psi, n, tol=tol, seed=seed)
+        report = excess_n_identities(phi, psi, n, seed=seed)
     limit = 10.0 * tol
     pair_dev = report.margins["pair_identity_deviation"]
     passed = pair_dev <= tol and all(value <= limit for value in report.residuals.values())

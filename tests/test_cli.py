@@ -117,6 +117,22 @@ def test_excess_n_dependent_head_reduces(tmp_path, capsys):
     assert any(note.startswith("reduction:") for note in report["notes"])
 
 
+def test_excess_n_reduction_does_not_depend_on_tol(tmp_path, capsys):
+    # --tol is the pass limit only: the reduction and every residual are the
+    # same at any tolerance, and a tolerance below the rounding floor still
+    # writes its FAIL report.
+    payloads = []
+    for tol, code in (("1e-6", 0), ("1e-11", 0), ("1e-16", 2), ("1e-18", 2)):
+        out = tmp_path / tol
+        argv = ["excess-n", "--dim", "8", "--n", "2", "--dependent-head", "--seed", "1", "--tol", tol]
+        assert cli.main([*argv, "--out", str(out)]) == code, tol
+        report = read_report(out / "excess_n.json")
+        assert report["n"] == 1
+        assert sum(note.startswith("reduction:") for note in report["notes"]) == 1
+        payloads.append((report["residuals"], report["head_sum_trajectory"]))
+    assert all(payload == payloads[0] for payload in payloads)
+
+
 def test_excess_n_empty_head(tmp_path, capsys):
     assert cli.main(["excess-n", "--n", "0", "--out", str(tmp_path)]) == 0
     report = read_report(tmp_path / "excess_n.json")

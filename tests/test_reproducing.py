@@ -341,6 +341,15 @@ def test_excess_n_tail_not_exact():
         excess_n_identities(fam2, fam2, n=1)
 
 
+def test_excess_n_tail_check_ignores_scale():
+    # (1e-6 phi, 1e6 psi) is the same reproducing pair as (phi, psi); its tail
+    # Gram's smallest eigenvalue is about 1e-13, which is no reason to reject it.
+    phi, psi = random_excess_pair(8, 2, np.random.default_rng(0))
+    report = excess_n_identities(1e-6 * phi, 1e6 * psi, 2)
+    assert report.n == 2
+    assert report.margins["pair_identity_deviation"] <= 1e-14
+
+
 def test_excess_n_rejects_non_pair():
     phi = random_family(5, 6, seed=21)
     psi = random_family(5, 6, seed=22)
@@ -405,11 +414,11 @@ def test_reduce_dependent_pair_needs_two_vectors():
         reduce_dependent_pair(fam, fam)
 
 
-def scanned_dependent_row(mat, tol):
+def scanned_dependent_row(mat):
     """The linear prefix scan that the bisection replaced, as the reference."""
     prev_rank = 0
     for j in range(mat.shape[0]):
-        rank = rank_and_span(mat[: j + 1], tol)
+        rank = rank_and_span(mat[: j + 1])
         if rank <= prev_rank:
             return j
         prev_rank = rank
@@ -429,9 +438,9 @@ def test_first_dependent_row_matches_prefix_scan(n, dim):
         mat[j] = coeffs @ mat[:j]
         cases.append((mat, min(j, dim)))
     for mat, expected in cases:
-        found = reproducing._first_dependent_row(mat, reproducing.DEFAULT_TOL)
+        found = reproducing._first_dependent_row(mat)
         assert found == expected
-        assert found == scanned_dependent_row(mat, reproducing.DEFAULT_TOL)
+        assert found == scanned_dependent_row(mat)
 
 
 def test_reduction_preserves_operator_form():

@@ -209,6 +209,18 @@ def test_leading_coefficient_against_mpmath():
     assert abs(leading_coefficient() - oracle) <= 1e-13 * oracle
 
 
+def test_signed_jacobian_at_the_zero():
+    # Im(conj(d_x Z phi) d_xi Z phi) at (1/2, 1/2) equals leading_coefficient()**2:
+    # the zero is simple with positive orientation, which the logarithmic
+    # growth rate 2 pi log(M'/M) / C^2 of the "one" ladder rests on.
+    h = 1e-5
+    dx = (gaussian_zak_theta(0.5 + h, 0.5) - gaussian_zak_theta(0.5 - h, 0.5)) / (2 * h)
+    dxi = (gaussian_zak_theta(0.5, 0.5 + h) - gaussian_zak_theta(0.5, 0.5 - h)) / (2 * h)
+    jacobian = (np.conj(dx) * dxi).imag
+    assert leading_coefficient() ** 2 == pytest.approx(11.476429, abs=1e-6)
+    assert abs(jacobian / leading_coefficient() ** 2 - 1) <= 1e-8
+
+
 def test_enk_hand_values():
     assert enk(1, 0, 0.25, 0.9) == pytest.approx(np.exp(2j * np.pi * 0.25))
     assert enk(0, 1, 0.9, 0.25) == pytest.approx(np.exp(-2j * np.pi * 0.25))
