@@ -43,7 +43,7 @@ from .errors import NumericalFailure
 from .expsys import ExpSystem, PeriodicSignal, load_signal, save_signal, sweep_verdict
 from .linalg import blas_threads
 from .reports import Verdict, dump_report_json
-from .reproducing import DEFAULT_TOL, excess_n_verdict, rp_check_verdict
+from .reproducing import excess_n_verdict, rp_check_verdict
 from .zak import NAMED_NUMERATORS, ladder_verdict, load_grid_function, save_grid_function, validate_verdict
 
 USAGE_ERROR = 1
@@ -111,9 +111,7 @@ def _run_rp_check(args: argparse.Namespace) -> int:
 
 
 def _run_excess_n(args: argparse.Namespace) -> int:
-    verdict = excess_n_verdict(
-        args.dim, args.n, tol=args.tol, seed=args.seed, dependent_head=args.dependent_head
-    )
+    verdict = excess_n_verdict(args.dim, args.n, args.seed, args.dependent_head)
     return _finish(args, "excess_n", verdict)
 
 
@@ -189,11 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, default=8, help="ambient dimension")
     p.add_argument("--n", type=int, default=1, help="head length")
-    p.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL,
-        help="pass limit only: pair deviation <= tol, residuals <= 10 tol; "
-        "head dependence is judged at the fixed relative tolerance 1e-10",
-    )
     p.add_argument(
         "--dependent-head",
         action="store_true",

@@ -93,7 +93,7 @@ class ExcessReport:
     n: int
     residuals: dict[str, float]      # partner_correction, head_reconstruction, final_chain
     margins: dict[str, float]
-    seed: int
+    seed: int                        # of the probes; excess_n_verdict draws it after the pair
     head_sum_trajectory: list[float]
     notes: list[str] = field(default_factory=list)
 

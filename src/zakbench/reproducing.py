@@ -36,8 +36,6 @@ from .reports import ExcessReport, RpCheckReport, Verdict
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "DEFAULT_TOL",
-    "MAX_TOL",
     "s_operator",
     "reproducing_identity_check",
     "normalize_pair",
@@ -51,11 +49,6 @@ __all__ = [
     "rp_check_verdict",
     "excess_n_verdict",
 ]
-
-# excess-n's pass limit only; head dependence is judged at linalg._RANK_TOL = 1e-10.
-DEFAULT_TOL = 1e-11  # pair deviation <= tol, residuals <= 10 tol
-MAX_TOL = 1e-6       # above this the 10 tol acceptance line passes almost anything
-
 
 def _aligned(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """psi and phi as complex families of one shape."""
@@ -137,7 +130,7 @@ def canonical_dual_frame(family: np.ndarray) -> np.ndarray:
     frame_op = family.T @ family.conj()
     ev = np.linalg.eigvalsh(frame_op)
     if ev[0] <= 1e-14 * ev[-1]:
-        raise ValueError("family does not span the ambient space")
+        raise TailNotExact("family does not span the ambient space")
     return np.linalg.solve(frame_op, family.T).T
 
 
@@ -473,28 +466,27 @@ def rp_check_verdict(dim: int, pairs: int, seed: int) -> Verdict:
     return Verdict(report, report.passed, detail, rows)
 
 
-def excess_n_verdict(
-    dim: int,
-    n: int,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
-    dependent_head: bool = False,
-) -> Verdict:
+# excess_n_verdict's pass rule; head dependence is judged at linalg._RANK_TOL.
+_PAIR_LIMIT = 1e-11      # pair identity deviation
+_RESIDUAL_LIMIT = 1e-10  # every excess residual
+
+
+def excess_n_verdict(dim: int, n: int, seed: int = 0, dependent_head: bool = False) -> Verdict:
     """Excess identities on a seeded random pair, at excess_n_identities' default 20 probes.
 
-    Passes when the pair identity deviation is <= tol and every residual is <= 10 tol.
+    The probe seed is drawn from the pair's generator after the pair, so
+    the probes are independent of it.  Passes when the pair identity
+    deviation is <= 1e-11 and every residual is <= 1e-10.
     """
-    if not 0.0 < tol <= MAX_TOL:
-        raise ValueError(f"tol must lie in (0, {MAX_TOL:.0e}], got {tol}")
+    rng = np.random.default_rng(seed)
     with single_threaded_blas():  # equal seeds give equal payloads at any BLAS thread count
-        phi, psi = random_excess_pair(dim, n, np.random.default_rng(seed), dependent_head)
-        report = excess_n_identities(phi, psi, n, seed=seed)
-    limit = 10.0 * tol
+        phi, psi = random_excess_pair(dim, n, rng, dependent_head)
+        report = excess_n_identities(phi, psi, n, seed=int(rng.integers(2**31)))
     pair_dev = report.margins["pair_identity_deviation"]
-    passed = pair_dev <= tol and all(value <= limit for value in report.residuals.values())
-    rows = [(name, value, value <= limit) for name, value in sorted(report.residuals.items())]
+    passed = pair_dev <= _PAIR_LIMIT and all(v <= _RESIDUAL_LIMIT for v in report.residuals.values())
+    rows = [(name, value, value <= _RESIDUAL_LIMIT) for name, value in sorted(report.residuals.items())]
     worst = max(report.residuals.values())
-    detail = f"worst residual {worst:.3e} against limit {limit:.1e}, final n={report.n}"
-    if pair_dev > tol:
-        detail = f"pair identity deviation {pair_dev:.3e} exceeds tol {tol:.1e}, {detail}"
+    detail = f"worst residual {worst:.3e} against limit {_RESIDUAL_LIMIT:.1e}, final n={report.n}"
+    if pair_dev > _PAIR_LIMIT:
+        detail = f"pair identity deviation {pair_dev:.3e} exceeds limit {_PAIR_LIMIT:.1e}, {detail}"
     return Verdict(report, passed, detail, rows)

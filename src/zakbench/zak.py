@@ -325,8 +325,8 @@ def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Ladde
     ladder = [int(M) for M in refinement_ladder]
     if len(ladder) < 2:
         raise ValueError("refinement ladder needs at least two resolutions")
-    if any(M < 2 or M % 2 for M in ladder):
-        raise ValueError("ladder entries must be positive even integers")
+    for M in ladder:
+        _check_grid_size("M", M)
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder resolutions must strictly increase")
 
@@ -410,14 +410,15 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
     direct = zak_transform(gaussian_atom, M, J)
     theta = theta_grid(M)
 
-    shifted = zak_transform(modulated_translate(gaussian_atom, 0, shift), M, J)
-
     # Covariance: modulation by n and translation by k multiply the
     # transform by the plane wave E_nk, read on the grid from the root table.
+    # The (0, 0) term is direct itself and the (0, shift) term is the translate.
     cov_dev = 0.0
     for n in range(-cov_range, cov_range + 1):
         for k in range(-cov_range, cov_range + 1):
-            lhs = zak_transform(modulated_translate(gaussian_atom, n, k), M, J)
+            lhs = direct if n == k == 0 else zak_transform(modulated_translate(gaussian_atom, n, k), M, J)
+            if (n, k) == (0, shift):
+                shifted = lhs
             rhs = np.outer(exponential(M, n), exponential(M, -k)) * direct.samples
             cov_dev = max(cov_dev, float(np.max(np.abs(lhs.samples - rhs))))
 

@@ -117,22 +117,6 @@ def test_excess_n_dependent_head_reduces(tmp_path, capsys):
     assert any(note.startswith("reduction:") for note in report["notes"])
 
 
-def test_excess_n_reduction_does_not_depend_on_tol(tmp_path, capsys):
-    # --tol is the pass limit only: the reduction and every residual are the
-    # same at any tolerance, and a tolerance below the rounding floor still
-    # writes its FAIL report.
-    payloads = []
-    for tol, code in (("1e-6", 0), ("1e-11", 0), ("1e-16", 2), ("1e-18", 2)):
-        out = tmp_path / tol
-        argv = ["excess-n", "--dim", "8", "--n", "2", "--dependent-head", "--seed", "1", "--tol", tol]
-        assert cli.main([*argv, "--out", str(out)]) == code, tol
-        report = read_report(out / "excess_n.json")
-        assert report["n"] == 1
-        assert sum(note.startswith("reduction:") for note in report["notes"]) == 1
-        payloads.append((report["residuals"], report["head_sum_trajectory"]))
-    assert all(payload == payloads[0] for payload in payloads)
-
-
 def test_excess_n_empty_head(tmp_path, capsys):
     assert cli.main(["excess-n", "--n", "0", "--out", str(tmp_path)]) == 0
     report = read_report(tmp_path / "excess_n.json")
@@ -201,7 +185,9 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     # Grid sizes that are not positive even integers are named as given, before any sampling.
     for command, message in ((["zak-validate", "--M", "0"], "M must be a positive even integer, got 0"),
                              (["zak-validate", "--M", "-4"], "M must be a positive even integer, got -4"),
-                             (["expsys-sweep", "--N", "-4"], "N must be a positive even integer, got -4")):
+                             (["expsys-sweep", "--N", "-4"], "N must be a positive even integer, got -4"),
+                             (["quotient-ladder", "--numerator", "cone", "--ladder", "64,63"],
+                              "M must be a positive even integer, got 63")):
         assert cli.main(command + ["--out", str(tmp_path / "size")]) == 1
         err = capsys.readouterr().err
         assert err == f"ValueError: {message}\n", err
@@ -211,17 +197,17 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "ValueError: dim must be positive\n", err
     assert not (tmp_path / "dim").exists()
-    for tol in ("nan", "inf", "0", "1e-3"):
-        assert cli.main(["excess-n", "--tol", tol, "--out", str(tmp_path)]) == 1
-        assert "tol must lie in" in capsys.readouterr().err
     assert cli.main(["no-such-command"]) == 1
     assert cli.main([]) == 1
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
-    # A valid run whose pair misses a tolerance below the rounding floor
-    # fails its assertion: the report is written and records the deviation.
-    assert cli.main(["excess-n", "--tol", "1e-18", "--out", str(tmp_path)]) == 2
+    # A valid run whose pair misses its limit fails its assertion: the report
+    # is written and records the deviation.  A limit below the rounding floor
+    # stands in for a pair that misses the fixed one.
+    with monkeypatch.context() as patch:
+        patch.setattr(reproducing, "_PAIR_LIMIT", 1e-18)
+        assert cli.main(["excess-n", "--out", str(tmp_path)]) == 2
     assert read_report(tmp_path / "excess_n.json")["margins"]["pair_identity_deviation"] > 1e-18
     out, err = capsys.readouterr()
     assert out.startswith("excess-n: FAIL (pair identity deviation ") and err == "", (out, err)
@@ -246,7 +232,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
      ["quotient-ladder", "--numerator", "cone", "--ladder", "4,8", "--K", "8"],
      ["expsys-sweep", "--N", "64", "--W", "4", "--max-terms", "4"],
      ["rp-check", "--trials", "8"],
-     ["excess-n", "--trials", "20"]],
+     ["excess-n", "--trials", "20"],
+     ["excess-n", "--tol", "1e-11"]],
 )
 def test_removed_series_flags_are_usage_errors(tmp_path, capsys, command):
     # zak-validate and quotient-ladder run at one fixed series setting, the

@@ -214,8 +214,9 @@ def test_canonical_dual_frame_orthonormal_self_dual():
 
 
 def test_canonical_dual_frame_rejects_non_spanning():
+    # A family that does not span is a numerical failure, as in span_vectors and the tail check.
     fam = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(TailNotExact, match="does not span"):
         canonical_dual_frame(fam)
 
 
@@ -353,9 +354,28 @@ def test_excess_n_tail_check_ignores_scale():
 def test_excess_n_rejects_non_pair():
     phi = random_family(5, 6, seed=21)
     psi = random_family(5, 6, seed=22)
-    # Two unrelated families are no pair: the report records a deviation far above tol.
+    # Two unrelated families are no pair: the report records a deviation far above the limit.
     report = excess_n_identities(phi, psi, n=1)
-    assert report.margins["pair_identity_deviation"] > reproducing.DEFAULT_TOL
+    assert report.margins["pair_identity_deviation"] > reproducing._PAIR_LIMIT
+
+
+def test_excess_n_verdict_probes_are_independent_of_the_pair(monkeypatch):
+    # The probes come from a seed drawn after the pair, not from a fresh
+    # generator on the pair's own seed, whose first draw is the tail's.
+    probes = []
+    deviation = reproducing._identity_deviation
+
+    def record(psi_mat, phi_mat, fs, gs):
+        probes.append(fs)
+        return deviation(psi_mat, phi_mat, fs, gs)
+
+    monkeypatch.setattr(reproducing, "_identity_deviation", record)
+    verdict = reproducing.excess_n_verdict(8, 2, seed=0, dependent_head=True)
+    assert verdict.passed
+    raw_tail = np.random.default_rng(0).standard_normal((8, 8))
+    assert not np.array_equal(probes[0].real[:8], raw_tail)
+    # The report's seed is the probe seed, so the report reproduces its probes.
+    assert np.array_equal(reproducing._probes(verdict.report.seed, 20, 8)[0], probes[0])
 
 
 def test_reduce_dependent_pair_doubled_vector():
