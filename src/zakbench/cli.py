@@ -11,6 +11,14 @@ verdict line:
     rp-check          reproducing.rp_check_verdict
     excess-n          reproducing.excess_n_verdict
 
+The layers are called through their modules, which the package loads
+lazily, so importing this module imports numpy but executes no
+mathematical layer, and a command executes only the layer it calls
+and that layer's imports: expsys-sweep runs no zak or reproducing
+code, the zak commands no reproducing code, and rp-check and excess-n
+no zak or expsys code.  Each command touches its layer on the main
+thread before any pool starts.
+
 Exit status: 0 when the asserted outcome holds; 2 when it fails, when
 a computation raises a NumericalFailure, or when a LAPACK routine raises
 numpy's LinAlgError; 1 on bad input, which raises ValueError (or
@@ -38,23 +46,22 @@ from pathlib import Path
 from numpy import __version__ as numpy_version
 from numpy.linalg import LinAlgError
 
-from . import __version__
+from . import __version__, expsys, linalg, reports, reproducing, zak
 from .errors import NumericalFailure
-from .expsys import ExpSystem, PeriodicSignal, load_signal, save_signal, sweep_verdict
-from .linalg import blas_threads
-from .reports import Verdict, dump_report_json
-from .reproducing import excess_n_verdict, rp_check_verdict
-from .zak import NAMED_NUMERATORS, ladder_verdict, load_grid_function, save_grid_function, validate_verdict
 
 USAGE_ERROR = 1
 ASSERTION_FAILURE = 2
 
+# The keys of zak.NAMED_NUMERATORS, spelled out so that building the
+# parser does not execute zak.
+NUMERATORS = ("cone", "one")
 
-def _finish(args: argparse.Namespace, stem: str, verdict: Verdict) -> int:
+
+def _finish(args: argparse.Namespace, stem: str, verdict: reports.Verdict) -> int:
     """Write the report (and CSV rows) under --out and print the verdict line."""
     metadata = {
         "argv": args.argv,
-        "blas_threads": blas_threads(),
+        "blas_threads": linalg.blas_threads(),
         "command": args.command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "numpy": numpy_version,
@@ -65,7 +72,7 @@ def _finish(args: argparse.Namespace, stem: str, verdict: Verdict) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{stem}.json"
-    json_path.write_text(dump_report_json(verdict.report, metadata=metadata))
+    json_path.write_text(reports.dump_report_json(verdict.report, metadata=metadata))
     if args.csv:
         with open(out_dir / f"{stem}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -82,36 +89,36 @@ def _ladder(text: str) -> list[int]:
 
 def _run_expsys_sweep(args: argparse.Namespace) -> int:
     if args.g_file is not None:
-        weight = load_signal(args.g_file)
+        weight = expsys.load_signal(args.g_file)
     else:
-        weight = PeriodicSignal.from_name(args.g, args.N)
-    system = ExpSystem(weight=weight, window=args.W, removed=args.k, anchor=args.t0)
-    verdict = sweep_verdict(system)
+        weight = expsys.PeriodicSignal.from_name(args.g, args.N)
+    system = expsys.ExpSystem(weight=weight, window=args.W, removed=args.k, anchor=args.t0)
+    verdict = expsys.sweep_verdict(system)
     if args.dump_weight is not None:
-        save_signal(weight, args.dump_weight)
+        expsys.save_signal(weight, args.dump_weight)
     return _finish(args, "expsys_sweep", verdict)
 
 
 def _run_zak_validate(args: argparse.Namespace) -> int:
-    stored = load_grid_function(args.theta_file) if args.theta_file is not None else None
-    verdict, theta = validate_verdict(args.M, stored)
+    stored = zak.load_grid_function(args.theta_file) if args.theta_file is not None else None
+    verdict, theta = zak.validate_verdict(args.M, stored)
     if args.dump_theta is not None:
-        save_grid_function(theta, args.dump_theta)
+        zak.save_grid_function(theta, args.dump_theta)
     return _finish(args, "zak_validate", verdict)
 
 
 def _run_quotient_ladder(args: argparse.Namespace) -> int:
-    verdict = ladder_verdict(args.numerator, args.ladder)
+    verdict = zak.ladder_verdict(args.numerator, args.ladder)
     return _finish(args, f"quotient_ladder_{args.numerator}", verdict)
 
 
 def _run_rp_check(args: argparse.Namespace) -> int:
-    verdict = rp_check_verdict(args.dim, args.pairs, args.seed)
+    verdict = reproducing.rp_check_verdict(args.dim, args.pairs, args.seed)
     return _finish(args, "rp_check", verdict)
 
 
 def _run_excess_n(args: argparse.Namespace) -> int:
-    verdict = excess_n_verdict(args.dim, args.n, args.seed, args.dependent_head)
+    verdict = reproducing.excess_n_verdict(args.dim, args.n, args.seed, args.dependent_head)
     return _finish(args, "excess_n", verdict)
 
 
@@ -165,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="refinement ladder for a quotient integral against |Z phi|^2",
     )
-    p.add_argument("--numerator", choices=tuple(NAMED_NUMERATORS), required=True)
+    p.add_argument("--numerator", choices=NUMERATORS, required=True)
     p.add_argument(
         "--ladder", type=_ladder, default="64,128,256,512", help="comma-separated even resolutions"
     )

@@ -152,14 +152,31 @@ def zak_transform(f: Callable, M: int, J: int) -> PeriodicSignal:
     """Truncated Zak transform of the line sampler f on the M x M midpoint grid, M even.
 
     f evaluates the line function on float arrays; the j-sum runs over |j| <= J.
+    Each term is formed in one M x M buffer, not in a fresh array, for the
+    reason _zak_sum gives.
     """
     if J < 1:
         raise ValueError("J must be at least 1")
+    return PeriodicSignal(_zak_sum(f, J, np.empty((M, M), dtype=complex), np.empty((M, M), dtype=complex)))
+
+
+def _zak_sum(f: Callable, J: int, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """zak_transform's j-sum of f written into out, each term formed in term; both M x M complex.
+
+    The terms are the products np.outer would give, added in the same
+    order.  A fresh M x M temporary per term, 256 KiB at M = 128, is at
+    glibc's mmap and trim thresholds, so whether each one is mapped, or
+    trimmed and faulted in again, depends on the heap's history: with
+    fresh temporaries, zak-validate --M 128 took 8.4k or 34k minor
+    faults depending on the length of the install path.  Buffers the
+    caller holds are faulted in once.
+    """
+    M = out.shape[0]
     x = shifted_nodes(M)
-    out = np.zeros((M, M), dtype=complex)
+    out.fill(0)
     for j in range(-J, J + 1):
-        out += np.outer(np.asarray(f(x - j), dtype=complex), exponential(M, j))
-    return PeriodicSignal(out)
+        out += np.multiply.outer(np.asarray(f(x - j), dtype=complex), exponential(M, j), out=term)
+    return out
 
 
 def theta1(z, params: ThetaParams = ThetaParams()):
@@ -402,8 +419,10 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
     |n|, |k| <= 2, the theta form against the direct series, the centre
     zero, theta1'(0) against its closed form at q = exp(-pi), and a
     ``stored`` grid if given.  The direct series sums |j| <= 6 and theta1
-    runs at its default truncation K = 8.  Returns the verdict and the
-    theta grid.
+    runs at its default truncation K = 8.  The covariance loop forms
+    each translate's transform and its deviation in four M x M buffers
+    held across the loop, not in fresh arrays at glibc's mmap threshold
+    (see _zak_sum).  Returns the verdict and the theta grid.
     """
     _check_grid_size("M", M)
     J, shift, cov_range = 6, 1, 2  # every translate m keeps J - |m| >= 4: phi(4) < 1e-21 is left unsummed
@@ -413,14 +432,22 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
     # Covariance: modulation by n and translation by k multiply the
     # transform by the plane wave E_nk, read on the grid from the root table.
     # The (0, 0) term is direct itself and the (0, shift) term is the translate.
+    # |lhs - E_nk direct| takes the floating-point steps of the plain expression.
     cov_dev = 0.0
+    buffer, term, rhs = (np.empty((M, M), dtype=complex) for _ in range(3))
+    dev = np.empty((M, M))
     for n in range(-cov_range, cov_range + 1):
         for k in range(-cov_range, cov_range + 1):
-            lhs = direct if n == k == 0 else zak_transform(modulated_translate(gaussian_atom, n, k), M, J)
+            if n == k == 0:
+                lhs = direct.samples
+            else:
+                lhs = _zak_sum(modulated_translate(gaussian_atom, n, k), J, buffer, term)
             if (n, k) == (0, shift):
-                shifted = lhs
-            rhs = np.outer(exponential(M, n), exponential(M, -k)) * direct.samples
-            cov_dev = max(cov_dev, float(np.max(np.abs(lhs.samples - rhs))))
+                translated_norm = PeriodicSignal(lhs).norm()
+            np.multiply.outer(exponential(M, n), exponential(M, -k), out=rhs)
+            rhs *= direct.samples
+            np.subtract(lhs, rhs, out=rhs)
+            cov_dev = max(cov_dev, float(np.max(np.abs(rhs, out=dev))))
 
     theta_dev = float(np.max(np.abs(theta.samples - direct.samples)))
     center_abs = abs(gaussian_zak_theta(0.5, 0.5))
@@ -430,7 +457,7 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
 
     checks = {
         "gaussian_norm": abs(direct.norm() - 1.0) <= 1e-6,
-        "translated_norm": abs(shifted.norm() - 1.0) <= 1e-6,
+        "translated_norm": abs(translated_norm - 1.0) <= 1e-6,
         "covariance": cov_dev <= 1e-10,
         "theta_vs_series": theta_dev <= 1e-10,
         "center_zero": center_abs <= 1e-12,
@@ -445,7 +472,7 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
         J=J,
         truncation_K=ThetaParams().truncation,
         gaussian_norm=direct.norm(),
-        translated_norm=shifted.norm(),
+        translated_norm=translated_norm,
         translate_shift=float(shift),
         covariance_range=cov_range,
         covariance_max_dev=cov_dev,

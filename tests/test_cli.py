@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zakbench import cli, reproducing
+from zakbench import cli, expsys, reproducing, zak
 from zakbench.errors import TailNotExact
 from zakbench.linalg import blas_threads
 
@@ -264,7 +264,9 @@ def test_memory_error_is_a_usage_error(tmp_path, capsys, monkeypatch, command, v
     def fail(*args, **kwargs):
         raise _ArrayMemoryError("Unable to allocate 14.6 TiB for an array")
 
-    monkeypatch.setattr(cli, verdict, fail)
+    # The CLI calls each verdict through its layer module.
+    layer = {"expsys-sweep": expsys, "zak-validate": zak, "rp-check": reproducing}[command[0]]
+    monkeypatch.setattr(layer, verdict, fail)
     out = tmp_path / "out"
     assert cli.main(command + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -359,6 +361,51 @@ def test_report_metadata_records_the_run(tmp_path):
     assert metadata["python"] == platform.python_version()
     assert metadata["numpy"] == np.__version__
     assert metadata["blas_threads"] == blas_threads()
+
+
+LAYER_PROBE = """
+import json, sys, types
+import zakbench.cli
+
+def executed():
+    # A lazy module keeps its LazyLoader class until its body runs; reading
+    # the class through object.__getattribute__ does not trigger the load.
+    layers = ("errors", "linalg", "reports", "expsys", "zak", "reproducing")
+    modules = [sys.modules[f"zakbench.{name}"] for name in layers]
+    return sorted(name for name, module in zip(layers, modules)
+                  if object.__getattribute__(module, "__class__") is types.ModuleType)
+
+states = [executed()]
+argv = sys.argv[1:]
+if argv:
+    assert zakbench.cli.main(argv) == 0
+    states.append(executed())
+print(json.dumps(states))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, unexecuted",
+    [([], ["expsys", "reproducing", "zak"]),
+     (["expsys-sweep", "--N", "64", "--W", "4"], ["reproducing", "zak"]),
+     (["zak-validate", "--M", "16"], ["reproducing"]),
+     (["rp-check", "--dim", "4", "--pairs", "2"], ["expsys", "zak"])],
+)
+def test_commands_execute_only_their_layers(tmp_path, command, unexecuted):
+    # Importing the CLI registers every layer but runs none of the three
+    # mathematical ones; a command runs its own layer and that layer's imports.
+    argv = [*command, "--out", str(tmp_path)] if command else []
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", LAYER_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    states = json.loads(proc.stdout.splitlines()[-1])
+    assert not {"expsys", "zak", "reproducing"} & set(states[0]), states
+    assert not set(unexecuted) & set(states[-1]), states
+
+
+def test_numerator_choices_are_the_named_numerators():
+    assert cli.NUMERATORS == tuple(zak.NAMED_NUMERATORS)
 
 
 def test_import_starts_openblas_on_one_thread():

@@ -107,6 +107,36 @@ def test_translated_gaussian_norm():
     assert abs(grid.norm() - 1.0) < 1e-6
 
 
+def outer_zak_transform(f, M, J):
+    """The j-sum accumulated through a fresh np.outer per term."""
+    x = shifted_nodes(M)
+    out = np.zeros((M, M), dtype=complex)
+    for j in range(-J, J + 1):
+        out += np.outer(np.asarray(f(x - j), dtype=complex), exponential(M, j))
+    return out
+
+
+@pytest.mark.parametrize("M", [16, 128])
+def test_zak_transform_matches_outer_accumulation_bitwise(M):
+    for n in range(-2, 3):
+        for k in range(-2, 3):
+            f = modulated_translate(gaussian_atom, n, k)
+            # Bytes, so a zero of the other sign would also show.
+            assert zak_transform(f, M, 6).samples.tobytes() == outer_zak_transform(f, M, 6).tobytes()
+
+
+def test_covariance_dev_matches_outer_loop_exactly():
+    M, J = 128, 6
+    direct = outer_zak_transform(gaussian_atom, M, J)
+    dev = 0.0
+    for n in range(-2, 3):
+        for k in range(-2, 3):
+            lhs = outer_zak_transform(modulated_translate(gaussian_atom, n, k), M, J)
+            rhs = np.outer(exponential(M, n), exponential(M, -k)) * direct
+            dev = max(dev, float(np.max(np.abs(lhs - rhs))))
+    assert validate_verdict(M)[0].report.covariance_max_dev == dev
+
+
 def test_theta1_oddness_and_zero():
     assert theta1(0.0) == 0.0
     rng = np.random.default_rng(2)
