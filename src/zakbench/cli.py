@@ -87,6 +87,17 @@ def _ladder(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _run_expsys_sweep(args: argparse.Namespace) -> int:
     if args.g_file is not None:
         weight = expsys.load_signal(args.g_file)
@@ -137,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for every random draw")
+    common.add_argument("--seed", type=_seed, default=0, help="seed for every random draw")
     common.add_argument("--out", default="./reports", help="report output directory")
     common.add_argument("--csv", action="store_true", help="also write level,value,flag rows")
 

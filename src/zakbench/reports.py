@@ -158,7 +158,8 @@ def dump_report_json(report: Any, metadata: dict | None = None) -> str:
 
 def _write_samples(path: str | Path, header: dict, samples: np.ndarray) -> None:
     """Write the header items, then "samples" as [re, im] pairs in row-major order."""
-    payload = {**header, "samples": [[float(z.real), float(z.imag)] for z in samples.ravel()]}
+    pairs = np.ascontiguousarray(samples, dtype=complex).view(np.float64).reshape(-1, 2)
+    payload = {**header, "samples": pairs.tolist()}
     Path(path).write_text(json.dumps(payload) + "\n")
 
 

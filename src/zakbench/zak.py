@@ -164,12 +164,10 @@ def _zak_sum(f: Callable, J: int, out: np.ndarray, term: np.ndarray) -> np.ndarr
     """zak_transform's j-sum of f written into out, each term formed in term; both M x M complex.
 
     The terms are the products np.outer would give, added in the same
-    order.  A fresh M x M temporary per term, 256 KiB at M = 128, is at
-    glibc's mmap and trim thresholds, so whether each one is mapped, or
-    trimmed and faulted in again, depends on the heap's history: with
-    fresh temporaries, zak-validate --M 128 took 8.4k or 34k minor
-    faults depending on the length of the install path.  Buffers the
-    caller holds are faulted in once.
+    order.  A fresh M x M temporary per term, 256 KiB at M = 128, sits at
+    glibc's mmap and trim thresholds, so it can be mapped, or trimmed and
+    faulted in again, on every term; buffers the caller holds are faulted
+    in once.
     """
     M = out.shape[0]
     x = shifted_nodes(M)

@@ -9,32 +9,35 @@ import time
 
 import numpy as np
 
-from zakbench import zak
-from zakbench import (
+from zakbench import cli, zak
+from zakbench.expsys import (
     ExpSystem,
     PeriodicSignal,
     biorthogonality_gram,
-    canonical_dual_frame,
-    cli,
     dual_coefficient,
+    schauder_failure_sweep,
+    shifted_nodes,
+    weighted_exp,
+)
+from zakbench.linalg import rank_and_span
+from zakbench.reproducing import (
+    canonical_dual_frame,
+    excess_n_identities,
+    random_pair_check,
+    random_spanning_family,
+    reduce_dependent_pair,
+    s_operator,
+    span_vectors,
+)
+from zakbench.zak import (
     enk,
     enk_bound_check,
-    excess_n_identities,
     gaussian_atom,
     gaussian_zak_theta,
     ladder_verdict,
     modulated_translate,
-    random_pair_check,
-    random_spanning_family,
-    rank_and_span,
-    reduce_dependent_pair,
-    s_operator,
-    schauder_failure_sweep,
-    shifted_nodes,
-    span_vectors,
     theta1_prime_zero,
     theta_grid,
-    weighted_exp,
     zak_transform,
 )
 

@@ -197,6 +197,14 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "ValueError: dim must be positive\n", err
     assert not (tmp_path / "dim").exists()
+    # numpy's generators refuse a negative seed; every command refuses it when parsing.
+    for command in (["expsys-sweep"], ["zak-validate"], ["quotient-ladder", "--numerator", "one"],
+                    ["rp-check"], ["excess-n"]):
+        assert cli.main(command + ["--seed", "-1", "--out", str(tmp_path / "seed")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"zakbench {command[0]}: error: argument --seed: "
+                       "expected a non-negative integer, got '-1'\n"), err
+    assert not (tmp_path / "seed").exists()
     assert cli.main(["no-such-command"]) == 1
     assert cli.main([]) == 1
 
@@ -363,9 +371,8 @@ def test_report_metadata_records_the_run(tmp_path):
     assert metadata["blas_threads"] == blas_threads()
 
 
-LAYER_PROBE = """
+EXECUTED = """
 import json, sys, types
-import zakbench.cli
 
 def executed():
     # A lazy module keeps its LazyLoader class until its body runs; reading
@@ -374,6 +381,10 @@ def executed():
     modules = [sys.modules[f"zakbench.{name}"] for name in layers]
     return sorted(name for name, module in zip(layers, modules)
                   if object.__getattribute__(module, "__class__") is types.ModuleType)
+"""
+
+LAYER_PROBE = EXECUTED + """
+import zakbench.cli
 
 states = [executed()]
 argv = sys.argv[1:]
@@ -382,6 +393,30 @@ if argv:
     states.append(executed())
 print(json.dumps(states))
 """
+
+NAMESPACE_PROBE = EXECUTED + """
+from zakbench.reproducing import random_pair_check
+import zakbench
+
+layer_import = executed()
+try:
+    from zakbench import theta1
+    flat_import = "found"
+except ImportError:
+    flat_import = "ImportError"
+public = sorted(name for name in dir(zakbench) if not name.startswith("_"))
+import zakbench.cli
+registered = sorted(name for name in sys.modules if name.startswith("zakbench."))
+print(json.dumps([layer_import, flat_import, public, registered]))
+"""
+
+
+def run_probe(probe, *argv):
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -395,13 +430,21 @@ def test_commands_execute_only_their_layers(tmp_path, command, unexecuted):
     # Importing the CLI registers every layer but runs none of the three
     # mathematical ones; a command runs its own layer and that layer's imports.
     argv = [*command, "--out", str(tmp_path)] if command else []
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run([sys.executable, "-c", LAYER_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    states = json.loads(proc.stdout.splitlines()[-1])
+    states = run_probe(LAYER_PROBE, *argv)
     assert not {"expsys", "zak", "reproducing"} & set(states[0]), states
     assert not set(unexecuted) & set(states[-1]), states
+
+
+def test_public_names_live_only_in_their_layers():
+    # A name imported from its layer executes that layer and its imports only;
+    # the package exports the six layers and nothing else, and importing the
+    # CLI still registers every layer.
+    layer_import, flat_import, public, registered = run_probe(NAMESPACE_PROBE)
+    assert not {"expsys", "zak"} & set(layer_import), layer_import
+    assert flat_import == "ImportError"
+    assert public == ["errors", "expsys", "linalg", "reports", "reproducing", "zak"]
+    assert registered == [f"zakbench.{name}" for name in
+                          ("cli", "errors", "expsys", "linalg", "reports", "reproducing", "zak")]
 
 
 def test_numerator_choices_are_the_named_numerators():

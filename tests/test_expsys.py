@@ -1,5 +1,6 @@
 """Tests for weighted exponential systems and their biorthogonal duals."""
 
+import json
 import re
 
 import mpmath
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from zakbench import expsys
-from zakbench import (
+from zakbench.expsys import (
     ExpSystem,
     PeriodicSignal,
     biorthogonal_dual,
@@ -16,14 +17,13 @@ from zakbench import (
     exponential,
     inverse_weight_energy,
     load_signal,
-    save_grid_function,
     save_signal,
     schauder_failure_sweep,
     shifted_nodes,
     sweep_verdict,
-    theta_grid,
     weighted_exp,
 )
+from zakbench.zak import save_grid_function, theta_grid
 
 
 def make_system(name="linear", N=64, W=8, removed=0, anchor=0.25):
@@ -374,6 +374,29 @@ def test_signal_roundtrip(tmp_path):
     with pytest.raises(ValueError, match="a weight file holds 1-D samples"):
         save_signal(theta_grid(4), tmp_path / "grid.json")
 
+
+
+def per_sample_file(header, samples):
+    """A sample file's text, with each sample converted by float() one at a time."""
+    pairs = [[float(z.real), float(z.imag)] for z in samples.ravel()]
+    return json.dumps({**header, "samples": pairs}) + "\n"
+
+
+def test_sample_files_match_per_sample_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    weight_header = {"N": 64, "grid": "shifted_midpoint"}
+    grid_header = {"grid": "midpoint", "domain": "unit_square"}
+    signed_zeros = np.array([[-0.0, complex(0.0, -0.0)], [complex(-0.0, -0.0), 2.5e-310 - 1e300j]])
+    cases = [
+        (save_signal, {**weight_header, "N": 128}, PeriodicSignal.from_name("linear", 128)),
+        (save_signal, weight_header, PeriodicSignal(rng.standard_normal(64) + 1j * rng.standard_normal(64))),
+        (save_grid_function, {"M": 128, **grid_header}, theta_grid(128)),
+        (save_grid_function, {"M": 2, **grid_header}, PeriodicSignal(signed_zeros)),
+    ]
+    path = tmp_path / "samples.json"
+    for save, header, signal in cases:
+        save(signal, path)
+        assert path.read_text() == per_sample_file(header, signal.samples)
 
 def test_load_signal_rejects_bad_header(tmp_path):
     path = tmp_path / "weight.json"

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from zakbench import (
+from zakbench.linalg import (
     blas_threads,
     gram_matrix,
     rank_and_span,

@@ -9,26 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zakbench import reproducing
-from zakbench import (
-    ExpSystem,
-    PeriodicSignal,
-    biorthogonal_dual,
-    weighted_exp,
-    NoDependence,
-    NotReproducingPair,
-    TailNotExact,
-    blas_threads,
+from zakbench.errors import NoDependence, NotReproducingPair, TailNotExact
+from zakbench.expsys import ExpSystem, PeriodicSignal, biorthogonal_dual, weighted_exp
+from zakbench.linalg import blas_threads, rank_and_span, single_threaded_blas
+from zakbench.reproducing import (
     canonical_dual_frame,
     excess_n_identities,
     normalize_pair,
     random_excess_pair,
     random_pair_check,
     random_spanning_family,
-    rank_and_span,
     reduce_dependent_pair,
     reproducing_identity_check,
     s_operator,
-    single_threaded_blas,
     span_vectors,
 )
 

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zakbench import zak
-from zakbench import (
-    PeriodicSignal,
-    SingularNode,
+from zakbench.errors import SingularNode
+from zakbench.expsys import PeriodicSignal, exponential, save_signal, shifted_nodes
+from zakbench.zak import (
     ThetaParams,
     enk,
     enk_bound_check,
-    exponential,
     gaussian_atom,
     gaussian_zak_theta,
     ladder_verdict,
@@ -24,8 +23,6 @@ from zakbench import (
     modulated_translate,
     quotient_integral,
     save_grid_function,
-    save_signal,
-    shifted_nodes,
     theta1,
     theta1_prime_zero,
     theta_grid,
