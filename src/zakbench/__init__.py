@@ -5,13 +5,14 @@ The package has three mathematical layers and two support layers:
 
 ``expsys``
     Weighted exponentials g e_n on the circle with one index removed,
-    their closed-form biorthogonal duals, and the expansion sweep that
-    exhibits why no ordering of the duals converges in norm.
+    the coefficients of their closed-form biorthogonal duals, and the
+    expansion sweep that exhibits why no ordering of the duals
+    converges in norm.
 ``zak``
     The truncated Zak transform on the unit square, the Jacobi theta
-    form of the Gaussian's transform, plane-wave Lipschitz bounds, and
-    refinement ladders for the integrals of the two named numerators
-    over |Z phi|^2, summed as real arrays from the theta form.
+    form of the Gaussian's transform, and refinement ladders for the
+    integrals of the two named numerators over |Z phi|^2, summed as
+    real arrays from the theta form.
 ``reproducing``
     Finite reproducing pairs: mixed-operator checks, canonical duals,
     head/tail excess identities, and dependent-head reduction.

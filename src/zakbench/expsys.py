@@ -59,8 +59,6 @@ __all__ = [
     "exponential",
     "weighted_exp",
     "dual_coefficient",
-    "biorthogonal_dual",
-    "biorthogonality_gram",
     "schauder_failure_sweep",
     "sweep_verdict",
     "inverse_weight_energy",
@@ -192,9 +190,6 @@ class ExpSystem:
     def N(self) -> int:
         return self.weight.N
 
-    def active_indices(self) -> list[int]:
-        return [n for n in range(-self.window, self.window + 1) if n != self.removed]
-
 
 def _check_in_window(system: ExpSystem, n: int) -> None:
     if abs(n) > system.window:
@@ -223,26 +218,6 @@ def dual_coefficient(system: ExpSystem, n: int) -> complex:
     if 2 * r > q:
         r -= q
     return complex(-np.exp(2j * np.pi * (r / q)))
-
-
-def biorthogonal_dual(system: ExpSystem, n: int) -> np.ndarray:
-    """Samples of (e_n + c_n e_k) / conj(g), biorthogonal to the system."""
-    c = dual_coefficient(system, n)  # validates the index
-    numerator = exponential(system.N, n) + c * exponential(system.N, system.removed)
-    return numerator / np.conj(system.weight.samples)
-
-
-def biorthogonality_gram(system: ExpSystem) -> np.ndarray:
-    """Matrix of <g e_m, dual_n> over the active indices.
-
-    Equals the identity up to rounding: the weight cancels node by node
-    and the leftover exponential sums are exact Kronecker deltas for
-    in-window frequencies.
-    """
-    act = system.active_indices()
-    primal = np.array([weighted_exp(system, m) for m in act])
-    duals = np.array([biorthogonal_dual(system, n) for n in act])
-    return primal @ duals.conj().T / system.N
 
 
 def inverse_weight_energy(samples: np.ndarray) -> float:

@@ -25,7 +25,6 @@ __all__ = [
     "SweepFlags",
     "SweepReport",
     "LadderReport",
-    "EnkBoundReport",
     "ExcessReport",
     "RpCheckReport",
     "ZakValidationReport",
@@ -70,20 +69,6 @@ class LadderReport:
     stabilization_threshold: float
     growth_threshold: float
     note: str
-
-
-@dataclass(frozen=True)
-class EnkBoundReport:
-    n: int
-    k: int
-    trials: int
-    seed: int
-    pointwise_max_slack: float      # max of |E_nk - 1| minus its bound, <= 0 when the bound holds
-    pointwise_violations: int
-    anchored_bound: float           # 2 pi sqrt(n^2 + k^2) plus rounding allowance
-    anchored_max_ratio: float       # max over samples of |E_nk - E_nk(1/2, 1/2)| / rho
-    anchored_violations: int
-    passed: bool
 
 
 @dataclass(frozen=True)

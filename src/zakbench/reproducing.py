@@ -41,8 +41,6 @@ __all__ = [
     "normalize_pair",
     "canonical_dual_frame",
     "excess_n_identities",
-    "reduce_dependent_pair",
-    "span_vectors",
     "random_spanning_family",
     "random_excess_pair",
     "random_pair_check",
@@ -176,7 +174,7 @@ def _reduce_once(phi_mat: np.ndarray, psi_mat: np.ndarray) -> tuple[np.ndarray, 
 
     order = [i for i in range(n) if i != j] + [j]
     if order != list(range(n)):
-        logger.info("reduce_dependent_pair: moved element %d to the end (order %s)", j, order)
+        logger.info("reduction: moved element %d to the end (order %s)", j, order)
     dep_mat = dep_mat[order]
     other_mat = other_mat[order]
 
@@ -195,46 +193,6 @@ def _reduce_once(phi_mat: np.ndarray, psi_mat: np.ndarray) -> tuple[np.ndarray, 
     return dep_red, other_red, note
 
 
-def reduce_dependent_pair(
-    phi_head: np.ndarray, psi_head: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, str]:
-    """Shorten a head pair with one dependent side by one element.
-
-    The returned pair has length n - 1, spans subspaces of the original
-    spans, and generates the same bilinear form
-    sum_k <f, psi_k> <phi_k, g> for every f and g.  Dependence and the
-    fit are judged at the fixed relative tolerance linalg._RANK_TOL =
-    1e-10.  The third element describes which side was reduced and how.
-    """
-    psi_head, phi_head = _aligned(psi_head, phi_head)
-    if len(phi_head) < 2:
-        raise ValueError("reduction needs heads of length at least 2")
-    reduced = _reduce_once(phi_head, psi_head)
-    if reduced is None:
-        raise NoDependence("both heads are linearly independent at the working tolerance")
-    logger.info("reduce_dependent_pair: %s", reduced[2])
-    return reduced
-
-
-def span_vectors(psi_head: np.ndarray, phi_tail: np.ndarray) -> np.ndarray:
-    """Coordinate vectors v_m = (<psi_0, phi_m>, ..., <psi_{n-1}, phi_m>).
-
-    With an independent head and a complete tail these vectors span all
-    of C^n, which is what lets head coefficients be recovered from tail
-    data.  The returned family lives in C^n.
-    """
-    psi_head, phi_tail = _as_family(psi_head), _as_family(phi_tail)
-    n, dim = psi_head.shape
-    if phi_tail.shape[1] != dim:
-        raise ValueError(f"family dimensions differ: {dim} vs {phi_tail.shape[1]}")
-    if rank_and_span(psi_head) < n:
-        raise ValueError("psi head is linearly dependent")
-    if rank_and_span(phi_tail) < dim:
-        raise TailNotExact("phi tail does not span the ambient space")
-    # rows: one vector per tail element m, entries <psi_j, phi_m>
-    return phi_tail.conj() @ psi_head.T
-
-
 def excess_n_identities(
     phi: np.ndarray, psi: np.ndarray, n: int, trials: int = 20, seed: int = 0
 ) -> ExcessReport:
@@ -246,8 +204,9 @@ def excess_n_identities(
     reported and should sit at rounding level whenever the
     preconditions hold.  The pair identity's own deviation on the same
     probes is reported as the margin ``pair_identity_deviation``.
-    Dependent heads are reduced away as in reduce_dependent_pair; the
-    report notes record the reduction chain.  The tail check ignores
+    Dependent heads are reduced away one element at a time, each step
+    preserving the pair's bilinear form; the report notes record the
+    reduction chain.  The tail check ignores
     scale: canonical_dual_frame's criterion on the tail Gram matrix.
     """
     psi, phi = _aligned(psi, phi)

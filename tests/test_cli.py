@@ -1,5 +1,6 @@
 """End-to-end tests for the zakbench command line."""
 
+import ast
 import json
 import os
 import platform
@@ -445,6 +446,33 @@ def test_public_names_live_only_in_their_layers():
     assert public == ["errors", "expsys", "linalg", "reports", "reproducing", "zak"]
     assert registered == [f"zakbench.{name}" for name in
                           ("cli", "errors", "expsys", "linalg", "reports", "reproducing", "zak")]
+
+
+# Public names with no caller in src/, each kept for a reason outside it.
+UNCALLED_PUBLIC_NAMES = {
+    "expsys.weighted_exp": "benchmarks/traced.py wraps it by name; it goes with ROADMAP item 9",
+    "reproducing.normalize_pair": "benchmarks/traced.py wraps it by name; it goes with ROADMAP item 9",
+    "zak.leading_coefficient": "the rate law of the one ladder, ROADMAP item 1, reads it",
+}
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # A name in a layer's __all__ must be read somewhere in src/zakbench as
+    # code, not only defined, listed or named in a docstring; a name that
+    # only tests need belongs in tests/reference.py.
+    trees = {path.stem: ast.parse(path.read_text()) for path in (REPO / "src" / "zakbench").glob("*.py")}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    uncalled = set()
+    for layer, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+                uncalled |= {f"{layer}.{name}" for name in ast.literal_eval(node.value) if name not in read}
+    assert uncalled == set(UNCALLED_PUBLIC_NAMES)
 
 
 def test_numerator_choices_are_the_named_numerators():

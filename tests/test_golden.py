@@ -1,0 +1,80 @@
+"""Golden payloads: each report of the benchmark's readme workload at --seed 1.
+
+tests/golden/<op>.json holds the op's report without ``metadata``.  The
+test reruns the ops in-process and compares keys, integers, booleans,
+strings and list lengths exactly, and floats to 1e-9 relative with an
+absolute floor of 1e-13, so that rounding-level differences between
+BLAS builds pass and a change of an estimate does not.  A change that
+alters a payload on purpose rewrites the files with
+``python tests/golden/regenerate.py`` and records the diff in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from zakbench import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The ops of benchmarks/workloads.py's readme workload, in its order: the
+# load ops read the weight and theta files that the dump ops write.
+OPS = {
+    "sweep_dump": ["expsys-sweep", "--g", "linear", "--k", "0", "--W", "16", "--N", "128", "--csv",
+                   "--dump-weight", "{files}/weight.json"],
+    "validate_dump": ["zak-validate", "--M", "128", "--csv", "--dump-theta", "{files}/theta.json"],
+    "ladder_cone": ["quotient-ladder", "--numerator", "cone", "--ladder", "64,128,256,512", "--csv"],
+    "ladder_one": ["quotient-ladder", "--numerator", "one", "--ladder", "64,128,256,512", "--csv"],
+    "rp_check": ["rp-check", "--dim", "8", "--pairs", "20", "--csv"],
+    "excess_n": ["excess-n", "--dim", "8", "--n", "2", "--dependent-head", "--csv"],
+    "validate_load": ["zak-validate", "--M", "128", "--theta-file", "{files}/theta.json"],
+    "sweep_load": ["expsys-sweep", "--g-file", "{files}/weight.json", "--k", "0", "--W", "16"],
+}
+
+
+def run_ops(root: Path) -> dict:
+    """Run OPS at --seed 1 under root, each into its own directory; each op's payload without metadata."""
+    payloads = {}
+    for name, argv in OPS.items():
+        out = root / name
+        argv = [arg.format(files=root) for arg in argv]
+        assert cli.main([*argv, "--seed", "1", "--out", str(out)]) == 0, name
+        (report,) = out.glob("*.json")
+        payload = json.loads(report.read_text())
+        payload.pop("metadata")
+        payloads[name] = payload
+    return payloads
+
+
+def assert_matches(got, want, path="payload"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert type(got) is float and abs(got - want) <= max(1e-9 * abs(want), 1e-13), (path, got, want)
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+@pytest.fixture(scope="module")
+def payloads(tmp_path_factory):
+    return run_ops(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_payload_matches_golden(payloads, op):
+    assert_matches(payloads[op], json.loads((GOLDEN / f"{op}.json").read_text()))
+
+
+def test_tolerance_separates_rounding_from_changes():
+    assert_matches({"x": [1.0 + 1e-12, 3e-14]}, {"x": [1.0, 0.0]})
+    for got, want in (({"x": [1.0 + 1e-6]}, {"x": [1.0]}), ({"x": [1]}, {"x": [1.0]}),
+                      ({"x": [1.0, 2.0]}, {"x": [1.0]}), ({"y": 1.0}, {"x": 1.0})):
+        with pytest.raises(AssertionError):
+            assert_matches(got, want)

