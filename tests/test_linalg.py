@@ -64,6 +64,15 @@ def test_rank_empty_family():
         rank_and_span(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("entry", [gram_matrix, rank_and_span])
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 3), (3, 0)], ids=["1d", "3d", "empty_vectors"])
+def test_family_helpers_refuse_malformed_families(entry, shape):
+    # The empty-family shape (0, n) has its own tests above.
+    message = f"a family must be a nonempty 2-D array with vectors as rows, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(np.ones(shape))
+
+
 def test_single_threaded_blas_pins_and_restores():
     before = blas_threads()
     with pytest.raises(RuntimeError):

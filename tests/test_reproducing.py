@@ -94,6 +94,36 @@ def test_entry_points_refuse_malformed_families(entry, args, message):
         entry(*args)
 
 
+# Each guard on a non-family argument of a public entry point, called with
+# valid families so that only the named argument is out of range.
+BAD_ARGUMENTS = {
+    "excess_n_identities-negative_head": (
+        lambda: excess_n_identities(onb(3), onb(3), -1), "head length -1 must lie in [0, 3)"),
+    "excess_n_identities-head_without_tail": (
+        lambda: excess_n_identities(onb(3), onb(3), 3), "head length 3 must lie in [0, 3)"),
+    "reproducing_identity_check-no_trials": (
+        lambda: reproducing_identity_check(onb(3), onb(3), trials=0), "trials must be positive"),
+    "random_spanning_family-no_dim": (
+        lambda: random_spanning_family(0, np.random.default_rng(0)), "dim must be positive"),
+    "random_excess_pair-negative_head": (
+        lambda: random_excess_pair(3, -1, np.random.default_rng(0)), "head length must be nonnegative"),
+    "random_excess_pair-dependent_empty_head": (
+        lambda: random_excess_pair(3, 0, np.random.default_rng(0), dependent_head=True),
+        "a dependent head needs at least two elements"),
+    "random_excess_pair-dependent_single_head": (
+        lambda: random_excess_pair(3, 1, np.random.default_rng(0), dependent_head=True),
+        "a dependent head needs at least two elements"),
+    "random_pair_check-no_dim": (lambda: random_pair_check(dim=0), "dim must be positive"),
+    "random_pair_check-no_pairs": (lambda: random_pair_check(pairs=0), "pairs must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, message", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_entry_points_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_entry_points_leave_inputs_unwritten():
     # Callers pass their own buffers: no entry point may write into them,
     # on the reduction path of excess_n_identities included.
