@@ -17,15 +17,16 @@ The package has three mathematical layers and two support layers:
     Finite reproducing pairs: mixed-operator checks, canonical duals,
     head/tail excess identities, and dependent-head reduction.
 ``linalg`` / ``reports``
-    Shared dense linear algebra helpers, frozen report dataclasses with
-    JSON serialisation, and the verdict type that pairs a report with
-    its pass rule.
+    Shared dense linear algebra helpers and the NumericalFailure
+    exception family, frozen report dataclasses with JSON
+    serialisation, and the verdict type that pairs a report with its
+    pass rule.
 
-Importing the package executes none of these layers.  Each, with
-``errors``, is registered in ``sys.modules`` and on the package through
-importlib's LazyLoader, and its body runs on the first attribute access,
-so a command runs only the layers it calls and ``import zakbench`` does
-not import numpy.  A public name is imported from its layer, as in
+Importing the package executes none of these layers.  Each is
+registered in ``sys.modules`` and on the package through importlib's
+LazyLoader, and its body runs on the first attribute access, so a
+command runs only the layers it calls and ``import zakbench`` does not
+import numpy.  A public name is imported from its layer, as in
 ``from zakbench.zak import theta1``; the package holds only the layers
 and ``__version__``.  LazyLoader is not thread-safe on Python 3.10 and
 3.11, so touch a layer first on one thread, as every command does before
@@ -57,6 +58,6 @@ def _lazy_layer(name: str):
     return module
 
 
-for _name in ("errors", "linalg", "reports", "expsys", "zak", "reproducing"):
+for _name in ("linalg", "reports", "expsys", "zak", "reproducing"):
     globals()[_name] = _lazy_layer(_name)
 del _name

@@ -20,12 +20,13 @@ no zak or expsys code.  Each command touches its layer on the main
 thread before any pool starts.
 
 Exit status: 0 when the asserted outcome holds; 2 when it fails, when
-a computation raises a NumericalFailure, or when a LAPACK routine raises
-numpy's LinAlgError; 1 on bad input, which raises ValueError (or
-OSError for a file that cannot be read or written, or MemoryError for
-sizes too large for the host), and on unknown or malformed arguments.
-Each error prints one line on stderr: its class name and message, or
-argparse's message without the usage text.  Reports are
+valid input meets a computation that does not hold at the working
+tolerance, which raises a linalg.NumericalFailure, or when a LAPACK
+routine raises numpy's LinAlgError; 1 on bad input, which raises
+ValueError (or OSError for a file that cannot be read or written, or
+MemoryError for sizes too large for the host), and on unknown or
+malformed arguments.  Each error prints one line on stderr: its class
+name and message, or argparse's message without the usage text.  Reports are
 deterministic for a fixed seed, at any BLAS thread count; the only
 run-dependent content is the "metadata" field, which records the argv,
 the time, the Python, numpy and zakbench versions and the OpenBLAS
@@ -47,7 +48,6 @@ from numpy import __version__ as numpy_version
 from numpy.linalg import LinAlgError
 
 from . import __version__, expsys, linalg, reports, reproducing, zak
-from .errors import NumericalFailure
 
 USAGE_ERROR = 1
 ASSERTION_FAILURE = 2
@@ -225,12 +225,12 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.run(args)
-    except (NumericalFailure, ValueError, OSError, MemoryError) as exc:
+    except (linalg.NumericalFailure, ValueError, OSError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; print the public name.
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(f"{name}: {exc}", file=sys.stderr)
         # LinAlgError subclasses ValueError: a LAPACK failure is numerical.
-        numerical = isinstance(exc, (NumericalFailure, LinAlgError))
+        numerical = isinstance(exc, (linalg.NumericalFailure, LinAlgError))
         return ASSERTION_FAILURE if numerical else USAGE_ERROR
 
 

@@ -128,16 +128,15 @@ class Verdict:
     rows: list[tuple]
 
 
-def dump_report_json(report: Any, metadata: dict | None = None) -> str:
-    """Serialise a report deterministically.
+def dump_report_json(report: Any, metadata: dict) -> str:
+    """Serialise a report deterministically, with metadata under "metadata".
 
     The payload is key-sorted so byte equality only depends on the data.
     Anything run-specific (timestamps, host names) belongs in metadata,
     which comparers are expected to drop.
     """
     payload = dataclasses.asdict(report)
-    if metadata is not None:
-        payload["metadata"] = metadata
+    payload["metadata"] = metadata
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -29,8 +29,8 @@ from collections import deque
 
 import numpy as np
 
-from .errors import NoDependence, NotReproducingPair, TailNotExact
-from .linalg import _RANK_TOL, _as_family, gram_matrix, rank_and_span, single_threaded_blas
+from .linalg import _RANK_TOL, _SINGULAR_RATIO, NoDependence, NotReproducingPair, TailNotExact
+from .linalg import _as_family, gram_matrix, rank_and_span, single_threaded_blas
 from .reports import ExcessReport, RpCheckReport, Verdict
 
 logger = logging.getLogger(__name__)
@@ -47,6 +47,10 @@ __all__ = [
     "rp_check_verdict",
     "excess_n_verdict",
 ]
+
+_PAIR_PROBES = 8     # probe pairs of the identity check, per random pair of rp-check
+_EXCESS_PROBES = 20  # probe pairs of the excess identities
+
 
 def _aligned(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """psi and phi as complex families of one shape."""
@@ -80,42 +84,34 @@ def _identity_deviation(psi_mat: np.ndarray, phi_mat: np.ndarray, fs: np.ndarray
     return float(np.max(np.abs(lhs - np.sum(cf * cg, axis=1)) / scale))
 
 
-def _probes(seed: int, trials: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _probes(seed: int, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The seeded probe pairs: all f rows are drawn before all g rows."""
     rng = np.random.default_rng(seed)
-    return _complex_gaussian_vectors(rng, trials, dim), _complex_gaussian_vectors(rng, trials, dim)
+    return _complex_gaussian_vectors(rng, count, dim), _complex_gaussian_vectors(rng, count, dim)
 
 
-def reproducing_identity_check(
-    psi: np.ndarray,
-    phi: np.ndarray,
-    trials: int = 32,
-    seed: int = 0,
-) -> float:
-    """Test <f, g> = sum_i <f, psi_i> <phi_i, g> on random pairs.
+def reproducing_identity_check(psi: np.ndarray, phi: np.ndarray, seed: int = 0) -> float:
+    """Test <f, g> = sum_i <f, psi_i> <phi_i, g> on _PAIR_PROBES = 8 random pairs.
 
-    Draws ``trials`` probe pairs as the rows of two matrices and checks
-    them all at once.  Returns |lhs - rhs| normalised by ||f|| ||g||,
-    maximised over the trials, so it reads as an operator-norm-level gap.
+    Draws the probe pairs as the rows of two matrices and checks them
+    all at once.  Returns |lhs - rhs| normalised by ||f|| ||g||,
+    maximised over the probes, so it reads as an operator-norm-level gap.
     """
     psi, phi = _aligned(psi, phi)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    fs, gs = _probes(seed, trials, psi.shape[1])
-    return _identity_deviation(psi, phi, fs, gs)
+    return _identity_deviation(psi, phi, *_probes(seed, _PAIR_PROBES, psi.shape[1]))
 
 
-def _normalized(S: np.ndarray, sv: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """S^{-1} phi, given the mixed operator S and its singular values sv."""
-    if sv[-1] <= 1e-14 * sv[0]:
-        raise NotReproducingPair("mixed operator is numerically singular")
-    return np.linalg.solve(S, phi.T).T
+def normalize_pair(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]:
+    """(S^{-1} phi, smallest singular value of S) for the mixed operator S.
 
-
-def normalize_pair(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Replace phi by S^{-1} phi so the mixed operator becomes the identity."""
+    Pairing psi with S^{-1} phi makes the mixed operator the identity.
+    Raises NotReproducingPair when S is numerically singular.
+    """
     S = s_operator(psi, phi)
-    return _normalized(S, np.linalg.svd(S, compute_uv=False), _as_family(phi))
+    sv = np.linalg.svd(S, compute_uv=False)
+    if sv[-1] <= _SINGULAR_RATIO * sv[0]:
+        raise NotReproducingPair("mixed operator is numerically singular")
+    return np.linalg.solve(S, _as_family(phi).T).T, float(sv[-1])
 
 
 def canonical_dual_frame(family: np.ndarray) -> np.ndarray:
@@ -127,7 +123,7 @@ def canonical_dual_frame(family: np.ndarray) -> np.ndarray:
     family = _as_family(family)
     frame_op = family.T @ family.conj()
     ev = np.linalg.eigvalsh(frame_op)
-    if ev[0] <= 1e-14 * ev[-1]:
+    if ev[0] <= _SINGULAR_RATIO * ev[-1]:
         raise TailNotExact("family does not span the ambient space")
     return np.linalg.solve(frame_op, family.T).T
 
@@ -193,16 +189,15 @@ def _reduce_once(phi_mat: np.ndarray, psi_mat: np.ndarray) -> tuple[np.ndarray, 
     return dep_red, other_red, note
 
 
-def excess_n_identities(
-    phi: np.ndarray, psi: np.ndarray, n: int, trials: int = 20, seed: int = 0
-) -> ExcessReport:
+def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0) -> ExcessReport:
     """Identities for a family exceeding a minimal complete tail by an n-element head.
 
     The tail duals absorb the head through a rank-n correction, the head
     elements are recoverable from the tail expansion, and the inner
     product expands through the tail alone.  Residuals of all three are
     reported and should sit at rounding level whenever the
-    preconditions hold.  The pair identity's own deviation on the same
+    preconditions hold.  The identities are tested on _EXCESS_PROBES = 20
+    seeded probe pairs, and the pair identity's own deviation on the same
     probes is reported as the margin ``pair_identity_deviation``.
     Dependent heads are reduced away one element at a time, each step
     preserving the pair's bilinear form; the report notes record the
@@ -213,8 +208,6 @@ def excess_n_identities(
     count, dim = phi.shape
     if not 0 <= n < count:
         raise ValueError(f"head length {n} must lie in [0, {count})")
-    if trials < 1:
-        raise ValueError("trials must be positive")
     notes: list[str] = []
 
     # C-order copies: on canonical_dual_frame's F-ordered output the products below use more memory.
@@ -240,10 +233,12 @@ def excess_n_identities(
     tail_gram = gram_matrix(tail_phi)
     ev = np.linalg.eigvalsh(tail_gram)
     tail_margin = float(ev[0])
-    if tail_margin <= 1e-14 * ev[-1]:
-        raise TailNotExact(f"tail gram margin {tail_margin:.3e} at or below 1e-14 x largest {ev[-1]:.3e}")
+    if tail_margin <= _SINGULAR_RATIO * ev[-1]:
+        raise TailNotExact(
+            f"tail gram margin {tail_margin:.3e} at or below {_SINGULAR_RATIO:g} x largest {ev[-1]:.3e}"
+        )
 
-    fs, gs = _probes(seed, trials, dim)
+    fs, gs = _probes(seed, _EXCESS_PROBES, dim)
     pair_dev = _identity_deviation(psi_mat, phi_mat, fs, gs)
 
     # Biorthogonal family of the tail, unique since the tail is a basis.
@@ -338,28 +333,18 @@ def random_excess_pair(
     return phi, canonical_dual_frame(phi)
 
 
-def _pair_result(
-    phi_raw: np.ndarray, psi_raw: np.ndarray, trials: int, seed: int
-) -> tuple[float, float, float]:
+def _pair_result(phi_raw: np.ndarray, psi_raw: np.ndarray, seed: int) -> tuple[float, float, float]:
     """(deviation, asymmetry, margin) of one random_pair_check round."""
-    phi = _clipped(phi_raw)
     psi = _clipped(psi_raw)
-    raw = s_operator(psi, phi)
-    sv = np.linalg.svd(raw, compute_uv=False)
-    normalized = _normalized(raw, sv, phi)
-    dev = reproducing_identity_check(psi, normalized, trials=trials, seed=seed)
+    normalized, margin = normalize_pair(psi, _clipped(phi_raw))
+    dev = reproducing_identity_check(psi, normalized, seed=seed)
     S = s_operator(psi, normalized)
     swapped = s_operator(normalized, psi)
     asym = float(np.max(np.abs(S - swapped.conj().T)) / np.max(np.abs(S)))
-    return dev, asym, float(sv[-1])
+    return dev, asym, margin
 
 
-def random_pair_check(
-    dim: int = 8,
-    pairs: int = 20,
-    trials: int = 8,
-    seed: int = 0,
-) -> RpCheckReport:
+def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckReport:
     """Normalisation experiment over random invertible mixed operators.
 
     Each round draws two clipped random bases, normalises phi by the
@@ -380,8 +365,6 @@ def random_pair_check(
         raise ValueError("dim must be positive")
     if pairs < 1:
         raise ValueError("pairs must be positive")
-    if trials < 1:
-        raise ValueError("trials must be positive")
     from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of every CLI start
 
     rng = np.random.default_rng(seed)
@@ -396,7 +379,7 @@ def random_pair_check(
                 pair_seed = int(rng.integers(2**31))
                 if len(in_flight) == workers:
                     results.append(in_flight.popleft().result())
-                in_flight.append(pool.submit(_pair_result, phi_raw, psi_raw, trials, pair_seed))
+                in_flight.append(pool.submit(_pair_result, phi_raw, psi_raw, pair_seed))
             results.extend(job.result() for job in in_flight)
     deviations, asymmetries, margins = zip(*results)
     worst_dev, worst_asym, min_margin = max(deviations), max(asymmetries), min(margins)
@@ -404,7 +387,7 @@ def random_pair_check(
         ambient_dim=dim,
         family_count=dim,
         pair_count=pairs,
-        trials_per_pair=trials,
+        trials_per_pair=_PAIR_PROBES,
         seed=seed,
         max_identity_deviation=float(worst_dev),
         max_adjoint_asymmetry=float(worst_asym),
@@ -414,7 +397,7 @@ def random_pair_check(
 
 
 def rp_check_verdict(dim: int, pairs: int, seed: int) -> Verdict:
-    """random_pair_check at its default 8 probes per pair, judged by the report's own pass flag."""
+    """random_pair_check, 8 probe pairs per random pair, judged by the report's own pass flag."""
     report = random_pair_check(dim, pairs, seed=seed)
     names = ("max_identity_deviation", "max_adjoint_asymmetry", "min_invertibility_margin")
     rows = [(name, getattr(report, name), report.passed) for name in names]
@@ -431,7 +414,7 @@ _RESIDUAL_LIMIT = 1e-10  # every excess residual
 
 
 def excess_n_verdict(dim: int, n: int, seed: int = 0, dependent_head: bool = False) -> Verdict:
-    """Excess identities on a seeded random pair, at excess_n_identities' default 20 probes.
+    """Excess identities on a seeded random pair, tested on 20 probe pairs.
 
     The probe seed is drawn from the pair's generator after the pair, so
     the probes are independent of it.  Passes when the pair identity

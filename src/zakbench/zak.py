@@ -64,9 +64,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SingularNode
 from .expsys import PeriodicSignal, _check_grid_size, exponential, shifted_nodes
-from .linalg import single_threaded_blas
+from .linalg import SingularNode, single_threaded_blas
 from .reports import LadderReport, Verdict, ZakValidationReport
 from .reports import _read_samples, _write_samples
 

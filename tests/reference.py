@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from zakbench.errors import NoDependence
 from zakbench.expsys import dual_coefficient, exponential, weighted_exp
+from zakbench.linalg import NoDependence
 from zakbench.reproducing import _reduce_once
 
 

@@ -161,7 +161,7 @@ def test_acceptance_07_excess_one_identities():
         head = (rng.standard_normal((1, dim)) + 1j * rng.standard_normal((1, dim))) / np.sqrt(dim)
         phi = np.vstack([head, tail])
         psi = canonical_dual_frame(phi)  # pseudoinverse-based partner
-        report = excess_n_identities(phi, psi, 1, trials=8, seed=seed)
+        report = excess_n_identities(phi, psi, 1, seed=seed)
         worst = max(worst, max(report.residuals.values()))
     ok = worst < 1e-10
     verdict(7, ok, f"50 seeds, worst single-head residual {worst:.2e}")
@@ -200,7 +200,7 @@ def test_acceptance_08_excess_n_pipeline():
             head = (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))) / np.sqrt(dim)
             phi = np.vstack([head, tail])
             psi = canonical_dual_frame(phi)
-            report = excess_n_identities(phi, psi, n=n, trials=8, seed=seed)
+            report = excess_n_identities(phi, psi, n=n, seed=seed)
             worst_residual = max(worst_residual, max(report.residuals.values()))
 
     ok = form_dev <= 1e-11 and ranks_ok and worst_residual < 1e-10
@@ -212,7 +212,7 @@ def test_acceptance_08_excess_n_pipeline():
 
 
 def test_acceptance_09_pair_normalization():
-    report = random_pair_check(dim=8, pairs=20, trials=8, seed=0)
+    report = random_pair_check(dim=8, pairs=20, seed=0)
     ok = (
         report.passed
         and report.max_identity_deviation < 1e-10

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from zakbench import cli, expsys, reproducing, zak
-from zakbench.errors import TailNotExact
-from zakbench.linalg import blas_threads
+from zakbench.linalg import TailNotExact, blas_threads
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -378,7 +377,7 @@ import json, sys, types
 def executed():
     # A lazy module keeps its LazyLoader class until its body runs; reading
     # the class through object.__getattribute__ does not trigger the load.
-    layers = ("errors", "linalg", "reports", "expsys", "zak", "reproducing")
+    layers = ("linalg", "reports", "expsys", "zak", "reproducing")
     modules = [sys.modules[f"zakbench.{name}"] for name in layers]
     return sorted(name for name, module in zip(layers, modules)
                   if object.__getattribute__(module, "__class__") is types.ModuleType)
@@ -438,20 +437,19 @@ def test_commands_execute_only_their_layers(tmp_path, command, unexecuted):
 
 def test_public_names_live_only_in_their_layers():
     # A name imported from its layer executes that layer and its imports only;
-    # the package exports the six layers and nothing else, and importing the
+    # the package exports the five layers and nothing else, and importing the
     # CLI still registers every layer.
     layer_import, flat_import, public, registered = run_probe(NAMESPACE_PROBE)
     assert not {"expsys", "zak"} & set(layer_import), layer_import
     assert flat_import == "ImportError"
-    assert public == ["errors", "expsys", "linalg", "reports", "reproducing", "zak"]
+    assert public == ["expsys", "linalg", "reports", "reproducing", "zak"]
     assert registered == [f"zakbench.{name}" for name in
-                          ("cli", "errors", "expsys", "linalg", "reports", "reproducing", "zak")]
+                          ("cli", "expsys", "linalg", "reports", "reproducing", "zak")]
 
 
 # Public names with no caller in src/, each kept for a reason outside it.
 UNCALLED_PUBLIC_NAMES = {
     "expsys.weighted_exp": "benchmarks/traced.py wraps it by name; it goes with ROADMAP item 9",
-    "reproducing.normalize_pair": "benchmarks/traced.py wraps it by name; it goes with ROADMAP item 9",
     "zak.leading_coefficient": "the rate law of the one ladder, ROADMAP item 1, reads it",
 }
 

@@ -9,10 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zakbench import reproducing
-from zakbench.errors import NoDependence, NotReproducingPair, TailNotExact
 from zakbench.expsys import ExpSystem, PeriodicSignal, weighted_exp
+from zakbench.linalg import NoDependence, NotReproducingPair, TailNotExact
 from zakbench.linalg import blas_threads, rank_and_span, single_threaded_blas
 from zakbench.reproducing import (
+    _EXCESS_PROBES,
+    _PAIR_PROBES,
+    _identity_deviation,
+    _probes,
     canonical_dual_frame,
     excess_n_identities,
     normalize_pair,
@@ -101,8 +105,6 @@ BAD_ARGUMENTS = {
         lambda: excess_n_identities(onb(3), onb(3), -1), "head length -1 must lie in [0, 3)"),
     "excess_n_identities-head_without_tail": (
         lambda: excess_n_identities(onb(3), onb(3), 3), "head length 3 must lie in [0, 3)"),
-    "reproducing_identity_check-no_trials": (
-        lambda: reproducing_identity_check(onb(3), onb(3), trials=0), "trials must be positive"),
     "random_spanning_family-no_dim": (
         lambda: random_spanning_family(0, np.random.default_rng(0)), "dim must be positive"),
     "random_excess_pair-negative_head": (
@@ -155,9 +157,7 @@ def test_s_operator_adjoint_symmetry():
 
 def test_reproducing_identity_orthonormal_basis():
     fam = onb(6)
-    assert reproducing_identity_check(fam, fam, trials=16, seed=3) < 1e-12
-    with pytest.raises(ValueError):
-        reproducing_identity_check(fam, fam, trials=0)
+    assert reproducing_identity_check(fam, fam, seed=3) < 1e-12
 
 
 def test_reproducing_identity_zero_padding_changes_nothing():
@@ -165,22 +165,22 @@ def test_reproducing_identity_zero_padding_changes_nothing():
     padded_phi = np.vstack([fam, np.zeros((1, 4), dtype=complex)])
     padded_psi = np.vstack([fam, np.zeros((1, 4), dtype=complex)])
     # the zero pair contributes nothing
-    assert reproducing_identity_check(padded_psi, padded_phi, trials=16, seed=3) < 1e-12
+    assert reproducing_identity_check(padded_psi, padded_phi, seed=3) < 1e-12
 
 
 def test_reproducing_identity_detects_non_reproducing_pair():
     phi = onb(3)
     psi = np.diag([1.0, 2.0, 4.0]).astype(complex)
     # diag(1,2,4) is not reproducing
-    assert reproducing_identity_check(psi, phi, trials=4, seed=0) > 0.1
+    assert reproducing_identity_check(psi, phi, seed=0) > 0.1
 
 
-def looped_identity_check(psi, phi, trials, seed):
-    """The per-probe loop that reproducing_identity_check replaced, as the reference."""
+def looped_identity_check(psi, phi, probes, seed):
+    """The per-probe loop that the batched identity check replaced, as the reference."""
     rng = np.random.default_rng(seed)
     dim = psi.shape[1]
-    fs = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
-    gs = rng.standard_normal((trials, dim)) + 1j * rng.standard_normal((trials, dim))
+    fs = rng.standard_normal((probes, dim)) + 1j * rng.standard_normal((probes, dim))
+    gs = rng.standard_normal((probes, dim)) + 1j * rng.standard_normal((probes, dim))
     worst = 0.0
     for f, g in zip(fs, gs):
         lhs = np.vdot(g, f)
@@ -189,30 +189,39 @@ def looped_identity_check(psi, phi, trials, seed):
     return float(worst)
 
 
-@pytest.mark.parametrize("trials", [1, 3, 8, 20])
+@pytest.mark.parametrize("probes", [1, 3, 8, 20])
 @pytest.mark.parametrize("weight", [1.0, 1 / 64, 0.25])
 @pytest.mark.parametrize("dim, count", [(5, 8), (12, 20)])
-def test_identity_check_matches_probe_loop(dim, count, weight, trials):
+def test_identity_check_matches_probe_loop(dim, count, weight, probes):
     # All probes at once give the loop's value up to rounding.  Rows scaled
     # by sqrt(weight) give the deviation of the pair under the inner product
     # weight * <u, v>.
     psi = random_family(dim, count, seed=41, scale=np.sqrt(weight))
     phi = random_family(dim, count, seed=43, scale=np.sqrt(weight))
-    batch = reproducing_identity_check(psi, phi, trials, seed=5)
-    loop = looped_identity_check(psi, phi, trials, seed=5)
+    batch = _identity_deviation(psi, phi, *_probes(5, probes, dim))
+    loop = looped_identity_check(psi, phi, probes, seed=5)
     assert batch > 0.01  # far from reproducing
     assert abs(batch - loop) <= 1e-14 * loop
     dual = canonical_dual_frame(phi)
-    assert reproducing_identity_check(dual, phi, trials, seed=5) <= 1e-14
-    assert looped_identity_check(dual, phi, trials, seed=5) <= 1e-14
+    assert _identity_deviation(dual, phi, *_probes(5, probes, dim)) <= 1e-14
+    assert looped_identity_check(dual, phi, probes, seed=5) <= 1e-14
 
 
 def test_normalize_pair_restores_identity():
     for seed in range(10):
         phi = random_family(5, 8, seed=100 + seed)
         psi = random_family(5, 8, seed=200 + seed)
-        fixed = normalize_pair(psi, phi)
-        assert reproducing_identity_check(psi, fixed, trials=8, seed=seed) <= 1e-10
+        fixed, _ = normalize_pair(psi, phi)
+        assert reproducing_identity_check(psi, fixed, seed=seed) <= 1e-10
+
+
+def test_normalize_pair_margin_is_smallest_singular_value():
+    # rp-check reports this margin as min_invertibility_margin.
+    for seed in range(5):
+        phi = random_family(6, 6, seed=300 + seed)
+        psi = random_family(6, 6, seed=400 + seed)
+        _, margin = normalize_pair(psi, phi)
+        assert margin == np.linalg.svd(s_operator(psi, phi), compute_uv=False)[-1]
 
 
 def test_normalize_pair_rejects_singular_operator():
@@ -226,6 +235,16 @@ def test_canonical_dual_frame_orthonormal_self_dual():
     fam = onb(4)
     dual = canonical_dual_frame(fam)
     assert np.max(np.abs(dual - fam)) < 1e-14
+
+
+def test_excess_tail_check_names_the_singular_ratio():
+    # A tail of ambient length that does not span fails the Gram check,
+    # whose message states the ratio it was judged at.
+    tail = np.eye(3, dtype=complex)
+    tail[1] = tail[0]
+    phi = np.vstack([np.ones((1, 3), dtype=complex), tail])
+    with pytest.raises(TailNotExact, match=re.escape("at or below 1e-14 x largest")):
+        excess_n_identities(phi, phi, 1)
 
 
 def test_canonical_dual_frame_rejects_non_spanning():
@@ -320,7 +339,7 @@ def test_excess_n_zero_head_vector_triggers_reduction():
     phi, psi = random_excess_pair(dim, 2, rng)
     psi_zeroed = psi.copy()
     psi_zeroed[1] = 0.0
-    fixed_phi = normalize_pair(psi_zeroed, phi)
+    fixed_phi, _ = normalize_pair(psi_zeroed, phi)
     report = excess_n_identities(fixed_phi, psi_zeroed, n=2)
     assert report.n == 1
     assert any(note.startswith("reduction:") for note in report.notes)
@@ -572,24 +591,42 @@ def test_random_spanning_family_margin():
 def test_random_excess_pair_is_reproducing():
     rng = np.random.default_rng(43)
     phi, psi = random_excess_pair(8, 2, rng)
-    assert reproducing_identity_check(psi, phi, trials=8, seed=0) < 1e-12
+    assert reproducing_identity_check(psi, phi, seed=0) < 1e-12
 
 
 def test_random_pair_check_report():
-    report = random_pair_check(dim=8, pairs=20, trials=8, seed=0)
+    report = random_pair_check(dim=8, pairs=20, seed=0)
     assert report.passed
     assert report.max_identity_deviation < 1e-10
     assert report.max_adjoint_asymmetry <= 1e-12
     assert report.min_invertibility_margin >= 0.25 - 1e-12
 
 
-def test_probe_counts_must_be_positive():
-    # The commands run at fixed probe counts; the library guards stay.
-    phi, psi = random_excess_pair(6, 1, np.random.default_rng(23))
-    with pytest.raises(ValueError, match="trials must be positive"):
-        excess_n_identities(phi, psi, n=1, trials=0)
-    with pytest.raises(ValueError, match="trials must be positive"):
-        random_pair_check(trials=0)
+def recorded_probe_counts(monkeypatch):
+    """The probe counts of every _probes call from here on, in call order."""
+    counts = []
+    probes = reproducing._probes
+
+    def recording_probes(seed, count, dim):
+        counts.append(count)
+        return probes(seed, count, dim)
+
+    monkeypatch.setattr(reproducing, "_probes", recording_probes)
+    return counts
+
+
+def test_random_pair_check_draws_pair_probes_per_pair(monkeypatch):
+    counts = recorded_probe_counts(monkeypatch)
+    report = random_pair_check(dim=4, pairs=3, seed=0)
+    assert counts == [_PAIR_PROBES] * 3
+    assert report.trials_per_pair == _PAIR_PROBES == 8
+
+
+def test_excess_identities_draw_excess_probes(monkeypatch):
+    counts = recorded_probe_counts(monkeypatch)
+    phi, psi = random_excess_pair(4, 2, np.random.default_rng(29))
+    excess_n_identities(phi, psi, 2, seed=3)
+    assert counts == [_EXCESS_PROBES] == [20]
 
 
 def test_random_pair_check_restores_blas_threads(monkeypatch):
@@ -605,7 +642,7 @@ def test_random_pair_check_restores_blas_threads(monkeypatch):
         return s_operator_in_module(psi, phi)
 
     monkeypatch.setattr(reproducing, "s_operator", recording_s_operator)
-    assert random_pair_check(dim=16, pairs=5, trials=2, seed=0).passed
+    assert random_pair_check(dim=16, pairs=5, seed=0).passed
     assert blas_threads() == before
     assert set(seen) == ({None} if before is None else {1})
 
@@ -616,7 +653,7 @@ def test_random_pair_check_restores_blas_threads(monkeypatch):
 
     monkeypatch.setattr(reproducing, "s_operator", failing_s_operator)
     with pytest.raises(NotReproducingPair) as info:
-        random_pair_check(dim=16, pairs=5, trials=2, seed=0)
+        random_pair_check(dim=16, pairs=5, seed=0)
     assert info.value is error
     assert blas_threads() == before
 
@@ -625,7 +662,7 @@ def test_random_pair_check_matches_serial_loop():
     # The serial loop the thread pool replaced, as the reference: the same
     # draws in the same order give the same bits, also when the interpreter
     # switches threads as often as it can.
-    dim, pairs, trials, seed = 12, 7, 3, 5
+    dim, pairs, seed = 12, 7, 5
     rng = np.random.default_rng(seed)
     deviations, asymmetries, margins = [], [], []
     with single_threaded_blas():
@@ -636,14 +673,14 @@ def test_random_pair_check_matches_serial_loop():
             margins.append(float(np.linalg.svd(raw, compute_uv=False)[-1]))
             normalized = np.linalg.solve(raw, phi.T).T
             pair_seed = int(rng.integers(2**31))
-            deviations.append(reproducing_identity_check(psi, normalized, trials, pair_seed))
+            deviations.append(reproducing_identity_check(psi, normalized, pair_seed))
             S = s_operator(psi, normalized)
             swapped = s_operator(normalized, psi)
             asymmetries.append(float(np.max(np.abs(S - swapped.conj().T)) / np.max(np.abs(S))))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        report = random_pair_check(dim, pairs, trials, seed)
+        report = random_pair_check(dim, pairs, seed)
     finally:
         sys.setswitchinterval(interval)
     assert report.max_identity_deviation == max(deviations)

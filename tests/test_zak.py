@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zakbench import zak
-from zakbench.errors import SingularNode
 from zakbench.expsys import PeriodicSignal, exponential, save_signal, shifted_nodes
+from zakbench.linalg import SingularNode
 from zakbench.zak import (
     ThetaParams,
     gaussian_atom,
