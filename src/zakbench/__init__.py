@@ -18,9 +18,9 @@ The package has three mathematical layers and two support layers:
     head/tail excess identities, and dependent-head reduction.
 ``linalg`` / ``reports``
     Shared dense linear algebra helpers and the NumericalFailure
-    exception family, frozen report dataclasses with JSON
-    serialisation, and the verdict type that pairs a report with its
-    pass rule.
+    exception family, the verdict type that pairs a report with its
+    pass rule, and the JSON writer of the report dataclasses, each of
+    which its mathematical layer declares.
 
 Importing the package executes none of these layers.  Each is
 registered in ``sys.modules`` and on the package through importlib's

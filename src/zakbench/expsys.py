@@ -36,7 +36,8 @@ and for |m| <= 2W, inside the alias-free band, G(m) is exp(pi i m/N)
 times entry m of the inverse FFT of |g|^2.  The Schauder sweep sums its
 residuals through G, with one FFT and one dot product per added term,
 and certifies each term norm by the interval |c_n| ||g|| [rho_min,
-rho_max], where rho runs over the moduli of the root table.
+rho_max], where rho runs over the moduli of the root table.  The sweep
+writes a SweepReport, whose levels and flags are plain JSON objects.
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ from typing import Callable
 
 import numpy as np
 
-from .reports import SweepFlags, SweepLevel, SweepReport, Verdict, _read_samples, _write_samples
+from .reports import Verdict, _read_samples, _write_samples
 
 __all__ = [
     "PeriodicSignal",
     "ExpSystem",
+    "SweepReport",
     "NAMED_WEIGHTS",
     "ENERGY_GROWTH_RATIO",
     "shifted_nodes",
@@ -115,9 +117,7 @@ def exponential(N: int, n: int) -> np.ndarray:
     """
     roots, odd = _root_table(N)
     m = (n % (2 * N)) * odd
-    # m - (m // 2N) 2N is m % 2N for m >= 0; NumPy floor-divides an int64
-    # array by a scalar on a fast path that its remainder lacks.
-    m -= m // (2 * N) * (2 * N)
+    m %= 2 * N
     return roots[m]
 
 
@@ -189,6 +189,16 @@ class ExpSystem:
     @property
     def N(self) -> int:
         return self.weight.N
+
+
+@dataclass(frozen=True)
+class SweepReport:
+    grid_N: int
+    window_W: int
+    removed_k: int
+    anchor_t0: float
+    levels: list[dict]   # {"L", "residual", "term_norm"} per level of schauder_failure_sweep
+    flags: dict          # {"no_norm_convergence", "hypothesis_notes"}
 
 
 def _check_in_window(system: ExpSystem, n: int) -> None:
@@ -304,7 +314,7 @@ def schauder_failure_sweep(system: ExpSystem) -> SweepReport:
     lo = hi = k                                 # the added frequencies are lo..hi
     r2 = g0
 
-    levels: list[SweepLevel] = []
+    levels: list[dict] = []
     for L in range(1, W + 1):
         term_norm = 0.0
         for n in (k - L, k + L):
@@ -318,14 +328,13 @@ def schauder_failure_sweep(system: ExpSystem) -> SweepReport:
             lo, hi = min(lo, n), max(hi, n)
             ends = (abs(c) * norm_ends[0], abs(c) * norm_ends[1])
             term_norm = max(term_norm, max(ends, key=lambda x: abs(x - g_norm)))
-        levels.append(SweepLevel(L=L, residual=float(np.sqrt(r2)), term_norm=term_norm))
+        levels.append({"L": L, "residual": float(np.sqrt(r2)), "term_norm": term_norm})
 
-    late = [lv.term_norm for lv in levels[-5:]]
-    no_norm_convergence = max(late) >= 0.99 * g_norm
-    flags = SweepFlags(
-        no_norm_convergence=bool(no_norm_convergence),
-        hypothesis_notes=_hypothesis_notes(system),
-    )
+    late = [lv["term_norm"] for lv in levels[-5:]]
+    flags = {
+        "no_norm_convergence": bool(max(late) >= 0.99 * g_norm),
+        "hypothesis_notes": _hypothesis_notes(system),
+    }
     return SweepReport(
         grid_N=system.N,
         window_W=system.window,
@@ -345,15 +354,13 @@ def sweep_verdict(system: ExpSystem) -> Verdict:
     """
     report = schauder_failure_sweep(system)
     g_norm = system.weight.norm()
-    term_norms = [lv.term_norm for lv in report.levels if lv.term_norm > 0.0]
+    flag = report.flags["no_norm_convergence"]
+    term_norms = [lv["term_norm"] for lv in report.levels if lv["term_norm"] > 0.0]
     norm_spread = max(abs(t - g_norm) for t in term_norms) if term_norms else float("inf")
-    passed = report.flags.no_norm_convergence and norm_spread <= 1e-9 * max(g_norm, 1e-30)
+    passed = flag and norm_spread <= 1e-9 * max(g_norm, 1e-30)
 
-    rows = [(lv.L, lv.residual, report.flags.no_norm_convergence) for lv in report.levels]
-    detail = (
-        f"no_norm_convergence={report.flags.no_norm_convergence}, "
-        f"term norm spread {norm_spread:.3e}"
-    )
+    rows = [(lv["L"], lv["residual"], flag) for lv in report.levels]
+    detail = f"no_norm_convergence={flag}, term norm spread {norm_spread:.3e}"
     return Verdict(report, passed, detail, rows)
 
 

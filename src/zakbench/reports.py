@@ -1,117 +1,29 @@
-"""Structured records of experiment runs.
+"""The verdict type, the report writer, and the sample-file codec.
 
-Each report is a frozen dataclass whose ``asdict`` image is exactly the
-JSON object written to disk.  Reports carry every parameter that went
-into the run plus the measured values and pass/fail flags, so a report
-file is reproducible from its own content together with the seed.
-Timestamps never enter these records; the writer attaches them in a
-separate metadata field so two runs with the same configuration and
-seed serialise to identical bytes.  The sample files of weights and
-theta grids share one writer and one parser here.
+Each report is a frozen dataclass, declared in the one layer that fills
+it (expsys.SweepReport, zak.LadderReport and zak.ZakValidationReport,
+reproducing.ExcessReport and reproducing.RpCheckReport), whose
+``asdict`` image is exactly the JSON object written to disk.  Reports
+carry every parameter that went into the run plus the measured values
+and pass/fail flags, so a report file is reproducible from its own
+content together with the seed.  Timestamps never enter these records;
+the writer attaches them in a separate metadata field so two runs with
+the same configuration and seed serialise to identical bytes.  The
+sample files of weights and theta grids share one writer and one parser
+here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-__all__ = [
-    "SweepLevel",
-    "SweepFlags",
-    "SweepReport",
-    "LadderReport",
-    "ExcessReport",
-    "RpCheckReport",
-    "ZakValidationReport",
-    "Verdict",
-    "dump_report_json",
-]
-
-
-@dataclass(frozen=True)
-class SweepLevel:
-    L: int            # concentric level, terms with 0 < |n - k| <= L summed
-    residual: float   # || g e_k - S_L ||
-    term_norm: float  # largest norm among the terms newly added at this level
-
-
-@dataclass(frozen=True)
-class SweepFlags:
-    no_norm_convergence: bool
-    hypothesis_notes: list[str]
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    grid_N: int
-    window_W: int
-    removed_k: int
-    anchor_t0: float
-    levels: list[SweepLevel]
-    flags: SweepFlags
-
-
-@dataclass(frozen=True)
-class LadderReport:
-    numerator: str
-    denominator: str
-    ladder: list[int]
-    estimates: list[float]
-    step_growth: list[float]        # relative change at each refinement step
-    log_slope: float                # least squares slope of estimate against log M
-    converges: bool                 # final step changed by less than the stabilisation threshold
-    diverges: bool                  # every step grew by more than the growth threshold
-    stabilization_threshold: float
-    growth_threshold: float
-    note: str
-
-
-@dataclass(frozen=True)
-class ExcessReport:
-    experiment: str                  # always "excess_n", the one excess routine
-    ambient_dim: int
-    n: int
-    residuals: dict[str, float]      # partner_correction, head_reconstruction, final_chain
-    margins: dict[str, float]
-    seed: int                        # of the probes; excess_n_verdict draws it after the pair
-    head_sum_trajectory: list[float]
-    notes: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class RpCheckReport:
-    ambient_dim: int
-    family_count: int
-    pair_count: int
-    trials_per_pair: int
-    seed: int
-    max_identity_deviation: float    # after canonical normalization by the inverse mixed operator
-    max_adjoint_asymmetry: float     # relative, between the mixed operator and its partner's adjoint
-    min_invertibility_margin: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ZakValidationReport:
-    M: int
-    J: int
-    truncation_K: int
-    gaussian_norm: float
-    translated_norm: float
-    translate_shift: float
-    covariance_range: int
-    covariance_max_dev: float
-    theta_vs_series_max_dev: float
-    center_zero_abs: float
-    corner_value: float
-    theta_prime_value: float
-    theta_prime_oracle_rel_dev: float
-    passed: bool
+__all__ = ["Verdict", "dump_report_json"]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ and complete on its own: the tail's biorthogonal family differs from
 the psi tail by a correction through the head, the head is recoverable
 from the tail expansion, and dropping the head entirely still leaves a
 valid expansion of the inner product.  All identities are exact in
-finite dimensions; the reports carry their rounding-level residuals.
+finite dimensions; the reports, ExcessReport and RpCheckReport, carry
+their rounding-level residuals.
 
 The weak identities <f, g> = sum_i <f, psi_i> <phi_i, g> are
 tested on seeded random probes f, g.  The probes are the rows of two
@@ -26,16 +27,19 @@ from __future__ import annotations
 import logging
 import os
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import _RANK_TOL, _SINGULAR_RATIO, NoDependence, NotReproducingPair, TailNotExact
 from .linalg import _as_family, gram_matrix, rank_and_span, single_threaded_blas
-from .reports import ExcessReport, RpCheckReport, Verdict
+from .reports import Verdict
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "ExcessReport",
+    "RpCheckReport",
     "s_operator",
     "reproducing_identity_check",
     "normalize_pair",
@@ -50,6 +54,31 @@ __all__ = [
 
 _PAIR_PROBES = 8     # probe pairs of the identity check, per random pair of rp-check
 _EXCESS_PROBES = 20  # probe pairs of the excess identities
+
+
+@dataclass(frozen=True)
+class ExcessReport:
+    experiment: str                  # always "excess_n", the one excess routine
+    ambient_dim: int
+    n: int                           # head length after every reduction step
+    residuals: dict[str, float]      # partner_correction, head_reconstruction, final_chain
+    margins: dict[str, float]        # tail_gram_margin, pair_identity_deviation, head_vector_identity
+    seed: int                        # of the probes; excess_n_verdict draws it after the pair
+    head_sum_trajectory: list[float]
+    notes: list[str]
+
+
+@dataclass(frozen=True)
+class RpCheckReport:
+    ambient_dim: int
+    family_count: int
+    pair_count: int
+    trials_per_pair: int
+    seed: int
+    max_identity_deviation: float    # after canonical normalization by the inverse mixed operator
+    max_adjoint_asymmetry: float     # relative, between the mixed operator and its partner's adjoint
+    min_invertibility_margin: float
+    passed: bool
 
 
 def _aligned(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +150,7 @@ def canonical_dual_frame(family: np.ndarray) -> np.ndarray:
     operator equal to the identity up to the linear solve's rounding.
     """
     family = _as_family(family)
-    frame_op = family.T @ family.conj()
+    frame_op = gram_matrix(family.T)
     ev = np.linalg.eigvalsh(frame_op)
     if ev[0] <= _SINGULAR_RATIO * ev[-1]:
         raise TailNotExact("family does not span the ambient space")
@@ -353,8 +382,9 @@ def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckRe
     adjoint of its swapped partner, and the smallest margin of the raw
     operator.  Clipping bounds that margin below by the product of the
     smallest singular values, so no redraws are needed.  The asymmetry
-    compares two orderings of the same product, so it is 0.0 by
-    construction; it guards s_operator's assembly, not the pair.
+    compares two orderings of the same product, so it sits at rounding
+    level (0.0 at some dimensions, up to a few 1e-16 at others); it
+    guards s_operator's assembly, not the pair.
 
     Every draw is made here, in a fixed stream order, and the pairs are
     checked concurrently, one thread per CPU with OpenBLAS held at one

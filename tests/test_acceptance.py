@@ -90,7 +90,7 @@ def test_acceptance_02_term_norms_block_convergence():
     elapsed = time.monotonic() - start
     ok = (
         max(term_devs) <= 1e-12 * g_norm
-        and report.flags.no_norm_convergence
+        and report.flags["no_norm_convergence"]
         and elapsed < 1.0
     )
     verdict(2, ok, f"all terms at ||g|| within {max(term_devs):.2e}, flag set, {elapsed:.2f}s")

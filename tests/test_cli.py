@@ -336,6 +336,25 @@ def test_theta_file_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+def test_theta_file_of_another_grid_size(tmp_path, capsys):
+    # A stored grid is checked against the theta grid of its own size, and
+    # one sample moved by 1e-9 fails that check alone.
+    theta_file = tmp_path / "theta16.json"
+    dump = ["zak-validate", "--M", "16", "--dump-theta", str(theta_file), "--out", str(tmp_path / "dump")]
+    assert cli.main(dump) == 0
+    check = ["zak-validate", "--M", "32", "--theta-file", str(theta_file)]
+    assert cli.main([*check, "--out", str(tmp_path / "same")]) == 0
+    assert read_report(tmp_path / "same" / "zak_validate.json")["passed"] is True
+
+    grid = json.loads(theta_file.read_text())
+    grid["samples"][5][0] += 1e-9
+    theta_file.write_text(json.dumps(grid))
+    capsys.readouterr()
+    assert cli.main([*check, "--out", str(tmp_path / "moved")]) == cli.ASSERTION_FAILURE
+    assert read_report(tmp_path / "moved" / "zak_validate.json")["passed"] is False
+    assert "(failing: theta_file)" in capsys.readouterr().out
+
+
 def test_version_flag(capsys):
     assert cli.main(["--version"]) == 0
     assert "zakbench" in capsys.readouterr().out

@@ -214,11 +214,11 @@ def test_sweep_term_norms_and_flag():
     report = schauder_failure_sweep(sys_)
     g_norm = sys_.weight.norm()
     for level in report.levels:
-        assert abs(level.term_norm - g_norm) <= 1e-12
-    assert report.flags.no_norm_convergence
+        assert abs(level["term_norm"] - g_norm) <= 1e-12
+    assert report.flags["no_norm_convergence"]
     assert report.grid_N == 128 and report.window_W == 16 and report.removed_k == 0
     assert len(report.levels) == 16
-    assert [lv.L for lv in report.levels] == list(range(1, 17))
+    assert [lv["L"] for lv in report.levels] == list(range(1, 17))
 
 
 def test_sweep_residuals_against_dirichlet_kernel():
@@ -239,7 +239,7 @@ def test_sweep_residuals_against_dirichlet_kernel():
                         s = mpmath.pi * (t - mpmath.mpf(t0))
                         total += (t * mpmath.sin((2 * L + 1) * s) / mpmath.sin(s)) ** 2
                     exact = float(mpmath.sqrt(total / N))
-                residual = report.levels[L - 1].residual
+                residual = report.levels[L - 1]["residual"]
                 assert abs(residual - exact) <= 1e-13 * exact, (N, t0, L, residual, exact)
 
 
@@ -261,9 +261,9 @@ def test_sweep_matches_sampled_reference(weight, tmp_path):
             reference = sampled_sweep(system)
             assert len(report.levels) == len(reference) == W
             for level, (residual, term_norm) in zip(report.levels, reference):
-                case = (k, t0, level.L)
-                assert abs(level.residual - residual) <= 1e-14 * residual, case
-                assert abs(level.term_norm - term_norm) <= 4.5e-16 * g_norm, case
+                case = (k, t0, level["L"])
+                assert abs(level["residual"] - residual) <= 1e-14 * residual, case
+                assert abs(level["term_norm"] - term_norm) <= 4.5e-16 * g_norm, case
 
 
 def test_sweep_exp_cost(monkeypatch):
@@ -321,12 +321,12 @@ def test_sweep_verdict_fails_on_off_modulus_terms(monkeypatch):
 def test_sweep_residuals_never_vanish():
     # Terms of constant norm cannot sum to the target function.
     report = schauder_failure_sweep(make_system("linear", N=128, W=16))
-    assert min(lv.residual for lv in report.levels) > 0.01
+    assert min(lv["residual"] for lv in report.levels) > 0.01
 
 
 def test_sweep_hypothesis_note_for_integrable_inverse():
     report = schauder_failure_sweep(make_system("one", N=128, W=16))
-    notes = " ".join(report.flags.hypothesis_notes)
+    notes = " ".join(report.flags["hypothesis_notes"])
     assert "fails" in notes
     # the duals stay biorthogonal regardless of the failed hypothesis
     sys_ = make_system("one", N=128, W=16)
@@ -336,7 +336,7 @@ def test_sweep_hypothesis_note_for_integrable_inverse():
 
 def test_sweep_hypothesis_note_for_linear_weight():
     report = schauder_failure_sweep(make_system("linear", N=128, W=16))
-    notes = " ".join(report.flags.hypothesis_notes)
+    notes = " ".join(report.flags["hypothesis_notes"])
     assert "grows" in notes
 
 
@@ -345,7 +345,7 @@ def test_sweep_hypothesis_ladder_on_small_grids():
     # coarse size once gave a ratio of exactly 1, which read as "fails".
     def notes(name, N):
         report = schauder_failure_sweep(make_system(name, N=N, W=1))
-        return " ".join(report.flags.hypothesis_notes)
+        return " ".join(report.flags["hypothesis_notes"])
 
     for N in (6, 8):
         linear = notes("linear", N)
@@ -359,7 +359,7 @@ def test_sweep_sampler_free_signal_notes_missing_ladder():
     samples = PeriodicSignal.from_name("linear", 64).samples
     sys_ = ExpSystem(weight=PeriodicSignal(samples), window=8, removed=0)
     report = schauder_failure_sweep(sys_)
-    assert any("ladder unavailable" in note for note in report.flags.hypothesis_notes)
+    assert any("ladder unavailable" in note for note in report.flags["hypothesis_notes"])
 
 
 def test_signal_roundtrip(tmp_path):
