@@ -17,8 +17,8 @@ The package has three mathematical layers and two support layers:
     Finite reproducing pairs: mixed-operator checks, canonical duals,
     head/tail excess identities, and dependent-head reduction.
 ``linalg`` / ``reports``
-    Shared dense linear algebra helpers and the NumericalFailure
-    exception family, the verdict type that pairs a report with its
+    Shared dense linear algebra helpers and the one NumericalFailure
+    exception, the verdict type that pairs a report with its
     pass rule, and the JSON writer of the report dataclasses, each of
     which its mathematical layer declares.
 

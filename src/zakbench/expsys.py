@@ -12,10 +12,10 @@ together with the closed-form biorthogonal family
 
 whose numerator vanishes at the anchor.  The shifted grid keeps weights
 such as g(t) = t nonzero at every node, and a system whose weight
-vanishes at a node is refused when it is built, so the division is
-always defined.  Sampled exponentials with in-window frequencies are
-exactly orthonormal under the 1/N quadrature weight, which the tests
-exploit as an oracle.
+vanishes at a node, or whose |g|^2 leaves the double range, is refused
+when it is built, so the division is always defined.  Sampled
+exponentials with in-window frequencies are exactly orthonormal under
+the 1/N quadrature weight, which the tests exploit as an oracle.
 
 PeriodicSignal holds shifted-grid samples in one variable, a weight g,
 or in two, a grid function on the unit square such as zak's theta grid,
@@ -183,8 +183,14 @@ class ExpSystem:
             raise ValueError(f"removed index {self.removed} outside window {self.window}")
         if not 0.0 <= self.anchor < 1.0:
             raise ValueError(f"anchor must lie in [0, 1), got {self.anchor}")
-        if np.min(np.abs(self.weight.samples)) < 1e-300:
+        # |g|^2 that underflows to 0 vanishes; one that overflows makes every norm non-finite.
+        with np.errstate(over="ignore", divide="ignore"):
+            square = np.abs(self.weight.samples) ** 2
+            energy, inverse = np.sum(square), np.sum(1.0 / square)
+        if not np.isfinite(inverse):
             raise ValueError("weight vanishes at a grid node")
+        if not np.isfinite(energy):
+            raise ValueError("weight energy sum |g|^2 overflows the double range")
 
     @property
     def N(self) -> int:

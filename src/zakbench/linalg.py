@@ -1,5 +1,5 @@
 """Dense complex linear algebra on plain coordinate space C^n, and the
-package's one exception family.
+package's one numerical exception.
 
 All inner products are conjugate-linear in the second argument:
 
@@ -8,8 +8,8 @@ All inner products are conjugate-linear in the second argument:
 Every rank and dependence decision reads _RANK_TOL, and every check
 that an operator is numerically singular reads _SINGULAR_RATIO.  Valid
 input that meets a computation which does not hold at the working
-tolerance raises a NumericalFailure subclass; cli.py documents how each
-error maps to an exit code.
+tolerance raises NumericalFailure, whose message names the check that
+failed; cli.py documents how each error maps to an exit code.
 
 The thread count of the loaded OpenBLAS can be read and held at one
 thread, so that callers running BLAS work on their own threads get the
@@ -28,10 +28,6 @@ import numpy as np
 
 __all__ = [
     "NumericalFailure",
-    "SingularNode",
-    "TailNotExact",
-    "NotReproducingPair",
-    "NoDependence",
     "gram_matrix",
     "rank_and_span",
     "blas_threads",
@@ -43,23 +39,7 @@ _SINGULAR_RATIO = 1e-14  # an operator is singular when smallest/largest singula
 
 
 class NumericalFailure(Exception):
-    """Base class for numerical assertion failures on valid input."""
-
-
-class SingularNode(NumericalFailure):
-    """The denominator vanishes at a quadrature node."""
-
-
-class TailNotExact(NumericalFailure):
-    """The tail family does not span the ambient space with usable margin."""
-
-
-class NotReproducingPair(NumericalFailure):
-    """The mixed operator of the two families is numerically singular."""
-
-
-class NoDependence(NumericalFailure):
-    """Reduction was requested but both heads are linearly independent."""
+    """A numerical check failed on valid input; the message names the check."""
 
 
 def _as_family(arr: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _RANK_TOL, _SINGULAR_RATIO, NoDependence, NotReproducingPair, TailNotExact
+from .linalg import _RANK_TOL, _SINGULAR_RATIO, NumericalFailure
 from .linalg import _as_family, gram_matrix, rank_and_span, single_threaded_blas
 from .reports import Verdict
 
@@ -134,13 +134,31 @@ def normalize_pair(psi: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, float]
     """(S^{-1} phi, smallest singular value of S) for the mixed operator S.
 
     Pairing psi with S^{-1} phi makes the mixed operator the identity.
-    Raises NotReproducingPair when S is numerically singular.
+    Raises NumericalFailure("mixed operator is numerically singular")
+    when the smallest singular value is at most _SINGULAR_RATIO times
+    the largest.
     """
     S = s_operator(psi, phi)
     sv = np.linalg.svd(S, compute_uv=False)
     if sv[-1] <= _SINGULAR_RATIO * sv[0]:
-        raise NotReproducingPair("mixed operator is numerically singular")
+        raise NumericalFailure("mixed operator is numerically singular")
     return np.linalg.solve(S, _as_family(phi).T).T, float(sv[-1])
+
+
+def _spanning_solve(op: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """(op^{-1} rhs, smallest eigenvalue of op) for the Hermitian frame or Gram operator of `what`.
+
+    Raises NumericalFailure when `what` does not span: the smallest
+    eigenvalue of op is at most _SINGULAR_RATIO times the largest.  The
+    ratio ignores scale, so rescaling a spanning family never refuses it.
+    """
+    ev = np.linalg.eigvalsh(op)
+    if ev[0] <= _SINGULAR_RATIO * ev[-1]:
+        raise NumericalFailure(
+            f"{what} does not span the ambient space: margin {ev[0]:.3e} "
+            f"at or below {_SINGULAR_RATIO:g} x largest {ev[-1]:.3e}"
+        )
+    return np.linalg.solve(op, rhs), float(ev[0])
 
 
 def canonical_dual_frame(family: np.ndarray) -> np.ndarray:
@@ -148,13 +166,11 @@ def canonical_dual_frame(family: np.ndarray) -> np.ndarray:
 
     Pairing a spanning family with its canonical dual gives a mixed
     operator equal to the identity up to the linear solve's rounding.
+    A family that does not span raises NumericalFailure through
+    _spanning_solve, the tail check of excess_n_identities.
     """
     family = _as_family(family)
-    frame_op = gram_matrix(family.T)
-    ev = np.linalg.eigvalsh(frame_op)
-    if ev[0] <= _SINGULAR_RATIO * ev[-1]:
-        raise TailNotExact("family does not span the ambient space")
-    return np.linalg.solve(frame_op, family.T).T
+    return _spanning_solve(gram_matrix(family.T), family.T, "family")[0].T
 
 
 def _first_dependent_row(mat: np.ndarray) -> int | None:
@@ -181,41 +197,29 @@ def _first_dependent_row(mat: np.ndarray) -> int | None:
 def _reduce_once(phi_mat: np.ndarray, psi_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, str] | None:
     """Drop one dependent head element, correcting the other family.
 
-    When psi_{last} = sum_j c_j psi_j the bilinear form
-    sum <f, psi_k> <phi_k, g> is preserved by keeping psi_0..psi_{n-2}
-    and replacing phi_k by phi_k + conj(c_k) phi_{last}.  The roles are
-    symmetric.  The dependent element is moved to the last slot first;
-    the permutation applies to both families so pairs stay matched.
-    Returns None when both heads are independent.  Each head's full
-    rank is taken at most once.
+    When psi_j = sum_{i != j} c_i psi_i the bilinear form
+    sum <f, psi_k> <phi_k, g> is preserved by dropping the pair j and
+    replacing each other phi_i by phi_i + conj(c_i) phi_j.  The roles
+    are symmetric: the psi head is tried first, then the phi head, and
+    the remaining pairs keep their order.  Returns (phi, psi, note), or
+    None when both heads are independent.  Each head's full rank is
+    taken at most once.
     """
-    n = phi_mat.shape[0]
-    if (j := _first_dependent_row(psi_mat)) is not None:
-        dep_mat, other_mat, role = psi_mat, phi_mat, "psi"
-    elif (j := _first_dependent_row(phi_mat)) is not None:
-        dep_mat, other_mat, role = phi_mat, psi_mat, "phi"
-    else:
-        return None
-
-    order = [i for i in range(n) if i != j] + [j]
-    if order != list(range(n)):
-        logger.info("reduction: moved element %d to the end (order %s)", j, order)
-    dep_mat = dep_mat[order]
-    other_mat = other_mat[order]
-
-    coeffs, *_ = np.linalg.lstsq(dep_mat[:-1].T, dep_mat[-1], rcond=None)
-    fit_residual = np.linalg.norm(dep_mat[:-1].T @ coeffs - dep_mat[-1])
-    if fit_residual > _RANK_TOL * (1.0 + np.linalg.norm(dep_mat[-1])):
-        raise NoDependence(
-            f"dependent element sits {fit_residual:.3e} away from the span of the others"
-        )
-
-    dep_red = dep_mat[:-1]
-    other_red = other_mat[:-1] + np.conj(coeffs)[:, None] * other_mat[-1]
-    note = f"eliminated {role} head element {j} (fit residual {fit_residual:.3e})"
-    if role == "psi":
-        return other_red, dep_red, note
-    return dep_red, other_red, note
+    for role, dep_mat, other_mat in (("psi", psi_mat, phi_mat), ("phi", phi_mat, psi_mat)):
+        if (j := _first_dependent_row(dep_mat)) is None:
+            continue
+        rest = [i for i in range(dep_mat.shape[0]) if i != j]
+        coeffs, *_ = np.linalg.lstsq(dep_mat[rest].T, dep_mat[j], rcond=None)
+        fit_residual = np.linalg.norm(dep_mat[rest].T @ coeffs - dep_mat[j])
+        if fit_residual > _RANK_TOL * (1.0 + np.linalg.norm(dep_mat[j])):
+            raise NumericalFailure(
+                f"dependent element sits {fit_residual:.3e} away from the span of the others"
+            )
+        other_red = other_mat[rest] + np.conj(coeffs)[:, None] * other_mat[j]
+        note = f"eliminated {role} head element {j} (fit residual {fit_residual:.3e})"
+        logger.info("reduction: %s", note)
+        return (other_red, dep_mat[rest], note) if role == "psi" else (dep_mat[rest], other_red, note)
+    return None
 
 
 def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0) -> ExcessReport:
@@ -230,8 +234,9 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
     probes is reported as the margin ``pair_identity_deviation``.
     Dependent heads are reduced away one element at a time, each step
     preserving the pair's bilinear form; the report notes record the
-    reduction chain.  The tail check ignores
-    scale: canonical_dual_frame's criterion on the tail Gram matrix.
+    reduction chain.  The tail must have ambient length and span; the
+    spanning check is canonical_dual_frame's routine on the tail Gram
+    matrix, which ignores scale.  Either failure raises NumericalFailure.
     """
     psi, phi = _aligned(psi, phi)
     count, dim = phi.shape
@@ -255,23 +260,15 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
 
     tail_phi = phi_mat[n:]
     if tail_phi.shape[0] != dim:
-        raise TailNotExact(
+        raise NumericalFailure(
             f"tail length {tail_phi.shape[0]} != ambient dimension {dim}; "
             "the finite model of an exact sequence needs a minimal complete tail"
         )
-    tail_gram = gram_matrix(tail_phi)
-    ev = np.linalg.eigvalsh(tail_gram)
-    tail_margin = float(ev[0])
-    if tail_margin <= _SINGULAR_RATIO * ev[-1]:
-        raise TailNotExact(
-            f"tail gram margin {tail_margin:.3e} at or below {_SINGULAR_RATIO:g} x largest {ev[-1]:.3e}"
-        )
+    # Biorthogonal family of the tail, unique since the tail is a basis.
+    tilde, tail_margin = _spanning_solve(gram_matrix(tail_phi), tail_phi, "tail")
 
     fs, gs = _probes(seed, _EXCESS_PROBES, dim)
     pair_dev = _identity_deviation(psi_mat, phi_mat, fs, gs)
-
-    # Biorthogonal family of the tail, unique since the tail is a basis.
-    tilde = np.linalg.solve(tail_gram, tail_phi)
 
     if n > 0 and np.max(np.abs(psi_mat[:n])) == 0.0:
         notes.append("trivial branch: psi head is zero, the tail duals equal the psi tail")

@@ -67,7 +67,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expsys import PeriodicSignal, _check_grid_size, exponential, shifted_nodes
-from .linalg import SingularNode, single_threaded_blas
+from .linalg import NumericalFailure, single_threaded_blas
 from .reports import Verdict, _read_samples, _write_samples
 
 __all__ = [
@@ -316,6 +316,8 @@ def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Ladde
     growth threshold.  Grid evidence cannot certify an infinite
     integral, so the report says so.
     """
+    if numerator not in NAMED_NUMERATORS:
+        raise ValueError(f"unknown numerator {numerator!r}, expected one of {sorted(NAMED_NUMERATORS)}")
     squared_numerator = NAMED_NUMERATORS[numerator][0]
     ladder = [int(M) for M in refinement_ladder]
     if len(ladder) < 2:
@@ -331,7 +333,7 @@ def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Ladde
         den += np.square(im, out=im)
         den *= (math.sqrt(2.0) * np.exp(-2.0 * np.pi * u * u))[:, None]
         if float(np.min(den)) < 1e-300:
-            raise SingularNode(f"|Z phi|^2 vanishes at a node of the M={v.size} grid")
+            raise NumericalFailure(f"|Z phi|^2 vanishes at a node of the M={v.size} grid")
         return float(np.sum(np.divide(squared_numerator(u, v), den, out=den)))
 
     def estimate(M: int) -> float:

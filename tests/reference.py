@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from zakbench.expsys import dual_coefficient, exponential, weighted_exp
-from zakbench.linalg import NoDependence
+from zakbench.linalg import NumericalFailure
 from zakbench.reproducing import _reduce_once
 
 
@@ -67,5 +67,5 @@ def reduce_dependent_pair(phi_head, psi_head):
     """The one-element head reduction that excess-n runs; raises when neither head is dependent."""
     reduced = _reduce_once(phi_head, psi_head)
     if reduced is None:
-        raise NoDependence("both heads are linearly independent at the working tolerance")
+        raise NumericalFailure("both heads are linearly independent at the working tolerance")
     return reduced

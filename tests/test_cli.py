@@ -6,13 +6,14 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zakbench import cli, expsys, reproducing, zak
-from zakbench.linalg import TailNotExact, blas_threads
+from zakbench.linalg import NumericalFailure, blas_threads
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -154,17 +155,28 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         ["expsys-sweep", "--g-file", str(nan_weight), "--W", "4", "--out", str(tmp_path)]
     ) == 1
     assert "samples must be finite" in capsys.readouterr().err
-    # A weight that vanishes at a node has no biorthogonal dual: the system is
-    # refused when it is built, before any report is written.
+    # A weight that vanishes at a node has no biorthogonal dual, and one whose
+    # |g|^2 overflows has no finite norm: the system is refused when it is
+    # built, before any report is written.  |g|^2 = 1e-400 underflows to 0.
     zero_out = tmp_path / "zero_weight"
-    for zero_samples in ([[0.0, 0.0]] + [[1.0, 0.0]] * 63, [[0.0, 0.0]] * 64):
+    vanishes = "weight vanishes at a grid node"
+    overflows = "weight energy sum |g|^2 overflows the double range"
+    for zero_samples, message in (
+        ([[0.0, 0.0]] + [[1.0, 0.0]] * 63, vanishes),
+        ([[0.0, 0.0]] * 64, vanishes),
+        ([[1e-200, 0.0]] * 16, vanishes),
+        ([[1e200, 0.0]] * 16, overflows),
+    ):
         zero_weight = tmp_path / "zero_weight.json"
-        zero_weight.write_text(json.dumps({"N": 64, "grid": "shifted_midpoint", "samples": zero_samples}))
-        assert cli.main(
-            ["expsys-sweep", "--g-file", str(zero_weight), "--W", "4", "--out", str(zero_out)]
-        ) == 1
+        weight = {"N": len(zero_samples), "grid": "shifted_midpoint", "samples": zero_samples}
+        zero_weight.write_text(json.dumps(weight))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(
+                ["expsys-sweep", "--g-file", str(zero_weight), "--W", "2", "--out", str(zero_out)]
+            ) == 1
         err = capsys.readouterr().err
-        assert err == "ValueError: weight vanishes at a grid node\n", err
+        assert err == f"ValueError: {message}\n", err
     assert not zero_out.exists()
     weight_ok = {"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0], [1, 0]]}
     grid_ok = {"M": 2, "grid": "midpoint", "domain": "unit_square", "samples": [[1, 0]] * 4}
@@ -221,13 +233,13 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert out.startswith("excess-n: FAIL (pair identity deviation ") and err == "", (out, err)
     # A NumericalFailure raised mid-run also exits 2, with one stderr line and no report.
     def fail(*args, **kwargs):
-        raise TailNotExact("tail stops spanning")
+        raise NumericalFailure("tail stops spanning")
 
     monkeypatch.setattr(reproducing, "excess_n_identities", fail)
     failed_out = tmp_path / "failed"
     assert cli.main(["excess-n", "--out", str(failed_out)]) == 2
     err = capsys.readouterr().err
-    assert err == "TailNotExact: tail stops spanning\n", err
+    assert err == "NumericalFailure: tail stops spanning\n", err
     assert not failed_out.exists()
 
 

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from zakbench import reproducing
 from zakbench.expsys import ExpSystem, PeriodicSignal, weighted_exp
-from zakbench.linalg import NoDependence, NotReproducingPair, TailNotExact
-from zakbench.linalg import blas_threads, rank_and_span, single_threaded_blas
+from zakbench.linalg import NumericalFailure, blas_threads, rank_and_span, single_threaded_blas
 from zakbench.reproducing import (
     _EXCESS_PROBES,
     _PAIR_PROBES,
@@ -227,7 +226,7 @@ def test_normalize_pair_margin_is_smallest_singular_value():
 def test_normalize_pair_rejects_singular_operator():
     phi = np.ones((3, 3), dtype=complex)
     psi = onb(3)
-    with pytest.raises(NotReproducingPair):
+    with pytest.raises(NumericalFailure, match="mixed operator is numerically singular"):
         normalize_pair(psi, phi)
 
 
@@ -243,14 +242,14 @@ def test_excess_tail_check_names_the_singular_ratio():
     tail = np.eye(3, dtype=complex)
     tail[1] = tail[0]
     phi = np.vstack([np.ones((1, 3), dtype=complex), tail])
-    with pytest.raises(TailNotExact, match=re.escape("at or below 1e-14 x largest")):
+    with pytest.raises(NumericalFailure, match=re.escape("at or below 1e-14 x largest")):
         excess_n_identities(phi, phi, 1)
 
 
 def test_canonical_dual_frame_rejects_non_spanning():
     # A family that does not span is a numerical failure, as in excess_n_identities' tail check.
     fam = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], dtype=complex)
-    with pytest.raises(TailNotExact, match="does not span"):
+    with pytest.raises(NumericalFailure, match="family does not span"):
         canonical_dual_frame(fam)
 
 
@@ -365,13 +364,13 @@ def test_excess_n_tail_not_exact():
     basis = np.eye(dim, dtype=complex)
     # tail shorter than the dimension
     fam = np.vstack([np.ones((1, dim), dtype=complex), basis[:-1]])
-    with pytest.raises(TailNotExact):
+    with pytest.raises(NumericalFailure, match="tail length 4 != ambient dimension 5"):
         excess_n_identities(fam, fam, n=1)
     # tail of the right length but degenerate
     bad_tail = basis.copy()
     bad_tail[-1] = bad_tail[0]
     fam2 = np.vstack([np.ones((1, dim), dtype=complex), bad_tail])
-    with pytest.raises(TailNotExact):
+    with pytest.raises(NumericalFailure, match="does not span"):
         excess_n_identities(fam2, fam2, n=1)
 
 
@@ -454,10 +453,31 @@ def test_reduce_dependent_pair_phi_side():
     assert np.max(np.abs(reduced_psi[0] - expected)) < 1e-12
 
 
+def test_reduction_drops_inner_rows_twice():
+    # excess-n --dim 4 --n 6 --seed 1 eliminates psi head element 4 of 6, then
+    # element 4 of 5: each step drops a row that is not the last, by index.
+    phi, psi = random_excess_pair(4, 6, np.random.default_rng(1))
+    phi, psi = phi[:6], psi[:6]
+    probes = np.random.default_rng(2)
+    fs = probes.standard_normal((5, 4)) + 1j * probes.standard_normal((5, 4))
+    gs = probes.standard_normal((5, 4)) + 1j * probes.standard_normal((5, 4))
+    form = (fs @ psi.conj().T) @ (phi @ gs.conj().T)   # sum_i <f, psi_i> <phi_i, g>
+    for n in (6, 5):
+        reduced_phi, reduced_psi, note = reduce_dependent_pair(phi, psi)
+        assert note.startswith("eliminated psi head element 4 ")
+        rest = [i for i in range(n) if i != 4]
+        assert np.array_equal(reduced_psi, psi[rest])
+        phi, psi = reduced_phi, reduced_psi
+        after = (fs @ psi.conj().T) @ (phi @ gs.conj().T)
+        assert np.max(np.abs(after - form)) <= 1e-12 * np.max(np.abs(form))
+    notes = reproducing.excess_n_verdict(4, 6, seed=1).report.notes
+    assert [note.startswith("reduction: ") for note in notes] == [True, True], notes
+
+
 def test_reduce_dependent_pair_requires_dependence():
     phi = onb(3)
     psi = onb(3)
-    with pytest.raises(NoDependence):
+    with pytest.raises(NumericalFailure, match="both heads are linearly independent"):
         reduce_dependent_pair(phi, psi)
 
 
@@ -653,13 +673,13 @@ def test_random_pair_check_restores_blas_threads(monkeypatch):
     assert blas_threads() == before
     assert set(seen) == ({None} if before is None else {1})
 
-    error = NotReproducingPair("raised by a worker")
+    error = NumericalFailure("raised by a worker")
 
     def failing_s_operator(psi, phi):
         raise error
 
     monkeypatch.setattr(reproducing, "s_operator", failing_s_operator)
-    with pytest.raises(NotReproducingPair) as info:
+    with pytest.raises(NumericalFailure) as info:
         random_pair_check(dim=16, pairs=5, seed=0)
     assert info.value is error
     assert blas_threads() == before

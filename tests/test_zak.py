@@ -1,5 +1,6 @@
 """Tests for the Zak transform, the theta form, and the ladder diagnostics."""
 
+import re
 import tracemalloc
 
 import mpmath
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from zakbench import zak
 from zakbench.expsys import PeriodicSignal, exponential, save_signal, shifted_nodes
-from zakbench.linalg import SingularNode
+from zakbench.linalg import NumericalFailure
 from zakbench.zak import (
     ThetaParams,
     gaussian_atom,
@@ -372,7 +373,7 @@ def test_quotient_integral_singular_node(monkeypatch):
 
     monkeypatch.setattr(zak, "_theta_products", zero_at_first_node)
     for numerator in ("cone", "one"):
-        with pytest.raises(SingularNode, match="M=4 grid"):
+        with pytest.raises(NumericalFailure, match="M=4 grid"):
             quotient_integral(numerator, [4, 8])
 
 
@@ -384,6 +385,9 @@ def test_quotient_integral_ladder_validation():
     for ladder in ([64, 64], [128, 64]):
         with pytest.raises(ValueError):
             quotient_integral("cone", ladder)
+    message = "unknown numerator 'foo', expected one of ['cone', 'one']"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        quotient_integral("foo", [4, 8])
 
 
 def test_grid_function_validation():
