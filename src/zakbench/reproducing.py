@@ -101,7 +101,11 @@ def s_operator(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _complex_gaussian_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    return rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    """Rows a + ib with a drawn before b, filled in place with no complex temporaries."""
+    out = np.empty((count, dim), dtype=complex)
+    out.real = rng.standard_normal((count, dim))
+    out.imag = rng.standard_normal((count, dim))
+    return out
 
 
 def _identity_deviation(psi_mat: np.ndarray, phi_mat: np.ndarray, fs: np.ndarray, gs: np.ndarray) -> float:
@@ -386,6 +390,8 @@ def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckRe
     Every draw is made here, in a fixed stream order, and the pairs are
     checked concurrently, one thread per CPU with OpenBLAS held at one
     thread, so the report does not depend on the host's thread count.
+    One drawn pair waits in the pool's queue, so a worker that frees
+    takes it at once; at most workers + 1 pairs are drawn and in flight.
     Where OpenBLAS cannot be held, one thread checks the pairs in turn.
     """
     if dim < 1:
@@ -399,14 +405,14 @@ def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckRe
     with single_threaded_blas() as pinned:
         workers = min(pairs, len(os.sched_getaffinity(0))) if pinned else 1
         with ThreadPoolExecutor(workers) as pool:
-            in_flight = deque()  # at most `workers` pairs, so memory does not grow with pairs
+            in_flight = deque()  # at most workers + 1 pairs, so memory does not grow with pairs
             for _ in range(pairs):
                 phi_raw = _complex_gaussian_vectors(rng, dim, dim)
                 psi_raw = _complex_gaussian_vectors(rng, dim, dim)
                 pair_seed = int(rng.integers(2**31))
-                if len(in_flight) == workers:
-                    results.append(in_flight.popleft().result())
                 in_flight.append(pool.submit(_pair_result, phi_raw, psi_raw, pair_seed))
+                if len(in_flight) > workers:
+                    results.append(in_flight.popleft().result())
             results.extend(job.result() for job in in_flight)
     deviations, asymmetries, margins = zip(*results)
     worst_dev, worst_asym, min_margin = max(deviations), max(asymmetries), min(margins)

@@ -216,6 +216,10 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == (f"zakbench {command[0]}: error: argument --seed: "
                        "expected a non-negative integer, got '-1'\n"), err
+    # A seed that is not an integer takes the same refusal, at parse time.
+    assert cli.main(["rp-check", "--seed", "1.5", "--out", str(tmp_path / "seed")]) == 1
+    err = capsys.readouterr().err
+    assert err == "zakbench rp-check: error: argument --seed: expected a non-negative integer, got '1.5'\n", err
     assert not (tmp_path / "seed").exists()
     assert cli.main(["no-such-command"]) == 1
     assert cli.main([]) == 1

@@ -1,5 +1,6 @@
 """Tests for finite reproducing pairs, excess identities, and head reduction."""
 
+import os
 import re
 import sys
 
@@ -481,6 +482,22 @@ def test_reduce_dependent_pair_requires_dependence():
         reduce_dependent_pair(phi, psi)
 
 
+def test_reduce_once_refuses_a_dependence_it_cannot_fit():
+    # The third psi row lies within _RANK_TOL of the span at the scale of the
+    # first, so the rank test calls it dependent, but the least-squares fit
+    # misses it by 1e-5: the reduction refuses it rather than drop it.
+    psi_head = np.zeros((3, 4), dtype=complex)
+    psi_head[0, 0], psi_head[1, 1] = 1e6, 1.0
+    psi_head[2, 1], psi_head[2, 2] = 1.0, 1e-5
+    phi_head = random_family(4, 3, seed=41)
+    message = "dependent element sits 1.000e-05 away from the span of the others"
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        reproducing._reduce_once(phi_head, psi_head)
+    tail = onb(4)
+    with pytest.raises(NumericalFailure, match=re.escape(message)):
+        excess_n_identities(np.vstack([phi_head, tail]), np.vstack([psi_head, tail]), 3)
+
+
 def scanned_dependent_row(mat):
     """The linear prefix scan that the bisection replaced, as the reference."""
     prev_rank = 0
@@ -685,10 +702,11 @@ def test_random_pair_check_restores_blas_threads(monkeypatch):
     assert blas_threads() == before
 
 
-def test_random_pair_check_matches_serial_loop():
+def test_random_pair_check_matches_serial_loop(monkeypatch):
     # The serial loop the thread pool replaced, as the reference: the same
     # draws in the same order give the same bits, also when the interpreter
-    # switches threads as often as it can.
+    # switches threads as often as it can, and at every worker count: with
+    # one pair queued behind the workers, and with more workers than cores.
     dim, pairs, seed = 12, 7, 5
     rng = np.random.default_rng(seed)
     deviations, asymmetries, margins = [], [], []
@@ -707,9 +725,11 @@ def test_random_pair_check_matches_serial_loop():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        report = random_pair_check(dim, pairs, seed)
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            report = random_pair_check(dim, pairs, seed)
+            assert report.max_identity_deviation == max(deviations), cpus
+            assert report.max_adjoint_asymmetry == max(asymmetries), cpus
+            assert report.min_invertibility_margin == min(margins), cpus
     finally:
         sys.setswitchinterval(interval)
-    assert report.max_identity_deviation == max(deviations)
-    assert report.max_adjoint_asymmetry == max(asymmetries)
-    assert report.min_invertibility_margin == min(margins)

@@ -105,6 +105,11 @@ def test_translated_gaussian_norm():
     assert abs(grid.norm() - 1.0) < 1e-6
 
 
+def test_zak_transform_refuses_an_empty_sum():
+    with pytest.raises(ValueError, match="^J must be at least 1$"):
+        zak_transform(gaussian_atom, 8, 0)
+
+
 def outer_zak_transform(f, M, J):
     """The j-sum accumulated through a fresh np.outer per term."""
     x = shifted_nodes(M)
@@ -168,6 +173,8 @@ def test_theta1_domain_error():
 
 
 def test_theta_params_tail_bound():
+    with pytest.raises(ValueError, match="^truncation must be a positive integer$"):
+        ThetaParams(truncation=0)
     with pytest.raises(ValueError):
         ThetaParams(truncation=2)
     message = "truncation 1 leaves tail 8.514e-04 >= 1e-30 for q=0.04321391826377226"
