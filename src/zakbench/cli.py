@@ -1,34 +1,32 @@
 """Command-line front end for the diagnostic experiments.
 
 Each subcommand makes one library call, which runs the experiment and
-applies its pass rule, then writes the JSON report (and an optional CSV
-of level/value/flag rows) under the output directory and prints one
-verdict line:
+returns a reports.Verdict, the report and the checks of its pass rule:
 
-    expsys-sweep      expsys.sweep_verdict
-    zak-validate      zak.validate_verdict
-    quotient-ladder   zak.ladder_verdict
-    rp-check          reproducing.rp_check_verdict
-    excess-n          reproducing.excess_n_verdict
+    expsys-sweep      expsys.sweep_verdict: no_norm_convergence, term_norm_spread
+    zak-validate      zak.validate_verdict: gaussian_norm, translated_norm, covariance,
+                      theta_vs_series, center_zero, theta_prime, theta_prime_floor, theta_file
+    quotient-ladder   zak.ladder_verdict: last_step_growth (cone), min_step_growth (one)
+    rp-check          reproducing.rp_check_verdict: max_identity_deviation, max_adjoint_asymmetry
+    excess-n          reproducing.excess_n_verdict: partner_correction, head_reconstruction,
+                      final_chain, pair_identity_deviation
 
-The layers are called through their modules, which the package loads
-lazily, so importing this module imports numpy but executes no
-mathematical layer, and a command executes only the layer it calls
-and that layer's imports: expsys-sweep runs no zak or reproducing
-code, the zak commands no reproducing code, and rp-check and excess-n
-no zak or expsys code.  Each command touches its layer on the main
-thread before any pool starts.
+The command writes the JSON report under --out with the checks in its
+metadata, and with --csv the verdict's rows, then prints one verdict
+line that names the failing checks.  The package loads the layers
+lazily, so importing this module executes no mathematical layer, and a
+command executes only the layer it calls and that layer's imports,
+first on the main thread, before any pool starts.
 
-Exit status: 0 when the asserted outcome holds; 2 when it fails, when
+Exit status: 0 when every check passes; 2 when one fails, or when
 valid input meets a computation that does not hold at the working
-tolerance, which raises a linalg.NumericalFailure, or when a LAPACK
-routine raises numpy's LinAlgError; 1 on bad input, which raises
-ValueError (or OSError for a file that cannot be read or written, or
-MemoryError for sizes too large for the host), and on unknown or
-malformed arguments.  Each error prints one line on stderr: its class
-name and message, or argparse's message without the usage text.  Reports are
-deterministic for a fixed seed, at any BLAS thread count; the only
-run-dependent content is the "metadata" field, which records the argv,
+tolerance (a linalg.NumericalFailure, or numpy's LinAlgError from
+LAPACK); 1 on bad input (ValueError, OSError for a file that cannot be
+read or written, MemoryError for sizes too large for the host) and on
+unknown or malformed arguments.  Each error prints one line on stderr:
+its class name and message, or argparse's message without the usage
+text.  Reports are deterministic for a fixed seed at any BLAS thread
+count; only the "metadata" field varies between runs, with the argv,
 the time, the Python, numpy and zakbench versions and the OpenBLAS
 thread count.  That count is 1 unless OPENBLAS_NUM_THREADS is set:
 importing the zakbench package, which runs before this module imports
@@ -62,6 +60,7 @@ def _finish(args: argparse.Namespace, stem: str, verdict: reports.Verdict) -> in
     metadata = {
         "argv": args.argv,
         "blas_threads": linalg.blas_threads(),
+        "checks": verdict.checks,
         "command": args.command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "numpy": numpy_version,
@@ -75,9 +74,7 @@ def _finish(args: argparse.Namespace, stem: str, verdict: reports.Verdict) -> in
     json_path.write_text(reports.dump_report_json(verdict.report, metadata=metadata))
     if args.csv:
         with open(out_dir / f"{stem}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "value", "flag"])
-            writer.writerows(verdict.rows)
+            csv.writer(fh).writerows([("level", "value", "flag"), *verdict.rows])
     state = "PASS" if verdict.passed else "FAIL"
     print(f"{args.command}: {state} ({verdict.detail}) report={json_path}")
     return 0 if verdict.passed else ASSERTION_FAILURE
@@ -148,17 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_seed, default=0, help="seed for every random draw")
+    seed_help = "seed of rp-check's and excess-n's draws; the other commands only record it in metadata"
+    common.add_argument("--seed", type=_seed, default=0, help=seed_help)
     common.add_argument("--out", default="./reports", help="report output directory")
     common.add_argument("--csv", action="store_true", help="also write level,value,flag rows")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "expsys-sweep",
-        parents=[common],
-        help="partial sums of the dual expansion of the removed element",
-    )
+    def command(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("expsys-sweep", _run_expsys_sweep,
+                "partial sums of the dual expansion of the removed element")
     p.add_argument("--g", default="linear", help="weight name: linear, one, or sqrt")
     p.add_argument("--g-file", default=None, help="sampled weight file (overrides --g)")
     p.add_argument("--N", type=int, default=256, help="grid size, even")
@@ -166,51 +166,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0, help="removed index")
     p.add_argument("--t0", type=float, default=0.25, help="anchor point in [0, 1)")
     p.add_argument("--dump-weight", default=None, help="write the weight samples to this file")
-    p.set_defaults(run=_run_expsys_sweep)
 
-    p = sub.add_parser(
-        "zak-validate",
-        parents=[common],
-        help="unitarity, covariance, and theta cross-checks of the Zak transform",
-    )
+    p = command("zak-validate", _run_zak_validate,
+                "unitarity, covariance, and theta cross-checks of the Zak transform")
     p.add_argument("--M", type=int, default=128, help="grid resolution per axis, even")
     p.add_argument("--dump-theta", default=None, help="write the theta-form grid to this file")
     p.add_argument("--theta-file", default=None, help="check a stored grid file against the theta form")
-    p.set_defaults(run=_run_zak_validate)
 
-    p = sub.add_parser(
-        "quotient-ladder",
-        parents=[common],
-        help="refinement ladder for a quotient integral against |Z phi|^2",
-    )
+    p = command("quotient-ladder", _run_quotient_ladder,
+                "refinement ladder for a quotient integral against |Z phi|^2")
     p.add_argument("--numerator", choices=NUMERATORS, required=True)
-    p.add_argument(
-        "--ladder", type=_ladder, default="64,128,256,512", help="comma-separated even resolutions"
-    )
-    p.set_defaults(run=_run_quotient_ladder)
+    p.add_argument("--ladder", type=_ladder, default="64,128,256,512",
+                   help="comma-separated even resolutions")
 
-    p = sub.add_parser(
-        "rp-check",
-        parents=[common],
-        help="normalisation of random reproducing pairs",
-    )
+    p = command("rp-check", _run_rp_check, "normalisation of random reproducing pairs")
     p.add_argument("--dim", type=int, default=8, help="ambient dimension")
     p.add_argument("--pairs", type=int, default=20, help="random pairs to test")
-    p.set_defaults(run=_run_rp_check)
 
-    p = sub.add_parser(
-        "excess-n",
-        parents=[common],
-        help="head/tail excess identities on a random reproducing pair",
-    )
+    p = command("excess-n", _run_excess_n, "head/tail excess identities on a random reproducing pair")
     p.add_argument("--dim", type=int, default=8, help="ambient dimension")
     p.add_argument("--n", type=int, default=1, help="head length")
-    p.add_argument(
-        "--dependent-head",
-        action="store_true",
-        help="duplicate a head direction to exercise the reduction path",
-    )
-    p.set_defaults(run=_run_excess_n)
+    p.add_argument("--dependent-head", action="store_true",
+                   help="duplicate a head direction to exercise the reduction path")
 
     return parser
 

@@ -1,17 +1,13 @@
 """The verdict type, the report writer, and the sample-file codec.
 
-Each report is a frozen dataclass, declared in the one layer that fills
-it (expsys.SweepReport, zak.LadderReport and zak.ZakValidationReport,
-reproducing.ExcessReport and reproducing.RpCheckReport).  Every field
-holds a plain JSON value, so the fields as they are form the JSON
-object written to disk, the report's ``asdict`` image.  Reports carry
-every parameter that went into the run plus the measured values and
-pass/fail flags, so a report file is reproducible from its own
-content together with the seed.  Timestamps never enter these records;
-the writer attaches them in a separate metadata field so two runs with
-the same configuration and seed serialise to identical bytes.  The
-sample files of weights and theta grids share one writer and one parser
-here.
+A Verdict pairs a report with its table of checks, the command's whole
+pass rule.  Each report is a frozen dataclass of plain JSON values,
+declared in the layer that fills it, and carries every parameter of the
+run with the measured values, so with the seed a report file is
+reproducible from its own content.  The writer puts the timestamp and
+the checks in a separate metadata field, so equal runs serialise to
+identical bytes without it.  The sample files of weights and theta
+grids share one writer and one parser here.
 """
 
 from __future__ import annotations
@@ -27,18 +23,38 @@ import numpy as np
 __all__ = ["Verdict", "dump_report_json"]
 
 
+def _check(value: float, limit: float, bound: str = "upper", ok: bool | None = None) -> dict:
+    """A row of Verdict.checks; ``ok`` defaults to value <= limit ("upper") or >= limit ("lower")."""
+    if ok is None:
+        ok = value <= limit if bound == "upper" else value >= limit
+    return {"value": float(value), "limit": float(limit), "bound": bound, "ok": bool(ok)}
+
+
 @dataclass(frozen=True)
 class Verdict:
-    """A report with the outcome of its pass rule.
+    """A report and its checks, each name mapped to a row from _check.
 
-    ``detail`` is a one-line summary of the values behind ``passed``;
-    ``rows`` holds (level, value, flag) rows for the CSV.
+    It passes when every row is ok; ``detail`` names the failing rows.
+    ``rows`` are the CSV rows: the levels a verdict gives, else one
+    (name, value, ok) row per check.
     """
 
     report: Any
-    passed: bool
-    detail: str
-    rows: list[tuple]
+    checks: dict[str, dict]
+    rows: list[tuple] | None = None
+
+    def __post_init__(self):
+        if self.rows is None:
+            object.__setattr__(self, "rows", [(name, c["value"], c["ok"]) for name, c in self.checks.items()])
+
+    @property
+    def passed(self) -> bool:
+        return all(c["ok"] for c in self.checks.values())
+
+    @property
+    def detail(self) -> str:
+        failing = sorted(name for name, c in self.checks.items() if not c["ok"])
+        return f"failing: {', '.join(failing)}" if failing else "all checks passed"
 
 
 def dump_report_json(report: Any, metadata: dict) -> str:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .linalg import _RANK_TOL, _SINGULAR_RATIO, NumericalFailure
 from .linalg import _as_family, gram_matrix, rank_and_span, single_threaded_blas
-from .reports import Verdict
+from .reports import Verdict, _check
 
 logger = logging.getLogger(__name__)
 
@@ -425,20 +425,26 @@ def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckRe
         max_identity_deviation=float(worst_dev),
         max_adjoint_asymmetry=float(worst_asym),
         min_invertibility_margin=float(min_margin),
-        passed=bool(worst_dev <= 1e-10 and worst_asym <= 1e-12),
+        passed=Verdict(None, _rp_checks(worst_dev, worst_asym)).passed,
     )
+
+
+def _rp_checks(deviation: float, asymmetry: float) -> dict[str, dict]:
+    """rp-check's pass rule, on the worst identity deviation and adjoint asymmetry of its pairs."""
+    return {
+        "max_identity_deviation": _check(deviation, 1e-10),
+        "max_adjoint_asymmetry": _check(asymmetry, 1e-12),
+    }
 
 
 def rp_check_verdict(dim: int, pairs: int, seed: int) -> Verdict:
-    """random_pair_check, 8 probe pairs per random pair, judged by the report's own pass flag."""
+    """random_pair_check, 8 probe pairs per random pair.
+
+    Checks ``max_identity_deviation`` and ``max_adjoint_asymmetry``, the
+    rows behind the report's own pass flag; the CSV rows are the checks.
+    """
     report = random_pair_check(dim, pairs, seed=seed)
-    names = ("max_identity_deviation", "max_adjoint_asymmetry", "min_invertibility_margin")
-    rows = [(name, getattr(report, name), report.passed) for name in names]
-    detail = (
-        f"deviation {report.max_identity_deviation:.3e}, "
-        f"asymmetry {report.max_adjoint_asymmetry:.3e}"
-    )
-    return Verdict(report, report.passed, detail, rows)
+    return Verdict(report, _rp_checks(report.max_identity_deviation, report.max_adjoint_asymmetry))
 
 
 # excess_n_verdict's pass rule; head dependence is judged at linalg._RANK_TOL.
@@ -450,18 +456,15 @@ def excess_n_verdict(dim: int, n: int, seed: int = 0, dependent_head: bool = Fal
     """Excess identities on a seeded random pair, tested on 20 probe pairs.
 
     The probe seed is drawn from the pair's generator after the pair, so
-    the probes are independent of it.  Passes when the pair identity
-    deviation is <= 1e-11 and every residual is <= 1e-10.
+    the probes are independent of it.  Checks the three residuals,
+    ``partner_correction``, ``head_reconstruction`` and ``final_chain``,
+    against _RESIDUAL_LIMIT and ``pair_identity_deviation`` against
+    _PAIR_LIMIT; the CSV rows are the checks.
     """
     rng = np.random.default_rng(seed)
     with single_threaded_blas():  # equal seeds give equal payloads at any BLAS thread count
         phi, psi = random_excess_pair(dim, n, rng, dependent_head)
         report = excess_n_identities(phi, psi, n, seed=int(rng.integers(2**31)))
-    pair_dev = report.margins["pair_identity_deviation"]
-    passed = pair_dev <= _PAIR_LIMIT and all(v <= _RESIDUAL_LIMIT for v in report.residuals.values())
-    rows = [(name, value, value <= _RESIDUAL_LIMIT) for name, value in sorted(report.residuals.items())]
-    worst = max(report.residuals.values())
-    detail = f"worst residual {worst:.3e} against limit {_RESIDUAL_LIMIT:.1e}, final n={report.n}"
-    if pair_dev > _PAIR_LIMIT:
-        detail = f"pair identity deviation {pair_dev:.3e} exceeds limit {_PAIR_LIMIT:.1e}, {detail}"
-    return Verdict(report, passed, detail, rows)
+    checks = {name: _check(value, _RESIDUAL_LIMIT) for name, value in report.residuals.items()}
+    checks["pair_identity_deviation"] = _check(report.margins["pair_identity_deviation"], _PAIR_LIMIT)
+    return Verdict(report, checks)

@@ -234,7 +234,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
         assert cli.main(["excess-n", "--out", str(tmp_path)]) == 2
     assert read_report(tmp_path / "excess_n.json")["margins"]["pair_identity_deviation"] > 1e-18
     out, err = capsys.readouterr()
-    assert out.startswith("excess-n: FAIL (pair identity deviation ") and err == "", (out, err)
+    assert out.startswith("excess-n: FAIL (failing: pair_identity_deviation) ") and err == "", (out, err)
     # A NumericalFailure raised mid-run also exits 2, with one stderr line and no report.
     def fail(*args, **kwargs):
         raise NumericalFailure("tail stops spanning")
@@ -369,6 +369,19 @@ def test_theta_file_of_another_grid_size(tmp_path, capsys):
     assert cli.main([*check, "--out", str(tmp_path / "moved")]) == cli.ASSERTION_FAILURE
     assert read_report(tmp_path / "moved" / "zak_validate.json")["passed"] is False
     assert "(failing: theta_file)" in capsys.readouterr().out
+
+
+def test_one_ladder_fails_its_growth_check_from_m_1024(tmp_path, capsys):
+    # The 10% growth rule misses the logarithmic growth of the one ladder
+    # at these sizes; the check table names the row and records its values.
+    argv = ["quotient-ladder", "--numerator", "one", "--ladder", "256,512,1024,2048", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.ASSERTION_FAILURE
+    assert "quotient-ladder: FAIL (failing: min_step_growth) " in capsys.readouterr().out
+    checks = json.loads((tmp_path / "quotient_ladder_one.json").read_text())["metadata"]["checks"]
+    assert list(checks) == ["min_step_growth"]
+    row = checks["min_step_growth"]
+    assert row["ok"] is False and row["bound"] == "lower" and row["limit"] == 0.10, row
+    assert row["value"] == pytest.approx(0.086, abs=0.001), row
 
 
 def test_version_flag(capsys):

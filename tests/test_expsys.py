@@ -318,6 +318,22 @@ def test_sweep_verdict_fails_on_off_modulus_terms(monkeypatch):
             assert not sweep_verdict(system).passed, name
 
 
+def test_sweep_verdict_is_invariant_under_weight_scale():
+    # The spread limit is relative to ||g|| at every scale: the linear weight
+    # times 1e-100 gives the unscaled verdict, spread / ||g|| and limit / ||g||.
+    base = make_system("linear", N=128, W=16)
+    tiny = ExpSystem(PeriodicSignal(base.weight.samples * 1e-100), window=16, removed=0, anchor=0.25)
+    got = []
+    for system in (base, tiny):
+        verdict, g_norm = sweep_verdict(system), system.weight.norm()
+        spread = verdict.checks["term_norm_spread"]
+        got.append((verdict.passed, spread["value"] / g_norm, spread["limit"] / g_norm))
+    (passed, spread, limit), (tiny_passed, tiny_spread, tiny_limit) = got
+    assert passed is tiny_passed is True
+    assert spread < 4e-16 and tiny_spread < 4e-16, got
+    assert limit == pytest.approx(1e-9, rel=1e-12) and tiny_limit == pytest.approx(1e-9, rel=1e-12), got
+
+
 def test_sweep_residuals_never_vanish():
     # Terms of constant norm cannot sum to the target function.
     report = schauder_failure_sweep(make_system("linear", N=128, W=16))

@@ -9,6 +9,7 @@ alters a payload on purpose rewrites the files with
 ``python tests/golden/regenerate.py`` and records the diff in CHANGES.md.
 """
 
+import csv
 import json
 from pathlib import Path
 
@@ -63,13 +64,44 @@ def assert_matches(got, want, path="payload"):
 
 
 @pytest.fixture(scope="module")
-def payloads(tmp_path_factory):
-    return run_ops(tmp_path_factory.mktemp("golden"))
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    return root, run_ops(root)
+
+
+@pytest.fixture(scope="module")
+def payloads(golden_run):
+    return golden_run[1]
 
 
 @pytest.mark.parametrize("op", OPS)
 def test_payload_matches_golden(payloads, op):
     assert_matches(payloads[op], json.loads((GOLDEN / f"{op}.json").read_text()))
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_checks_table_decides_the_verdict(golden_run, op):
+    # Each row's ok follows from its value, limit and bound, the verdict
+    # (exit 0, and the report's own passed field) is all(ok), and a CSV
+    # without levels holds exactly the check rows.
+    root = golden_run[0]
+    (path,) = (root / op).glob("*.json")
+    report = json.loads(path.read_text())
+    checks = report["metadata"]["checks"]
+    assert checks, op
+    for name, row in checks.items():
+        assert sorted(row) == ["bound", "limit", "ok", "value"], (name, row)
+        assert row["ok"] == (row["value"] <= row["limit"] if row["bound"] == "upper"
+                             else row["value"] >= row["limit"]), (name, row)
+    assert all(row["ok"] for row in checks.values()), op
+    assert report.get("passed", True) is True
+    if op in ("validate_dump", "rp_check", "excess_n"):
+        with open(path.with_suffix(".csv"), newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["level", "value", "flag"]
+        want = {name: (row["value"], str(row["ok"])) for name, row in checks.items()}
+        assert {name: (float(value), ok) for name, value, ok in rows} == want
+        assert len(rows) == len(want)
 
 
 def test_tolerance_separates_rounding_from_changes():

@@ -33,6 +33,27 @@ def test_dump_report_json_matches_asdict():
         assert reports.dump_report_json(report, metadata) == expected, type(report).__name__
 
 
+def test_verdict_derives_its_outcome_from_the_checks():
+    # An upper row is ok at or below its limit and a lower row at or above it,
+    # unless ok is given; the detail lists the failing rows sorted, and
+    # without level rows the CSV rows are the checks in table order.
+    rows = {
+        "b_upper": reports._check(2.0, 1.0),
+        "at_limit": reports._check(1.0, 1.0),
+        "a_lower": reports._check(0.5, 1.0, "lower"),
+        "floor": reports._check(1.0, 1.0, "lower"),
+        "flag": reports._check(0.0, 1.0, ok=False),
+    }
+    assert [row["ok"] for row in rows.values()] == [False, True, False, True, False]
+    assert rows["a_lower"] == {"value": 0.5, "limit": 1.0, "bound": "lower", "ok": False}
+    verdict = reports.Verdict("report", rows)
+    assert verdict.passed is False and verdict.detail == "failing: a_lower, b_upper, flag"
+    assert verdict.rows == [(name, row["value"], row["ok"]) for name, row in rows.items()]
+    passing = reports.Verdict("report", {"at_limit": rows["at_limit"]}, rows=[(1, 2.0, "levels")])
+    assert passing.passed is True and passing.detail == "all checks passed"
+    assert passing.rows == [(1, 2.0, "levels")]
+
+
 def test_read_samples_refuses_a_count_that_misses_the_declared_size(tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"N": 8, "grid": "shifted_midpoint", "samples": [[1, 0]] * 7}))
