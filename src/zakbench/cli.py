@@ -30,7 +30,9 @@ count; only the "metadata" field varies between runs, with the argv,
 the time, the Python, numpy and zakbench versions and the OpenBLAS
 thread count.  That count is 1 unless OPENBLAS_NUM_THREADS is set:
 importing the zakbench package, which runs before this module imports
-numpy, sets the variable to 1 when it is unset.
+numpy, sets the variable to 1 when it is unset.  Called as the process
+entry (argv None), main first freezes the start-up heap with gc.freeze(),
+so no collection, the shutdown ones included, walks numpy's objects.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import platform
+import gc
 import sys
 from pathlib import Path
 
@@ -64,7 +66,7 @@ def _finish(args: argparse.Namespace, stem: str, verdict: reports.Verdict) -> in
         "command": args.command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "numpy": numpy_version,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "seed": args.seed,
         "version": __version__,
     }
@@ -81,7 +83,11 @@ def _finish(args: argparse.Namespace, stem: str, verdict: reports.Verdict) -> in
 
 
 def _ladder(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    """A --ladder value; the layer checks that each entry is a positive even integer."""
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return [int(part) for part in parts]
 
 
 def _seed(text: str) -> int:
@@ -193,7 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv is None:
+        # As the process entry, move the start-up heap (numpy, argparse, the
+        # stdlib) to the collector's permanent generation: it lives until exit,
+        # and neither later collections nor those at shutdown walk it again.
+        # An in-process caller passes argv and keeps its collector untouched.
+        gc.freeze()
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

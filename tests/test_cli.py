@@ -1,6 +1,7 @@
 """End-to-end tests for the zakbench command line."""
 
 import ast
+import gc
 import json
 import os
 import platform
@@ -148,6 +149,17 @@ def test_usage_error_exit_codes(tmp_path, capsys):
             ["quotient-ladder", "--numerator", "cone", "--ladder", ladder,
              "--out", str(tmp_path)]
         ) == 1
+    # An empty --ladder entry is refused when parsing, not dropped.
+    capsys.readouterr()
+    for ladder in ("64,,128", "64,128,", ",64,128", "64, ,128"):
+        assert cli.main(
+            ["quotient-ladder", "--numerator", "cone", "--ladder", ladder,
+             "--out", str(tmp_path / "empty_entry")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == (f"zakbench quotient-ladder: error: argument --ladder: "
+                       f"empty entry in {ladder!r}\n"), err
+    assert not (tmp_path / "empty_entry").exists()
     nan_weight = tmp_path / "nan_weight.json"
     samples = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 63
     nan_weight.write_text(json.dumps({"N": 64, "grid": "shifted_midpoint", "samples": samples}))
@@ -459,12 +471,35 @@ print(json.dumps([layer_import, flat_import, public, registered]))
 """
 
 
+FREEZE_PROBE = """
+import gc, json
+import zakbench.cli
+
+code = zakbench.cli.main()
+print(json.dumps([code, gc.get_freeze_count()]))
+"""
+
+
 def run_probe(probe, *argv):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    # main() without argv reads sys.argv and freezes the start-up heap; an
+    # in-process main(argv) leaves the caller's collector as it is.  The
+    # report does not depend on which of the two ran it.
+    argv = ["rp-check", "--dim", "4", "--pairs", "2", "--seed", "3"]
+    frozen = gc.get_freeze_count()
+    assert cli.main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+    assert gc.get_freeze_count() == frozen
+    code, entry_frozen = run_probe(FREEZE_PROBE, *argv, "--out", str(tmp_path / "entry"))
+    assert code == 0 and entry_frozen > 0
+    assert (read_report(tmp_path / "entry" / "rp_check.json")
+            == read_report(tmp_path / "in_process" / "rp_check.json"))
 
 
 @pytest.mark.parametrize(
