@@ -3,11 +3,11 @@
 Each subcommand makes one library call, which runs the experiment and
 returns a reports.Verdict, the report and the checks of its pass rule:
 
-    expsys-sweep      expsys.sweep_verdict: no_norm_convergence, term_norm_spread
+    expsys-sweep      expsys.schauder_failure_sweep: no_norm_convergence, term_norm_spread
     zak-validate      zak.validate_verdict: gaussian_norm, translated_norm, covariance,
                       theta_vs_series, center_zero, theta_prime, theta_prime_floor, theta_file
-    quotient-ladder   zak.ladder_verdict: last_step_growth (cone), min_step_growth (one)
-    rp-check          reproducing.rp_check_verdict: max_identity_deviation, max_adjoint_asymmetry
+    quotient-ladder   zak.quotient_integral: last_step_growth (cone), min_step_growth (one)
+    rp-check          reproducing.random_pair_check: max_identity_deviation, max_adjoint_asymmetry
     excess-n          reproducing.excess_n_verdict: partner_correction, head_reconstruction,
                       final_chain, pair_identity_deviation
 
@@ -107,7 +107,7 @@ def _run_expsys_sweep(args: argparse.Namespace) -> int:
     else:
         weight = expsys.PeriodicSignal.from_name(args.g, args.N)
     system = expsys.ExpSystem(weight=weight, window=args.W, removed=args.k, anchor=args.t0)
-    verdict = expsys.sweep_verdict(system)
+    verdict = expsys.schauder_failure_sweep(system)
     if args.dump_weight is not None:
         expsys.save_signal(weight, args.dump_weight)
     return _finish(args, "expsys_sweep", verdict)
@@ -122,12 +122,12 @@ def _run_zak_validate(args: argparse.Namespace) -> int:
 
 
 def _run_quotient_ladder(args: argparse.Namespace) -> int:
-    verdict = zak.ladder_verdict(args.numerator, args.ladder)
+    verdict = zak.quotient_integral(args.numerator, args.ladder)
     return _finish(args, f"quotient_ladder_{args.numerator}", verdict)
 
 
 def _run_rp_check(args: argparse.Namespace) -> int:
-    verdict = reproducing.rp_check_verdict(args.dim, args.pairs, args.seed)
+    verdict = reproducing.random_pair_check(args.dim, args.pairs, args.seed)
     return _finish(args, "rp_check", verdict)
 
 

@@ -62,7 +62,6 @@ __all__ = [
     "weighted_exp",
     "dual_coefficient",
     "schauder_failure_sweep",
-    "sweep_verdict",
     "inverse_weight_energy",
     "save_signal",
     "load_signal",
@@ -279,8 +278,8 @@ def _hypothesis_notes(system: ExpSystem) -> list[str]:
     return notes
 
 
-def schauder_failure_sweep(system: ExpSystem) -> SweepReport:
-    """Partial sums of the dual expansion of the removed element.
+def schauder_failure_sweep(system: ExpSystem) -> Verdict:
+    """Partial sums of the dual expansion of the removed element, checked for its failure.
 
     Levels are concentric in |n - k| and run over L = 1..W, W the
     window, so the last level has added every active index when the
@@ -291,8 +290,11 @@ def schauder_failure_sweep(system: ExpSystem) -> SweepReport:
 
     and the largest norm among the newly added terms.  Every term has
     norm ||g|| because |c_n| = 1, so the terms cannot tend to zero and
-    the expansion cannot converge in norm; the report flags this when
-    the late-level term norms fail to decay.
+    the expansion cannot converge in norm.  The verdict checks
+    ``no_norm_convergence``, the largest of the last five term norms
+    against _LATE_TERM_FLOOR ||g||, whose ok is the report's flag of
+    that name, and ``term_norm_spread``, the largest distance of a term
+    norm from ||g||, against 1e-9 ||g||.  The CSV rows are the levels.
 
     No N-vector is summed.  The residual is sum_j beta_j g e_j over a
     contiguous run of frequencies, beta_k = 1 and beta_n = -conj(c_n),
@@ -303,8 +305,8 @@ def schauder_failure_sweep(system: ExpSystem) -> SweepReport:
     a residual far below ||g|| loses relative digits.  The term norm
     ||conj(c_n) g e_n|| lies in |c_n| ||g|| [rho_min, rho_max], rho the
     moduli of the root table that every sampled e_n is read from; the
-    end farther from ||g|| is reported, so the spread rule of
-    ``sweep_verdict`` is at least as strict as on the sampled terms.
+    end farther from ||g|| is reported, so the spread rule is at least
+    as strict as on the sampled terms.
     """
     N, W, k = system.N, system.window, system.removed
     roots, _ = _root_table(N)
@@ -339,43 +341,22 @@ def schauder_failure_sweep(system: ExpSystem) -> SweepReport:
             term_norm = max(term_norm, max(ends, key=lambda x: abs(x - g_norm)))
         levels.append({"L": L, "residual": float(np.sqrt(r2)), "term_norm": term_norm})
 
-    flags = {
-        "no_norm_convergence": _largest_late_term(levels) >= _LATE_TERM_FLOOR * g_norm,
-        "hypothesis_notes": _hypothesis_notes(system),
+    late = max(lv["term_norm"] for lv in levels[-5:])
+    spread = max(abs(lv["term_norm"] - g_norm) for lv in levels)  # every level adds a term
+    checks = {
+        "no_norm_convergence": _check(late, _LATE_TERM_FLOOR * g_norm, "lower"),
+        "term_norm_spread": _check(spread, 1e-9 * g_norm),
     }
-    return SweepReport(
+    flag = checks["no_norm_convergence"]["ok"]
+    report = SweepReport(
         grid_N=system.N,
         window_W=system.window,
         removed_k=k,
         anchor_t0=float(system.anchor),
         levels=levels,
-        flags=flags,
+        flags={"no_norm_convergence": flag, "hypothesis_notes": _hypothesis_notes(system)},
     )
-
-
-def _largest_late_term(levels: list[dict]) -> float:
-    """The largest term norm of the last five levels, which no_norm_convergence holds against ||g||."""
-    return max(lv["term_norm"] for lv in levels[-5:])
-
-
-def sweep_verdict(system: ExpSystem) -> Verdict:
-    """Dual-expansion sweep of the removed element, checked for its failure.
-
-    Runs all W levels of ``schauder_failure_sweep``.  Checks the report's
-    flag ``no_norm_convergence``, on the largest of the last five term
-    norms, and ``term_norm_spread``, the largest distance of a term norm
-    from ||g||, as |c_n| = 1 demands.  The CSV rows are the levels.
-    """
-    report = schauder_failure_sweep(system)
-    g_norm = system.weight.norm()
-    flag = report.flags["no_norm_convergence"]
-    late = _largest_late_term(report.levels)
-    spread = max(abs(lv["term_norm"] - g_norm) for lv in report.levels)  # every level adds a term
-    checks = {
-        "no_norm_convergence": _check(late, _LATE_TERM_FLOOR * g_norm, "lower", ok=flag),
-        "term_norm_spread": _check(spread, 1e-9 * g_norm),
-    }
-    return Verdict(report, checks, [(lv["L"], lv["residual"], flag) for lv in report.levels])
+    return Verdict(report, checks, [(lv["L"], lv["residual"], flag) for lv in levels])
 
 
 def save_signal(signal: PeriodicSignal, path: str | Path) -> None:

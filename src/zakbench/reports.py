@@ -1,7 +1,8 @@
 """The verdict type, the report writer, and the sample-file codec.
 
 A Verdict pairs a report with its table of checks, the command's whole
-pass rule.  Each report is a frozen dataclass of plain JSON values,
+pass rule; a flag the report carries is the ok of its row, so each rule
+is evaluated once.  Each report is a frozen dataclass of plain JSON values,
 declared in the layer that fills it, and carries every parameter of the
 run with the measured values, so with the seed a report file is
 reproducible from its own content.  The writer puts the timestamp and
@@ -23,10 +24,9 @@ import numpy as np
 __all__ = ["Verdict", "dump_report_json"]
 
 
-def _check(value: float, limit: float, bound: str = "upper", ok: bool | None = None) -> dict:
-    """A row of Verdict.checks; ``ok`` defaults to value <= limit ("upper") or >= limit ("lower")."""
-    if ok is None:
-        ok = value <= limit if bound == "upper" else value >= limit
+def _check(value: float, limit: float, bound: str = "upper") -> dict:
+    """A row of Verdict.checks, ok when value <= limit ("upper") or value >= limit ("lower")."""
+    ok = value <= limit if bound == "upper" else value >= limit
     return {"value": float(value), "limit": float(limit), "bound": bound, "ok": bool(ok)}
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "random_spanning_family",
     "random_excess_pair",
     "random_pair_check",
-    "rp_check_verdict",
     "excess_n_verdict",
 ]
 
@@ -374,7 +373,7 @@ def _pair_result(phi_raw: np.ndarray, psi_raw: np.ndarray, seed: int) -> tuple[f
     return dev, asym, margin
 
 
-def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckReport:
+def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> Verdict:
     """Normalisation experiment over random invertible mixed operators.
 
     Each round draws two clipped random bases, normalises phi by the
@@ -385,14 +384,19 @@ def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckRe
     smallest singular values, so no redraws are needed.  The asymmetry
     compares two orderings of the same product, so it sits at rounding
     level (0.0 at some dimensions, up to a few 1e-16 at others); it
-    guards s_operator's assembly, not the pair.
+    guards s_operator's assembly, not the pair.  The verdict checks
+    ``max_identity_deviation`` against 1e-10 and
+    ``max_adjoint_asymmetry`` against 1e-12, and the report's ``passed``
+    is all their rows; the CSV rows are the checks.
 
     Every draw is made here, in a fixed stream order, and the pairs are
     checked concurrently, one thread per CPU with OpenBLAS held at one
     thread, so the report does not depend on the host's thread count.
     One drawn pair waits in the pool's queue, so a worker that frees
-    takes it at once; at most workers + 1 pairs are drawn and in flight.
-    Where OpenBLAS cannot be held, one thread checks the pairs in turn.
+    takes it at once; at most workers + 1 pairs are drawn and in flight,
+    and each finished pair is folded, oldest first, into the running
+    worst values, so memory does not grow with pairs.  Where OpenBLAS
+    cannot be held, one thread checks the pairs in turn.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -401,22 +405,27 @@ def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckRe
     from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of every CLI start
 
     rng = np.random.default_rng(seed)
-    results = []
+    worst_dev = worst_asym = -np.inf
+    min_margin = np.inf
     with single_threaded_blas() as pinned:
         workers = min(pairs, len(os.sched_getaffinity(0))) if pinned else 1
         with ThreadPoolExecutor(workers) as pool:
-            in_flight = deque()  # at most workers + 1 pairs, so memory does not grow with pairs
-            for _ in range(pairs):
+            in_flight = deque()
+            for i in range(pairs):
                 phi_raw = _complex_gaussian_vectors(rng, dim, dim)
                 psi_raw = _complex_gaussian_vectors(rng, dim, dim)
                 pair_seed = int(rng.integers(2**31))
                 in_flight.append(pool.submit(_pair_result, phi_raw, psi_raw, pair_seed))
-                if len(in_flight) > workers:
-                    results.append(in_flight.popleft().result())
-            results.extend(job.result() for job in in_flight)
-    deviations, asymmetries, margins = zip(*results)
-    worst_dev, worst_asym, min_margin = max(deviations), max(asymmetries), min(margins)
-    return RpCheckReport(
+                # One pair stays queued behind the workers until the last draw, then all are folded.
+                while in_flight and (len(in_flight) > workers or i == pairs - 1):
+                    dev, asym, margin = in_flight.popleft().result()
+                    worst_dev, worst_asym = max(worst_dev, dev), max(worst_asym, asym)
+                    min_margin = min(min_margin, margin)
+    checks = {
+        "max_identity_deviation": _check(worst_dev, 1e-10),
+        "max_adjoint_asymmetry": _check(worst_asym, 1e-12),
+    }
+    report = RpCheckReport(
         ambient_dim=dim,
         family_count=dim,
         pair_count=pairs,
@@ -425,26 +434,9 @@ def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> RpCheckRe
         max_identity_deviation=float(worst_dev),
         max_adjoint_asymmetry=float(worst_asym),
         min_invertibility_margin=float(min_margin),
-        passed=Verdict(None, _rp_checks(worst_dev, worst_asym)).passed,
+        passed=all(c["ok"] for c in checks.values()),
     )
-
-
-def _rp_checks(deviation: float, asymmetry: float) -> dict[str, dict]:
-    """rp-check's pass rule, on the worst identity deviation and adjoint asymmetry of its pairs."""
-    return {
-        "max_identity_deviation": _check(deviation, 1e-10),
-        "max_adjoint_asymmetry": _check(asymmetry, 1e-12),
-    }
-
-
-def rp_check_verdict(dim: int, pairs: int, seed: int) -> Verdict:
-    """random_pair_check, 8 probe pairs per random pair.
-
-    Checks ``max_identity_deviation`` and ``max_adjoint_asymmetry``, the
-    rows behind the report's own pass flag; the CSV rows are the checks.
-    """
-    report = random_pair_check(dim, pairs, seed=seed)
-    return Verdict(report, _rp_checks(report.max_identity_deviation, report.max_adjoint_asymmetry))
+    return Verdict(report, checks)
 
 
 # excess_n_verdict's pass rule; head dependence is judged at linalg._RANK_TOL.

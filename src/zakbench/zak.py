@@ -85,7 +85,6 @@ __all__ = [
     "theta_grid",
     "leading_coefficient",
     "quotient_integral",
-    "ladder_verdict",
     "validate_verdict",
     "save_grid_function",
     "load_grid_function",
@@ -102,8 +101,8 @@ _THETA1_PRIME_ZERO = math.pi**0.75 / (math.sqrt(2.0) * math.gamma(0.75) ** 3)
 # exp((2K+1) THETA_IM_LIMIT), which bounds K from above.
 THETA_IM_LIMIT = 4.0
 
-STABILIZATION_THRESHOLD = 0.01  # final refinement step must move less than 1%
-GROWTH_THRESHOLD = 0.10         # every step must grow by more than 10% to call divergence
+STABILIZATION_THRESHOLD = 0.01  # final refinement step must move at most 1%
+GROWTH_THRESHOLD = 0.10         # every step must grow by at least 10% to call divergence
 
 # Grid values per row block of the ladder quadrature: a block of real
 # samples is 512 KiB, so a level's working set stays a few MiB at any M.
@@ -140,8 +139,8 @@ class LadderReport:
     estimates: list[float]
     step_growth: list[float]        # relative change at each refinement step
     log_slope: float                # least squares slope of estimate against log M
-    converges: bool                 # final step changed by less than STABILIZATION_THRESHOLD
-    diverges: bool                  # every step grew by more than GROWTH_THRESHOLD
+    converges: bool                 # final step changed by at most STABILIZATION_THRESHOLD
+    diverges: bool                  # every step grew by at least GROWTH_THRESHOLD
     stabilization_threshold: float
     growth_threshold: float
     note: str
@@ -297,7 +296,7 @@ def leading_coefficient() -> float:
     return float(2.0**0.25 * np.pi * abs(theta1_prime_zero()))
 
 
-def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> LadderReport:
+def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Verdict:
     """Midpoint-rule ladder for the integral of a named numerator over |Z phi|^2.
 
     NAMED_NUMERATORS gives the squared numerator as a function of
@@ -308,11 +307,13 @@ def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Ladde
     The block height keeps a block near a fixed number of grid values,
     so memory does not grow with M, and math.fsum adds the block sums.
     theta1 runs at the default truncation K = 8 (see the module
-    docstring).  The report flags ``converges`` when the final
-    refinement moves the estimate by less than the stabilisation
-    threshold and ``diverges`` when every step grows by more than the
-    growth threshold.  Grid evidence cannot certify an infinite
-    integral, so the report says so.
+    docstring).  Two rows hold the report's flags: ``converges`` is
+    the ok of ``last_step_growth``, |final step| at most
+    STABILIZATION_THRESHOLD, and ``diverges`` that of
+    ``min_step_growth``, the smallest step at least GROWTH_THRESHOLD.
+    The verdict checks the row of the outcome NAMED_NUMERATORS expects,
+    and its CSV rows are the levels.  Grid evidence cannot certify an
+    infinite integral, so the report says so.
     """
     if numerator not in NAMED_NUMERATORS:
         raise ValueError(f"unknown numerator {numerator!r}, expected one of {sorted(NAMED_NUMERATORS)}")
@@ -342,19 +343,22 @@ def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Ladde
 
     estimates = [estimate(M) for M in ladder]
     growth = [(b - a) / a for a, b in zip(estimates, estimates[1:])]
-    converges = abs(growth[-1]) < STABILIZATION_THRESHOLD
-    diverges = all(g > GROWTH_THRESHOLD for g in growth)
+    rows = {
+        "last_step_growth": _check(abs(growth[-1]), STABILIZATION_THRESHOLD),
+        "min_step_growth": _check(min(growth), GROWTH_THRESHOLD, "lower"),
+    }
+    converges, diverges = rows["last_step_growth"]["ok"], rows["min_step_growth"]["ok"]
     log_slope = float(np.polyfit(np.log(np.asarray(ladder, dtype=float)), estimates, 1)[0])
 
-    return LadderReport(
+    report = LadderReport(
         numerator=numerator,
         denominator="gaussian_zak",
         ladder=ladder,
         estimates=estimates,
-        step_growth=[float(g) for g in growth],
+        step_growth=growth,
         log_slope=log_slope,
-        converges=bool(converges),
-        diverges=bool(diverges),
+        converges=converges,
+        diverges=diverges,
         stabilization_threshold=STABILIZATION_THRESHOLD,
         growth_threshold=GROWTH_THRESHOLD,
         note=(
@@ -362,6 +366,9 @@ def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Ladde
             "consistent with, but cannot certify, a divergent integral"
         ),
     )
+    expected = "last_step_growth" if NAMED_NUMERATORS[numerator][1] == "converges" else "min_step_growth"
+    flag = "converges" if converges else ("diverges" if diverges else "undecided")
+    return Verdict(report, {expected: rows[expected]}, [(M, est, flag) for M, est in zip(ladder, estimates)])
 
 
 # Numerators of the quotient ladder selectable by name, as their squares
@@ -374,24 +381,6 @@ NAMED_NUMERATORS: dict[str, tuple[Callable, str]] = {
     "cone": (lambda u, v: np.add.outer(u * u, v * v), "converges"),
     "one": (lambda u, v: 1.0, "diverges"),
 }
-
-
-def ladder_verdict(numerator: str, refinement_ladder: Sequence[int]) -> Verdict:
-    """Quotient ladder of a named numerator against |Z phi|^2.
-
-    Checks the report's flag of the outcome NAMED_NUMERATORS expects:
-    ``last_step_growth``, |final step|, where it must converge, else
-    ``min_step_growth``, the smallest step.  The CSV rows are the levels.
-    """
-    report = quotient_integral(numerator, refinement_ladder)
-    if NAMED_NUMERATORS[numerator][1] == "converges":
-        last = abs(report.step_growth[-1])
-        checks = {"last_step_growth": _check(last, STABILIZATION_THRESHOLD, ok=report.converges)}
-    else:
-        low = min(report.step_growth)
-        checks = {"min_step_growth": _check(low, GROWTH_THRESHOLD, "lower", ok=report.diverges)}
-    flag = "converges" if report.converges else ("diverges" if report.diverges else "undecided")
-    return Verdict(report, checks, [(M, est, flag) for M, est in zip(report.ladder, report.estimates)])
 
 
 def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verdict, PeriodicSignal]:
@@ -465,7 +454,7 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
         corner_value=float(corner),
         theta_prime_value=float(prime),
         theta_prime_oracle_rel_dev=float(prime_rel),
-        passed=Verdict(None, checks).passed,
+        passed=all(c["ok"] for c in checks.values()),
     )
     return Verdict(report, checks), theta
 

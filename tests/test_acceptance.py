@@ -29,8 +29,8 @@ from zakbench.reproducing import (
 from zakbench.zak import (
     gaussian_atom,
     gaussian_zak_theta,
-    ladder_verdict,
     modulated_translate,
+    quotient_integral,
     theta1_prime_zero,
     theta_grid,
     zak_transform,
@@ -86,7 +86,7 @@ def test_acceptance_02_term_norms_block_convergence():
         term = np.conj(dual_coefficient(system, n)) * weighted_exp(system, n)
         term_norm = float(np.sqrt(np.sum(np.abs(term) ** 2) / system.N))
         term_devs.append(abs(term_norm - g_norm))
-    report = schauder_failure_sweep(system)
+    report = schauder_failure_sweep(system).report
     elapsed = time.monotonic() - start
     ok = (
         max(term_devs) <= 1e-12 * g_norm
@@ -128,8 +128,8 @@ def test_acceptance_04_theta_cross_validation():
 def test_acceptance_05_quotient_ladder_dichotomy():
     start = time.monotonic()
     ladder = [64, 128, 256, 512]
-    conv = ladder_verdict("cone", ladder).report
-    div = ladder_verdict("one", ladder).report
+    conv = quotient_integral("cone", ladder).report
+    div = quotient_integral("one", ladder).report
     elapsed = time.monotonic() - start
     final_step = abs(conv.estimates[-1] - conv.estimates[-2]) / conv.estimates[-2]
     ok = (
@@ -212,7 +212,7 @@ def test_acceptance_08_excess_n_pipeline():
 
 
 def test_acceptance_09_pair_normalization():
-    report = random_pair_check(dim=8, pairs=20, seed=0)
+    report = random_pair_check(dim=8, pairs=20, seed=0).report
     ok = (
         report.passed
         and report.max_identity_deviation < 1e-10

@@ -284,9 +284,9 @@ def test_removed_series_flags_are_usage_errors(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "command, verdict",
-    [(["expsys-sweep"], "sweep_verdict"),
+    [(["expsys-sweep"], "schauder_failure_sweep"),
      (["zak-validate"], "validate_verdict"),
-     (["rp-check"], "rp_check_verdict")],
+     (["rp-check"], "random_pair_check")],
 )
 def test_memory_error_is_a_usage_error(tmp_path, capsys, monkeypatch, command, verdict):
     # An input too large for the host, such as zak-validate --M 1000000, is

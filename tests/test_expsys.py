@@ -18,7 +18,6 @@ from zakbench.expsys import (
     save_signal,
     schauder_failure_sweep,
     shifted_nodes,
-    sweep_verdict,
     weighted_exp,
 )
 from zakbench.zak import save_grid_function, theta_grid
@@ -211,7 +210,7 @@ def test_biorthogonality_gram_identity_and_refinement():
 
 def test_sweep_term_norms_and_flag():
     sys_ = make_system("linear", N=128, W=16)
-    report = schauder_failure_sweep(sys_)
+    report = schauder_failure_sweep(sys_).report
     g_norm = sys_.weight.norm()
     for level in report.levels:
         assert abs(level["term_norm"] - g_norm) <= 1e-12
@@ -230,7 +229,7 @@ def test_sweep_residuals_against_dirichlet_kernel():
     for N, W, anchors, levels in ((256, 16, (0.25, 0.6180339887), (1, 8, 16)),
                                   (4096, 1000, (0.25,), (1, 500, 1000))):
         for t0 in anchors:
-            report = schauder_failure_sweep(make_system("linear", N=N, W=W, anchor=t0))
+            report = schauder_failure_sweep(make_system("linear", N=N, W=W, anchor=t0)).report
             for L in levels:
                 with mpmath.workdps(30):
                     total = mpmath.mpf(0)
@@ -257,7 +256,7 @@ def test_sweep_matches_sampled_reference(weight, tmp_path):
     for k in (0, -37, W - 1):
         for t0 in (0.0, 0.25, 0.6180339887):
             system = ExpSystem(weight=signal, window=W, removed=k, anchor=t0)
-            report = schauder_failure_sweep(system)
+            report = schauder_failure_sweep(system).report
             reference = sampled_sweep(system)
             assert len(report.levels) == len(reference) == W
             for level, (residual, term_norm) in zip(report.levels, reference):
@@ -289,7 +288,7 @@ def test_sweep_exp_cost(monkeypatch):
     system = make_system("linear", N=N, W=W)
     monkeypatch.setattr(np, "exp", counting_exp)
     monkeypatch.setattr(expsys, "exponential", counting_exponential)
-    assert sweep_verdict(system).passed
+    assert schauder_failure_sweep(system).passed
     assert 0 < sum(counted) <= 4 * N
     assert len(calls) <= 4
 
@@ -298,7 +297,7 @@ def test_sweep_verdict_fails_on_off_modulus_terms(monkeypatch):
     # Term norms are certified from |c_n| and the root table's moduli, so
     # one coefficient or one table entry of modulus 1 + 1e-6 must fail.
     system = make_system("linear", N=4096, W=1000)
-    assert sweep_verdict(system).passed
+    assert schauder_failure_sweep(system).passed
     dual_coefficient_ = expsys.dual_coefficient
     root_table = expsys._root_table
 
@@ -315,7 +314,7 @@ def test_sweep_verdict_fails_on_off_modulus_terms(monkeypatch):
     for name, patch in (("dual_coefficient", scaled), ("_root_table", perturbed)):
         with monkeypatch.context() as m:
             m.setattr(expsys, name, patch)
-            assert not sweep_verdict(system).passed, name
+            assert not schauder_failure_sweep(system).passed, name
 
 
 def test_sweep_verdict_is_invariant_under_weight_scale():
@@ -325,7 +324,7 @@ def test_sweep_verdict_is_invariant_under_weight_scale():
     tiny = ExpSystem(PeriodicSignal(base.weight.samples * 1e-100), window=16, removed=0, anchor=0.25)
     got = []
     for system in (base, tiny):
-        verdict, g_norm = sweep_verdict(system), system.weight.norm()
+        verdict, g_norm = schauder_failure_sweep(system), system.weight.norm()
         spread = verdict.checks["term_norm_spread"]
         got.append((verdict.passed, spread["value"] / g_norm, spread["limit"] / g_norm))
     (passed, spread, limit), (tiny_passed, tiny_spread, tiny_limit) = got
@@ -336,12 +335,12 @@ def test_sweep_verdict_is_invariant_under_weight_scale():
 
 def test_sweep_residuals_never_vanish():
     # Terms of constant norm cannot sum to the target function.
-    report = schauder_failure_sweep(make_system("linear", N=128, W=16))
+    report = schauder_failure_sweep(make_system("linear", N=128, W=16)).report
     assert min(lv["residual"] for lv in report.levels) > 0.01
 
 
 def test_sweep_hypothesis_note_for_integrable_inverse():
-    report = schauder_failure_sweep(make_system("one", N=128, W=16))
+    report = schauder_failure_sweep(make_system("one", N=128, W=16)).report
     notes = " ".join(report.flags["hypothesis_notes"])
     assert "fails" in notes
     # the duals stay biorthogonal regardless of the failed hypothesis
@@ -351,7 +350,7 @@ def test_sweep_hypothesis_note_for_integrable_inverse():
 
 
 def test_sweep_hypothesis_note_for_linear_weight():
-    report = schauder_failure_sweep(make_system("linear", N=128, W=16))
+    report = schauder_failure_sweep(make_system("linear", N=128, W=16)).report
     notes = " ".join(report.flags["hypothesis_notes"])
     assert "grows" in notes
 
@@ -360,7 +359,7 @@ def test_sweep_hypothesis_ladder_on_small_grids():
     # The ladder must compare distinct grids: on N = 6 and 8 a repeated
     # coarse size once gave a ratio of exactly 1, which read as "fails".
     def notes(name, N):
-        report = schauder_failure_sweep(make_system(name, N=N, W=1))
+        report = schauder_failure_sweep(make_system(name, N=N, W=1)).report
         return " ".join(report.flags["hypothesis_notes"])
 
     for N in (6, 8):
@@ -374,7 +373,7 @@ def test_sweep_hypothesis_ladder_on_small_grids():
 def test_sweep_sampler_free_signal_notes_missing_ladder():
     samples = PeriodicSignal.from_name("linear", 64).samples
     sys_ = ExpSystem(weight=PeriodicSignal(samples), window=8, removed=0)
-    report = schauder_failure_sweep(sys_)
+    report = schauder_failure_sweep(sys_).report
     assert any("ladder unavailable" in note for note in report.flags["hypothesis_notes"])
 
 

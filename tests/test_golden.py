@@ -82,7 +82,8 @@ def test_payload_matches_golden(payloads, op):
 @pytest.mark.parametrize("op", OPS)
 def test_checks_table_decides_the_verdict(golden_run, op):
     # Each row's ok follows from its value, limit and bound, the verdict
-    # (exit 0, and the report's own passed field) is all(ok), and a CSV
+    # (exit 0, and the report's own passed field) is all(ok), each other
+    # flag of the report is the ok of the row it is read from, and a CSV
     # without levels holds exactly the check rows.
     root = golden_run[0]
     (path,) = (root / op).glob("*.json")
@@ -94,7 +95,17 @@ def test_checks_table_decides_the_verdict(golden_run, op):
         assert row["ok"] == (row["value"] <= row["limit"] if row["bound"] == "upper"
                              else row["value"] >= row["limit"]), (name, row)
     assert all(row["ok"] for row in checks.values()), op
-    assert report.get("passed", True) is True
+    flags = {  # each flag the report carries, by the row it is read from
+        "no_norm_convergence": report.get("flags", {}).get("no_norm_convergence"),
+        "last_step_growth": report.get("converges"),
+        "min_step_growth": report.get("diverges"),
+    }
+    read = [name for name in checks if name in flags]
+    for name in read:
+        assert flags[name] is checks[name]["ok"], (op, name)
+    if "passed" in report:
+        assert report["passed"] is all(row["ok"] for row in checks.values()), op
+    assert read or "passed" in report or op == "excess_n", op  # the excess report carries no flag
     if op in ("validate_dump", "rp_check", "excess_n"):
         with open(path.with_suffix(".csv"), newline="") as fh:
             header, *rows = list(csv.reader(fh))

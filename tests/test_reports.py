@@ -13,10 +13,10 @@ def one_report_of_each_type():
     weight = expsys.PeriodicSignal.from_name("linear", 64)
     system = expsys.ExpSystem(weight=weight, window=4, removed=0, anchor=0.25)
     return [
-        expsys.sweep_verdict(system).report,
+        expsys.schauder_failure_sweep(system).report,
         zak.validate_verdict(16)[0].report,
-        zak.ladder_verdict("cone", [8, 16]).report,
-        reproducing.rp_check_verdict(4, 3, 1).report,
+        zak.quotient_integral("cone", [8, 16]).report,
+        reproducing.random_pair_check(4, 3, 1).report,
         reproducing.excess_n_verdict(6, 3, 2, dependent_head=True).report,
     ]
 
@@ -34,20 +34,19 @@ def test_dump_report_json_matches_asdict():
 
 
 def test_verdict_derives_its_outcome_from_the_checks():
-    # An upper row is ok at or below its limit and a lower row at or above it,
-    # unless ok is given; the detail lists the failing rows sorted, and
-    # without level rows the CSV rows are the checks in table order.
+    # An upper row is ok at or below its limit and a lower row at or above it;
+    # the detail lists the failing rows sorted, and without level rows the
+    # CSV rows are the checks in table order.
     rows = {
         "b_upper": reports._check(2.0, 1.0),
         "at_limit": reports._check(1.0, 1.0),
         "a_lower": reports._check(0.5, 1.0, "lower"),
         "floor": reports._check(1.0, 1.0, "lower"),
-        "flag": reports._check(0.0, 1.0, ok=False),
     }
-    assert [row["ok"] for row in rows.values()] == [False, True, False, True, False]
+    assert [row["ok"] for row in rows.values()] == [False, True, False, True]
     assert rows["a_lower"] == {"value": 0.5, "limit": 1.0, "bound": "lower", "ok": False}
     verdict = reports.Verdict("report", rows)
-    assert verdict.passed is False and verdict.detail == "failing: a_lower, b_upper, flag"
+    assert verdict.passed is False and verdict.detail == "failing: a_lower, b_upper"
     assert verdict.rows == [(name, row["value"], row["ok"]) for name, row in rows.items()]
     passing = reports.Verdict("report", {"at_limit": rows["at_limit"]}, rows=[(1, 2.0, "levels")])
     assert passing.passed is True and passing.detail == "all checks passed"

@@ -632,7 +632,7 @@ def test_random_excess_pair_is_reproducing():
 
 
 def test_random_pair_check_report():
-    report = random_pair_check(dim=8, pairs=20, seed=0)
+    report = random_pair_check(dim=8, pairs=20, seed=0).report
     assert report.passed
     assert report.max_identity_deviation < 1e-10
     assert report.max_adjoint_asymmetry <= 1e-12
@@ -643,7 +643,7 @@ def test_random_pair_check_adjoint_asymmetry_at_rounding_level():
     # Two orderings of one product: 0.0 at some dimensions, a few 1e-16 at
     # others (dims 2, 3, 5, 6 and 7 at seed 1), never above 1e-15.
     for dim in range(1, 9):
-        assert random_pair_check(dim, 20, seed=1).max_adjoint_asymmetry <= 1e-15, dim
+        assert random_pair_check(dim, 20, seed=1).report.max_adjoint_asymmetry <= 1e-15, dim
 
 
 def recorded_probe_counts(monkeypatch):
@@ -661,7 +661,7 @@ def recorded_probe_counts(monkeypatch):
 
 def test_random_pair_check_draws_pair_probes_per_pair(monkeypatch):
     counts = recorded_probe_counts(monkeypatch)
-    report = random_pair_check(dim=4, pairs=3, seed=0)
+    report = random_pair_check(dim=4, pairs=3, seed=0).report
     assert counts == [_PAIR_PROBES] * 3
     assert report.trials_per_pair == _PAIR_PROBES == 8
 
@@ -727,7 +727,7 @@ def test_random_pair_check_matches_serial_loop(monkeypatch):
     try:
         for cpus in (1, 2, 3, 5):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            report = random_pair_check(dim, pairs, seed)
+            report = random_pair_check(dim, pairs, seed).report
             assert report.max_identity_deviation == max(deviations), cpus
             assert report.max_adjoint_asymmetry == max(asymmetries), cpus
             assert report.min_invertibility_margin == min(margins), cpus

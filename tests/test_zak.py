@@ -16,7 +16,6 @@ from zakbench.zak import (
     ThetaParams,
     gaussian_atom,
     gaussian_zak_theta,
-    ladder_verdict,
     leading_coefficient,
     load_grid_function,
     modulated_translate,
@@ -283,28 +282,43 @@ def test_quotient_integral_equal_arguments_give_unit_measure(monkeypatch):
         return u, re, np.zeros_like(re)
 
     monkeypatch.setattr(zak, "_theta_products", unit_modulus)
-    report = quotient_integral("one", [4, 8, 16])
+    report = quotient_integral("one", [4, 8, 16]).report
     assert report.estimates == [1.0, 1.0, 1.0]
     assert report.converges and not report.diverges
 
 
 def test_quotient_integral_cone_numerator_converges():
-    report = quotient_integral("cone", [64, 128])
+    report = quotient_integral("cone", [64, 128]).report
     assert report.converges
     assert not report.diverges
 
 
 def test_quotient_integral_constant_numerator_grows():
-    report = quotient_integral("one", [64, 128])
+    report = quotient_integral("one", [64, 128]).report
     assert report.diverges
     assert report.step_growth[0] > 0.10
     assert "cannot certify" in report.note
 
 
+def test_ladder_flags_hold_at_their_limits(monkeypatch):
+    # Each flag is the ok of its row: a last step exactly at
+    # STABILIZATION_THRESHOLD converges and a smallest step exactly at
+    # GROWTH_THRESHOLD diverges, in the report and in the checks alike.
+    last = abs(quotient_integral("cone", [8, 16]).report.step_growth[-1])
+    low = min(quotient_integral("one", [8, 16]).report.step_growth)
+    monkeypatch.setattr(zak, "STABILIZATION_THRESHOLD", last)
+    monkeypatch.setattr(zak, "GROWTH_THRESHOLD", low)
+    cone, one = quotient_integral("cone", [8, 16]), quotient_integral("one", [8, 16])
+    assert cone.checks["last_step_growth"] == {"value": last, "limit": last, "bound": "upper", "ok": True}
+    assert one.checks["min_step_growth"] == {"value": low, "limit": low, "bound": "lower", "ok": True}
+    assert cone.report.converges is True and one.report.diverges is True
+    assert cone.passed and one.passed
+
+
 @pytest.mark.parametrize("numerator", ["cone", "one"])
 def test_ladder_grid_path_matches_pointwise_sampler(numerator):
     ladder = [64, 128, 256, 512]
-    report = ladder_verdict(numerator, ladder).report
+    report = quotient_integral(numerator, ladder).report
     assert (report.numerator, report.denominator) == (numerator, "gaussian_zak")
     for M, estimate in zip(ladder, report.estimates):
         reference = pointwise_estimate(numerator, M)
@@ -314,14 +328,14 @@ def test_ladder_grid_path_matches_pointwise_sampler(numerator):
 def test_ladder_builds_no_complex_grid(monkeypatch):
     # The ladder reads |Z phi|^2 from theta1's two real products; the
     # complex grid of theta_grid is never built.
-    expected = {name: ladder_verdict(name, [64, 128, 256]).report for name in ("cone", "one")}
+    expected = {name: quotient_integral(name, [64, 128, 256]).report for name in ("cone", "one")}
 
     def no_complex_grid(*args):
         raise AssertionError("the ladder built a complex theta grid")
 
     monkeypatch.setattr(zak, "theta_grid", no_complex_grid)
     for name, before in expected.items():
-        after = ladder_verdict(name, [64, 128, 256]).report
+        after = quotient_integral(name, [64, 128, 256]).report
         assert (after.converges, after.diverges) == (before.converges, before.diverges)
         assert after.estimates == before.estimates
 
@@ -330,7 +344,7 @@ def test_one_ladder_grows_at_the_logarithmic_rate():
     # Near its zero |Z phi| ~ C rho with C = leading_coefficient(), so the
     # midpoint estimate of the integral of 1/|Z phi|^2 grows by
     # 2 pi log(M'/M) / C^2 per refinement from M to M'.
-    estimates = ladder_verdict("one", [512, 1024, 2048]).report.estimates
+    estimates = quotient_integral("one", [512, 1024, 2048]).report.estimates
     rate = 2 * np.pi * np.log(2) / leading_coefficient() ** 2
     for a, b in zip(estimates, estimates[1:]):
         assert abs((b - a) / rate - 1) <= 1e-9
@@ -339,10 +353,10 @@ def test_one_ladder_grows_at_the_logarithmic_rate():
 def test_ladder_memory_does_not_scale_with_grid():
     # The quadrature runs over row blocks of bounded size; one complex
     # 2048 x 2048 grid alone would be 64 MiB.
-    ladder_verdict("one", [8, 16])  # one-time allocations stay out of the trace
+    quotient_integral("one", [8, 16])  # one-time allocations stay out of the trace
     tracemalloc.start()
     try:
-        ladder_verdict("one", [256, 512, 1024, 2048])
+        quotient_integral("one", [256, 512, 1024, 2048])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,7 +378,7 @@ def test_ladder_sine_cost(monkeypatch):
 
     zak._theta_columns.cache_clear()
     monkeypatch.setattr(np, "sin", counting_sin)
-    ladder_verdict("one", ladder)
+    quotient_integral("one", ladder)
     assert 0 < sum(counted) <= 2 * (ThetaParams().truncation + 2) * sum(ladder)
 
 
