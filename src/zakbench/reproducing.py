@@ -237,36 +237,36 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
     probes is reported as the margin ``pair_identity_deviation``.
     Dependent heads are reduced away one element at a time, each step
     preserving the pair's bilinear form; the report notes record the
-    reduction chain.  The tail must have ambient length and span; the
-    spanning check is canonical_dual_frame's routine on the tail Gram
-    matrix, which ignores scale.  Either failure raises NumericalFailure.
+    reduction chain.  The head is reduced alone, so the tail's length,
+    which must be the ambient dimension, is checked before any
+    reduction; the tail must also span, which canonical_dual_frame's
+    routine checks on the tail Gram matrix, ignoring scale.  Either
+    failure raises NumericalFailure.
     """
     psi, phi = _aligned(psi, phi)
     count, dim = phi.shape
     if not 0 <= n < count:
         raise ValueError(f"head length {n} must lie in [0, {count})")
+    if count - n != dim:
+        raise NumericalFailure(
+            f"tail length {count - n} != ambient dimension {dim}; "
+            "the finite model of an exact sequence needs a minimal complete tail"
+        )
     notes: list[str] = []
-
-    # C-order copies: on canonical_dual_frame's F-ordered output the products below use more memory.
-    phi_mat = phi.copy()
-    psi_mat = psi.copy()
 
     # Normalise away dependent heads first; each pass drops one element.
     # A length-one head never reduces: a zero vector there contributes
     # nothing and the identities hold as written (the trivial branch).
-    while n > 1 and (reduced := _reduce_once(phi_mat[:n], psi_mat[:n])) is not None:
-        phi_head_red, psi_head_red, note = reduced
-        phi_mat = np.vstack([phi_head_red, phi_mat[n:]])
-        psi_mat = np.vstack([psi_head_red, psi_mat[n:]])
+    phi_head, psi_head = phi[:n], psi[:n]
+    while n > 1 and (reduced := _reduce_once(phi_head, psi_head)) is not None:
+        phi_head, psi_head, note = reduced
         n -= 1
         notes.append(f"reduction: {note}; head length now {n}")
 
+    # C-order families: on canonical_dual_frame's F-ordered output the products below use more memory.
+    phi_mat = np.vstack([phi_head, phi[-dim:]])
+    psi_mat = np.vstack([psi_head, psi[-dim:]])
     tail_phi = phi_mat[n:]
-    if tail_phi.shape[0] != dim:
-        raise NumericalFailure(
-            f"tail length {tail_phi.shape[0]} != ambient dimension {dim}; "
-            "the finite model of an exact sequence needs a minimal complete tail"
-        )
     # Biorthogonal family of the tail, unique since the tail is a basis.
     tilde, tail_margin = _spanning_solve(gram_matrix(tail_phi), tail_phi, "tail")
 

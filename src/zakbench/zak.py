@@ -40,11 +40,12 @@ and the quotient ladder needs only the modulus
     |Z phi|^2 = sqrt(2) exp(-2 pi u^2) (re^2 + im^2),
 
 a real array with no complex grid behind it.  theta1 and
-gaussian_zak_theta evaluate pointwise, for arbitrary points.  The only
-cached tables are the products' column factors, sin and cos of
-(2k+1) pi v times theta1's coefficients, computed once per grid size
-and shared by every row block.  Only theta1 takes a truncation; the
-grid paths, gaussian_zak_theta and theta1'(0) use the default K = 8:
+gaussian_zak_theta evaluate pointwise, for arbitrary points.  The
+products' column factors, sin and cos of (2k+1) pi v times theta1's
+coefficients, are built once per grid, by theta_grid or a ladder level,
+and passed to every row block; zak keeps no table between calls.  Only
+theta1 takes a truncation; the grid paths, gaussian_zak_theta and
+theta1'(0) use the default K = 8:
 on the unit square every valid K, 5 to 88, gives bit-identical values,
 since on its strip |Im z| <= pi/2 the first dropped term at K = 5 is
 below 1e-48.  The ladder sums its quadrature over blocks of grid rows
@@ -55,7 +56,6 @@ checks a ZakValidationReport.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -251,29 +251,27 @@ def gaussian_zak_theta(x, xi):
     return vals if np.ndim(vals) else complex(vals)
 
 
-@functools.lru_cache(maxsize=8)
 def _theta_columns(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """_theta_products' read-only column factors on the M shifted nodes xi, v = xi - 1/2.
+    """_theta_products' column factors on the M shifted nodes xi, v = xi - 1/2.
 
     sin and cos of (2k+1) pi v times theta1's coefficients, as (M, K+1)
-    tables: the only tables cached per grid size.
+    tables; a grid's caller builds them once and passes them to every
+    row block.
     """
     v = shifted_nodes(M) - 0.5
     odd, coef = _theta_series()
     col = np.multiply.outer(np.pi * v, odd)   # (2k+1) pi v, the real part of theta1's argument
-    tables = (np.sin(col) * coef, np.cos(col) * coef)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return np.sin(col) * coef, np.cos(col) * coef
 
 
-def _theta_products(x, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _theta_products(x, columns: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """u = x - 1/2 and theta1(pi (v - i u)) = re - i im on row nodes x times the M shifted nodes.
 
-    Returns u and the real (len(x), M) products re and im of cosh/sinh
-    row factors and the cached column factors (see the module docstring).
+    columns are _theta_columns(M).  Returns u and the real (len(x), M)
+    products re and im of cosh/sinh row factors and those column
+    factors (see the module docstring).
     """
-    sin_col, cos_col = _theta_columns(M)
+    sin_col, cos_col = columns
     u = x - 0.5
     row = np.multiply.outer(np.pi * u, _theta_series()[0])  # (2k+1) pi u, minus Im of the argument
     # The products have inner dimension K + 1, too small to gain from BLAS
@@ -284,7 +282,7 @@ def _theta_products(x, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def theta_grid(M: int) -> PeriodicSignal:
     """Gaussian Zak transform sampled on the midpoint grid via the theta form."""
-    u, re, im = _theta_products(shifted_nodes(M), M)
+    u, re, im = _theta_products(shifted_nodes(M), _theta_columns(M))
     grid = re - 1j * im                                   # theta1(pi (v - i u)), and v = u on these nodes
     grid *= -(2.0**0.25) * 1j * np.exp(1j * np.pi * u)    # the column factor of the prefactor
     grid *= np.exp(-np.pi * u * u)[:, None]               # and its row factor
@@ -326,8 +324,8 @@ def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Verdi
     if any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder resolutions must strictly increase")
 
-    def block_sum(x: np.ndarray, v: np.ndarray) -> float:
-        u, re, im = _theta_products(x, v.size)
+    def block_sum(x: np.ndarray, v: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> float:
+        u, re, im = _theta_products(x, columns)
         den = np.square(re, out=re)
         den += np.square(im, out=im)
         den *= (math.sqrt(2.0) * np.exp(-2.0 * np.pi * u * u))[:, None]
@@ -338,8 +336,9 @@ def quotient_integral(numerator: str, refinement_ladder: Sequence[int]) -> Verdi
     def estimate(M: int) -> float:
         nodes = shifted_nodes(M)
         v = nodes - 0.5
+        columns = _theta_columns(M)
         rows = max(1, _BLOCK_ELEMENTS // M)
-        return math.fsum(block_sum(nodes[r:r + rows], v) for r in range(0, M, rows)) / M**2
+        return math.fsum(block_sum(nodes[r:r + rows], v, columns) for r in range(0, M, rows)) / M**2
 
     estimates = [estimate(M) for M in ladder]
     growth = [(b - a) / a for a, b in zip(estimates, estimates[1:])]

@@ -1,6 +1,7 @@
 """End-to-end tests for the zakbench command line."""
 
 import ast
+import concurrent.futures
 import gc
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zakbench import cli, expsys, reproducing, zak
+from zakbench import cli, expsys, linalg, reproducing, zak
 from zakbench.linalg import NumericalFailure, blas_threads
 
 REPO = Path(__file__).resolve().parents[1]
@@ -160,6 +161,13 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         assert err == (f"zakbench quotient-ladder: error: argument --ladder: "
                        f"empty entry in {ladder!r}\n"), err
     assert not (tmp_path / "empty_entry").exists()
+    # An unknown numerator is refused by the layer, before any report is written.
+    assert cli.main(
+        ["quotient-ladder", "--numerator", "bogus", "--out", str(tmp_path / "bogus")]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err == "ValueError: unknown numerator 'bogus', expected one of ['cone', 'one']\n", err
+    assert not (tmp_path / "bogus").exists()
     nan_weight = tmp_path / "nan_weight.json"
     samples = [[float("nan"), 0.0]] + [[1.0, 0.0]] * 63
     nan_weight.write_text(json.dumps({"N": 64, "grid": "shifted_midpoint", "samples": samples}))
@@ -556,8 +564,30 @@ def test_every_public_name_has_a_caller_in_src():
     assert uncalled == set(UNCALLED_PUBLIC_NAMES)
 
 
-def test_numerator_choices_are_the_named_numerators():
-    assert cli.NUMERATORS == tuple(zak.NAMED_NUMERATORS)
+def test_rp_check_without_openblas_runs_one_worker(tmp_path, monkeypatch):
+    # Where the loaded BLAS is not OpenBLAS its thread count can be neither
+    # read nor held, so rp-check checks its pairs on one worker and records
+    # no count.  Bit equality with the held run is not asserted: with the
+    # hold faked away, OpenBLAS may run more threads.
+    monkeypatch.setattr(linalg, "_openblas_threading", lambda: None)
+    with linalg.single_threaded_blas() as pinned:
+        assert pinned is False
+    assert linalg.blas_threads() is None
+    workers = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    class RecordingExecutor(executor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    assert reproducing.random_pair_check(12, 7, 5).passed
+    assert workers == [1]
+    out = tmp_path / "out"
+    assert cli.main(["rp-check", "--dim", "8", "--pairs", "4", "--out", str(out)]) == 0
+    assert workers == [1, 1]
+    assert json.loads((out / "rp_check.json").read_text())["metadata"]["blas_threads"] is None
 
 
 def test_import_starts_openblas_on_one_thread():

@@ -367,6 +367,17 @@ def test_excess_n_tail_not_exact():
     fam = np.vstack([np.ones((1, dim), dtype=complex), basis[:-1]])
     with pytest.raises(NumericalFailure, match="tail length 4 != ambient dimension 5"):
         excess_n_identities(fam, fam, n=1)
+    # The tail length is checked before the head is reduced: this psi head's
+    # third row is the unfittable dependence of
+    # test_reduce_once_refuses_a_dependence_it_cannot_fit, yet the short tail
+    # is what is refused.
+    psi_head = np.zeros((3, 4), dtype=complex)
+    psi_head[0, 0], psi_head[1, 1] = 1e6, 1.0
+    psi_head[2, 1], psi_head[2, 2] = 1.0, 1e-5
+    short_tail = onb(4)[:3]
+    phi3 = np.vstack([random_family(4, 3, seed=41), short_tail])
+    with pytest.raises(NumericalFailure, match="tail length 3 != ambient dimension 4"):
+        excess_n_identities(phi3, np.vstack([psi_head, short_tail]), n=3)
     # tail of the right length but degenerate
     bad_tail = basis.copy()
     bad_tail[-1] = bad_tail[0]

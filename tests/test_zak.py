@@ -276,9 +276,9 @@ def test_quotient_integral_equal_arguments_give_unit_measure(monkeypatch):
     # re = 2^{-1/4} exp(pi u^2) and im = 0 cancel the prefactor of
     # |Z phi|^2 = sqrt(2) exp(-2 pi u^2) (re^2 + im^2), so the constant
     # numerator's quotient is 1 at every node.
-    def unit_modulus(x, M):
+    def unit_modulus(x, columns):
         u = x - 0.5
-        re = np.repeat(2.0**-0.25 * np.exp(np.pi * u * u)[:, None], M, axis=1)
+        re = np.repeat(2.0**-0.25 * np.exp(np.pi * u * u)[:, None], columns[0].shape[0], axis=1)
         return u, re, np.zeros_like(re)
 
     monkeypatch.setattr(zak, "_theta_products", unit_modulus)
@@ -364,10 +364,11 @@ def test_ladder_memory_does_not_scale_with_grid():
 
 
 def test_ladder_sine_cost(monkeypatch):
-    # theta's column factors are read from one table per grid size:
+    # theta's column factors are read from one table per ladder level:
     # (K + 1) M sines for the series, where recomputing them for every
     # block of rows would pass about (K + 1) M^2 / rows, 768 times as
-    # many at these sizes.
+    # many at these sizes.  Each run builds its own tables, so a second
+    # run of the same ladder passes the same sines as the first.
     ladder = [4096, 8192]
     counted = []
     sin = np.sin
@@ -376,10 +377,15 @@ def test_ladder_sine_cost(monkeypatch):
         counted.append(np.size(x))
         return sin(x, *args, **kwargs)
 
-    zak._theta_columns.cache_clear()
     monkeypatch.setattr(np, "sin", counting_sin)
     quotient_integral("one", ladder)
     assert 0 < sum(counted) <= 2 * (ThetaParams().truncation + 2) * sum(ladder)
+    runs = []
+    for _ in range(2):
+        counted.clear()
+        quotient_integral("one", [64, 128])
+        runs.append(sum(counted))
+    assert runs[0] == runs[1] > 0
 
 
 def test_quotient_integral_singular_node(monkeypatch):
@@ -387,8 +393,8 @@ def test_quotient_integral_singular_node(monkeypatch):
     # of a row block is refused before the division.
     products = zak._theta_products
 
-    def zero_at_first_node(x, M):
-        u, re, im = products(x, M)
+    def zero_at_first_node(x, columns):
+        u, re, im = products(x, columns)
         re[0, 0] = im[0, 0] = 0.0
         return u, re, im
 
