@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import os
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
 
 _PAIR_PROBES = 8     # probe pairs of the identity check, per random pair of rp-check
 _EXCESS_PROBES = 20  # probe pairs of the excess identities
+_POOL_MIN_DIM = 32   # smallest rp-check dim whose pairs run on a thread pool, the crossover on 2 cores
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,27 @@ def _complex_gaussian_vectors(rng: np.random.Generator, count: int, dim: int) ->
 
 def _identity_deviation(psi_mat: np.ndarray, phi_mat: np.ndarray, fs: np.ndarray, gs: np.ndarray) -> float:
     """Worst |<f, g> - sum_i <f, psi_i> <phi_i, g>| / (||f|| ||g||) over probe rows f, g."""
-    cf = fs @ psi_mat.conj().T                          # <f, psi_i>, one row per probe
-    cg = gs.conj() @ phi_mat.T                          # <phi_i, g>
+    return _coefficient_deviation(fs @ psi_mat.conj().T, gs.conj() @ phi_mat.T, fs, gs)
+
+
+def _coefficient_deviation(cf: np.ndarray, cg: np.ndarray, fs: np.ndarray, gs: np.ndarray) -> float:
+    """_identity_deviation from the coefficients cf = <f, psi_i> and cg = <phi_i, g>, one row per probe."""
     lhs = np.sum(gs.conj() * fs, axis=1)                # <f, g>
     scale = np.linalg.norm(fs, axis=1) * np.linalg.norm(gs, axis=1)
     return float(np.max(np.abs(lhs - np.sum(cf * cg, axis=1)) / scale))
+
+
+def _stacked_coefficients(
+    psi_rows: tuple[np.ndarray, ...], phi_rows: tuple[np.ndarray, ...], fs: np.ndarray, gs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(<f, psi_i>, <phi_i, g>), one row per probe, of families given as blocks of rows.
+
+    Each family is stacked for its one product, and the psi stack is
+    conjugated in place, so one family-sized buffer is alive at a time.
+    """
+    cg = gs.conj() @ np.concatenate(phi_rows).T
+    psi_mat = np.concatenate(psi_rows)
+    return fs @ np.conjugate(psi_mat, out=psi_mat).T, cg
 
 
 def _probes(seed: int, count: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,6 +260,13 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
     reduction; the tail must also span, which canonical_dual_frame's
     routine checks on the tail Gram matrix, ignoring scale.  Either
     failure raises NumericalFailure.
+
+    Each family is held once: the tail is read in place from the
+    caller's arrays and only the head is copied.  After the tail solve,
+    each family is stacked in turn for its one product with the probes.
+    At excess-n's ``--dim 512 --n 64`` the command's peak RSS, about
+    74 MB, is then the LAPACK workspace of random_excess_pair's 512 x 512
+    tail SVD; the identities stay about 4 MB below it.
     """
     psi, phi = _aligned(psi, phi)
     count, dim = phi.shape
@@ -263,17 +288,18 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
         n -= 1
         notes.append(f"reduction: {note}; head length now {n}")
 
-    # C-order families: on canonical_dual_frame's F-ordered output the products below use more memory.
-    phi_mat = np.vstack([phi_head, phi[-dim:]])
-    psi_mat = np.vstack([psi_head, psi[-dim:]])
-    tail_phi = phi_mat[n:]
+    # The tail is read in place; only the head, which a reduction rewrites, is held apart.
+    tail_phi, tail_psi = phi[-dim:], psi[-dim:]
     # Biorthogonal family of the tail, unique since the tail is a basis.
     tilde, tail_margin = _spanning_solve(gram_matrix(tail_phi), tail_phi, "tail")
 
     fs, gs = _probes(seed, _EXCESS_PROBES, dim)
-    pair_dev = _identity_deviation(psi_mat, phi_mat, fs, gs)
+    cf, cg = _stacked_coefficients((psi_head, tail_psi), (phi_head, tail_phi), fs, gs)
+    pair_dev = _coefficient_deviation(cf, cg, fs, gs)
+    # Final chain <f, g> = sum_j <f, tilde_j> <phi_j, g> on the same probes.
+    chain_worst = _identity_deviation(tilde, tail_phi, fs, gs)
 
-    if n > 0 and np.max(np.abs(psi_mat[:n])) == 0.0:
+    if n > 0 and np.max(np.abs(psi_head)) == 0.0:
         notes.append("trivial branch: psi head is zero, the tail duals equal the psi tail")
 
     def worst_row(rows: np.ndarray) -> float:  # 0.0 when there are no rows
@@ -281,17 +307,15 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
 
     # An empty head (n = 0) makes every head product below empty and its residual 0.
     # Partner correction: tilde_j = psi_j + sum_{k<n} <tilde_j, phi_k> psi_k.
-    head_ip = tilde @ phi_mat[:n].conj().T                # <tilde_j, phi_k>
-    partner_residual = worst_row(tilde - (psi_mat[n:] + head_ip @ psi_mat[:n]))
+    head_ip = tilde @ phi_head.conj().T                   # <tilde_j, phi_k>
+    corr = head_ip @ psi_head
+    corr += tail_psi
+    partner_residual = worst_row(np.subtract(tilde, corr, out=corr))
     # Head reconstruction from the tail expansion: phi_k = sum_j <phi_k, tilde_j> phi_j.
     coef = head_ip.conj().T                               # <phi_k, tilde_j>
-    head_residual = worst_row(phi_mat[:n] - coef @ tail_phi)
+    head_residual = worst_row(phi_head - coef @ tail_phi)
 
-    # Final chain <f, g> = sum_j <f, tilde_j> <phi_j, g>, and the head
-    # coefficient identity <phi_k, g> = sum_j <phi_k, tilde_j> <phi_j, g>,
-    # on the probes of the pair identity.
-    chain_worst = _identity_deviation(tilde, tail_phi, fs, gs)
-    cg = gs.conj() @ phi_mat.T                            # <phi_i, g>, one row per probe
+    # Head coefficient identity <phi_k, g> = sum_j <phi_k, tilde_j> <phi_j, g> on the probes.
     u, cg_tail = cg[:, :n], cg[:, n:]
     u_err = np.linalg.norm(u - cg_tail @ coef.T, axis=1)
     vector_worst = np.max(u_err / np.maximum(np.linalg.norm(u, axis=1), 1e-30))
@@ -373,6 +397,23 @@ def _pair_result(phi_raw: np.ndarray, psi_raw: np.ndarray, seed: int) -> tuple[f
     return dev, asym, margin
 
 
+def _pooled_pair_results(draws: Iterable[tuple], workers: int) -> Iterator[tuple[float, float, float]]:
+    """_pair_result of each draw on `workers` threads, yielded in draw order.
+
+    One drawn pair stays queued behind the workers until the last draw.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of every CLI start
+
+    with ThreadPoolExecutor(workers) as pool:
+        in_flight = deque()
+        for draw in draws:
+            in_flight.append(pool.submit(_pair_result, *draw))
+            if len(in_flight) > workers:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
+
+
 def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> Verdict:
     """Normalisation experiment over random invertible mixed operators.
 
@@ -389,38 +430,41 @@ def random_pair_check(dim: int = 8, pairs: int = 20, seed: int = 0) -> Verdict:
     ``max_adjoint_asymmetry`` against 1e-12, and the report's ``passed``
     is all their rows; the CSV rows are the checks.
 
-    Every draw is made here, in a fixed stream order, and the pairs are
-    checked concurrently, one thread per CPU with OpenBLAS held at one
-    thread, so the report does not depend on the host's thread count.
-    One drawn pair waits in the pool's queue, so a worker that frees
-    takes it at once; at most workers + 1 pairs are drawn and in flight,
-    and each finished pair is folded, oldest first, into the running
-    worst values, so memory does not grow with pairs.  Where OpenBLAS
-    cannot be held, one thread checks the pairs in turn.
+    Every draw is made here, in a fixed stream order, with OpenBLAS held
+    at one thread, so the report does not depend on the host's thread
+    count.  From dim _POOL_MIN_DIM on, the pairs are checked
+    concurrently, one thread per CPU: one drawn pair waits in the pool's
+    queue, so a worker that frees takes it at once, and at most
+    workers + 1 pairs are drawn and in flight.  Below it, where the
+    pool's handoff costs more than the work it overlaps, and where the
+    pool would get one worker (one CPU, or OpenBLAS cannot be held), the
+    calling thread checks the pairs in turn.  Each finished pair is
+    folded, oldest first, into the running worst values, so memory does
+    not grow with pairs.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
     if pairs < 1:
         raise ValueError("pairs must be positive")
-    from concurrent.futures import ThreadPoolExecutor  # here, to keep it out of every CLI start
-
     rng = np.random.default_rng(seed)
+
+    def draws():
+        for _ in range(pairs):
+            phi_raw = _complex_gaussian_vectors(rng, dim, dim)
+            psi_raw = _complex_gaussian_vectors(rng, dim, dim)
+            yield phi_raw, psi_raw, int(rng.integers(2**31))
+
     worst_dev = worst_asym = -np.inf
     min_margin = np.inf
     with single_threaded_blas() as pinned:
         workers = min(pairs, len(os.sched_getaffinity(0))) if pinned else 1
-        with ThreadPoolExecutor(workers) as pool:
-            in_flight = deque()
-            for i in range(pairs):
-                phi_raw = _complex_gaussian_vectors(rng, dim, dim)
-                psi_raw = _complex_gaussian_vectors(rng, dim, dim)
-                pair_seed = int(rng.integers(2**31))
-                in_flight.append(pool.submit(_pair_result, phi_raw, psi_raw, pair_seed))
-                # One pair stays queued behind the workers until the last draw, then all are folded.
-                while in_flight and (len(in_flight) > workers or i == pairs - 1):
-                    dev, asym, margin = in_flight.popleft().result()
-                    worst_dev, worst_asym = max(worst_dev, dev), max(worst_asym, asym)
-                    min_margin = min(min_margin, margin)
+        if workers == 1 or dim < _POOL_MIN_DIM:
+            results = (_pair_result(*draw) for draw in draws())
+        else:
+            results = _pooled_pair_results(draws(), workers)
+        for dev, asym, margin in results:
+            worst_dev, worst_asym = max(worst_dev, dev), max(worst_asym, asym)
+            min_margin = min(min_margin, margin)
     checks = {
         "max_identity_deviation": _check(worst_dev, 1e-10),
         "max_adjoint_asymmetry": _check(worst_asym, 1e-12),

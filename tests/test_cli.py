@@ -566,9 +566,10 @@ def test_every_public_name_has_a_caller_in_src():
 
 def test_rp_check_without_openblas_runs_one_worker(tmp_path, monkeypatch):
     # Where the loaded BLAS is not OpenBLAS its thread count can be neither
-    # read nor held, so rp-check checks its pairs on one worker and records
-    # no count.  Bit equality with the held run is not asserted: with the
-    # hold faked away, OpenBLAS may run more threads.
+    # read nor held, so rp-check checks its pairs in the calling thread, above
+    # the pool's crossover too, starts no pool and records no count.  Bit
+    # equality with the held run is not asserted: with the hold faked away,
+    # OpenBLAS may run more threads.
     monkeypatch.setattr(linalg, "_openblas_threading", lambda: None)
     with linalg.single_threaded_blas() as pinned:
         assert pinned is False
@@ -582,12 +583,30 @@ def test_rp_check_without_openblas_runs_one_worker(tmp_path, monkeypatch):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
-    assert reproducing.random_pair_check(12, 7, 5).passed
-    assert workers == [1]
+    assert reproducing.random_pair_check(reproducing._POOL_MIN_DIM, 7, 5).passed
     out = tmp_path / "out"
     assert cli.main(["rp-check", "--dim", "8", "--pairs", "4", "--out", str(out)]) == 0
-    assert workers == [1, 1]
+    assert workers == []
     assert json.loads((out / "rp_check.json").read_text())["metadata"]["blas_threads"] is None
+
+
+def test_rp_check_below_the_crossover_imports_no_thread_pool():
+    # On two CPUs, rp-check below the crossover checks its pairs in the calling
+    # thread and imports no concurrent.futures; at the crossover it starts
+    # the pool, which needs OpenBLAS held at one thread.
+    code = (
+        "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+        "from zakbench.linalg import blas_threads; "
+        "from zakbench.reproducing import _POOL_MIN_DIM, random_pair_check; "
+        "random_pair_check(_POOL_MIN_DIM - 1, 3); print('concurrent.futures' in sys.modules); "
+        "random_pair_check(_POOL_MIN_DIM, 3); print('concurrent.futures' in sys.modules); "
+        "print(blas_threads() is not None)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    below, at, openblas = proc.stdout.split()
+    assert (below, at) == ("False", openblas)
 
 
 def test_import_starts_openblas_on_one_thread():

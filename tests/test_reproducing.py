@@ -1,8 +1,10 @@
 """Tests for finite reproducing pairs, excess identities, and head reduction."""
 
+import concurrent.futures
 import os
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from zakbench.linalg import NumericalFailure, blas_threads, rank_and_span, singl
 from zakbench.reproducing import (
     _EXCESS_PROBES,
     _PAIR_PROBES,
+    _POOL_MIN_DIM,
     _identity_deviation,
     _probes,
     canonical_dual_frame,
@@ -684,63 +687,96 @@ def test_excess_identities_draw_excess_probes(monkeypatch):
     assert counts == [_EXCESS_PROBES] == [20]
 
 
+def test_excess_n_holds_each_family_once():
+    # The tail is read in place and only the head is copied, so no second
+    # copy of either family is alive next to the tail Gram matrix and its
+    # solve: the traced peak stays under 5.5 family sizes, and a stacked
+    # copy of both families would add two.
+    dim, n = 256, 32
+    reproducing.excess_n_verdict(8, 2, seed=1, dependent_head=True)  # one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        reproducing.excess_n_verdict(dim, n, seed=1, dependent_head=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * (dim + n) * dim * 16
+
+
 def test_random_pair_check_restores_blas_threads(monkeypatch):
-    # The pairs run on single-threaded OpenBLAS; the caller's thread count
-    # comes back after a normal return and after a worker raises, and the
-    # worker's exception reaches the caller unchanged.
+    # The pairs run on single-threaded OpenBLAS, in the calling thread below
+    # the pool's crossover and on the pool's workers above it; the caller's
+    # thread count comes back after a normal return and after a pair raises,
+    # and the exception reaches the caller unchanged.
     before = blas_threads()
-    seen = []
     s_operator_in_module = reproducing.s_operator
+    for dim in (16, _POOL_MIN_DIM + 8):
+        seen = []
 
-    def recording_s_operator(psi, phi):
-        seen.append(blas_threads())
-        return s_operator_in_module(psi, phi)
+        def recording_s_operator(psi, phi):
+            seen.append(blas_threads())
+            return s_operator_in_module(psi, phi)
 
-    monkeypatch.setattr(reproducing, "s_operator", recording_s_operator)
-    assert random_pair_check(dim=16, pairs=5, seed=0).passed
-    assert blas_threads() == before
-    assert set(seen) == ({None} if before is None else {1})
+        monkeypatch.setattr(reproducing, "s_operator", recording_s_operator)
+        assert random_pair_check(dim=dim, pairs=5, seed=0).passed
+        assert blas_threads() == before
+        assert set(seen) == ({None} if before is None else {1}), dim
 
-    error = NumericalFailure("raised by a worker")
+        error = NumericalFailure("raised by a pair")
 
-    def failing_s_operator(psi, phi):
-        raise error
+        def failing_s_operator(psi, phi):
+            raise error
 
-    monkeypatch.setattr(reproducing, "s_operator", failing_s_operator)
-    with pytest.raises(NumericalFailure) as info:
-        random_pair_check(dim=16, pairs=5, seed=0)
-    assert info.value is error
-    assert blas_threads() == before
+        monkeypatch.setattr(reproducing, "s_operator", failing_s_operator)
+        with pytest.raises(NumericalFailure) as info:
+            random_pair_check(dim=dim, pairs=5, seed=0)
+        assert info.value is error
+        assert blas_threads() == before
 
 
 def test_random_pair_check_matches_serial_loop(monkeypatch):
     # The serial loop the thread pool replaced, as the reference: the same
-    # draws in the same order give the same bits, also when the interpreter
-    # switches threads as often as it can, and at every worker count: with
-    # one pair queued behind the workers, and with more workers than cores.
-    dim, pairs, seed = 12, 7, 5
-    rng = np.random.default_rng(seed)
-    deviations, asymmetries, margins = [], [], []
-    with single_threaded_blas():
-        for _ in range(pairs):
-            phi = random_spanning_family(dim, rng)
-            psi = random_spanning_family(dim, rng)
-            raw = s_operator(psi, phi)
-            margins.append(float(np.linalg.svd(raw, compute_uv=False)[-1]))
-            normalized = np.linalg.solve(raw, phi.T).T
-            pair_seed = int(rng.integers(2**31))
-            deviations.append(reproducing_identity_check(psi, normalized, pair_seed))
-            S = s_operator(psi, normalized)
-            swapped = s_operator(normalized, psi)
-            asymmetries.append(float(np.max(np.abs(S - swapped.conj().T)) / np.max(np.abs(S))))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 2, 3, 5):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            report = random_pair_check(dim, pairs, seed).report
-            assert report.max_identity_deviation == max(deviations), cpus
-            assert report.max_adjoint_asymmetry == max(asymmetries), cpus
-            assert report.min_invertibility_margin == min(margins), cpus
-    finally:
-        sys.setswitchinterval(interval)
+    # draws in the same order give the same bits on both sides of the pool's
+    # crossover, also when the interpreter switches threads as often as it
+    # can, and at every worker count: with one pair queued behind the
+    # workers, and with more workers than cores.  One CPU and the dims
+    # below the crossover check the pairs in the calling thread, without
+    # a pool.
+    pairs, seed = 7, 5
+    pools = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    class RecordingExecutor(executor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingExecutor)
+    for dim in (12, _POOL_MIN_DIM):
+        rng = np.random.default_rng(seed)
+        deviations, asymmetries, margins = [], [], []
+        with single_threaded_blas():
+            for _ in range(pairs):
+                phi = random_spanning_family(dim, rng)
+                psi = random_spanning_family(dim, rng)
+                raw = s_operator(psi, phi)
+                margins.append(float(np.linalg.svd(raw, compute_uv=False)[-1]))
+                normalized = np.linalg.solve(raw, phi.T).T
+                pair_seed = int(rng.integers(2**31))
+                deviations.append(reproducing_identity_check(psi, normalized, pair_seed))
+                S = s_operator(psi, normalized)
+                swapped = s_operator(normalized, psi)
+                asymmetries.append(float(np.max(np.abs(S - swapped.conj().T)) / np.max(np.abs(S))))
+        pools.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (1, 2, 3, 5):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+                report = random_pair_check(dim, pairs, seed).report
+                assert report.max_identity_deviation == max(deviations), (dim, cpus)
+                assert report.max_adjoint_asymmetry == max(asymmetries), (dim, cpus)
+                assert report.min_invertibility_margin == min(margins), (dim, cpus)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == ([] if dim < _POOL_MIN_DIM or blas_threads() is None else [2, 3, 5]), dim
