@@ -5,7 +5,7 @@ returns a reports.Verdict, the report and the checks of its pass rule:
 
     expsys-sweep      expsys.schauder_failure_sweep: no_norm_convergence, term_norm_spread
     zak-validate      zak.validate_verdict: gaussian_norm, translated_norm, covariance,
-                      theta_vs_series, center_zero, theta_prime, theta_prime_floor, theta_file
+                      theta_vs_series, center_zero, theta_prime, theta_file
     quotient-ladder   zak.quotient_integral: last_step_growth (cone), min_step_growth (one)
     rp-check          reproducing.random_pair_check: max_identity_deviation, max_adjoint_asymmetry
     excess-n          reproducing.excess_n_verdict: partner_correction, head_reconstruction,

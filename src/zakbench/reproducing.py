@@ -216,31 +216,31 @@ def _first_dependent_row(mat: np.ndarray) -> int | None:
 
 
 def _reduce_once(phi_mat: np.ndarray, psi_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, str] | None:
-    """Drop one dependent head element, correcting the other family.
+    """Drop one dependent psi head element, correcting the phi head.
 
     When psi_j = sum_{i != j} c_i psi_i the bilinear form
     sum <f, psi_k> <phi_k, g> is preserved by dropping the pair j and
-    replacing each other phi_i by phi_i + conj(c_i) phi_j.  The roles
-    are symmetric: the psi head is tried first, then the phi head, and
-    the remaining pairs keep their order.  Returns (phi, psi, note), or
-    None when both heads are independent.  Each head's full rank is
-    taken at most once.
+    replacing each other phi_i by phi_i + conj(c_i) phi_j; the remaining
+    pairs keep their order.  Returns (phi, psi, note), or None when the
+    psi head is independent.  Each step keeps the psi head's rank and
+    the head's part T = sum_k phi_k psi_k^H of the mixed operator.  When
+    psi is an invertible image of phi (psi_k = A phi_k, as for the
+    canonical dual), rank T is the psi head's rank from the start, so an
+    independent psi head of r rows leaves r = rank T <= rank of the phi
+    head: the phi head is independent too, and is never tried.
     """
-    for role, dep_mat, other_mat in (("psi", psi_mat, phi_mat), ("phi", phi_mat, psi_mat)):
-        if (j := _first_dependent_row(dep_mat)) is None:
-            continue
-        rest = [i for i in range(dep_mat.shape[0]) if i != j]
-        coeffs, *_ = np.linalg.lstsq(dep_mat[rest].T, dep_mat[j], rcond=None)
-        fit_residual = np.linalg.norm(dep_mat[rest].T @ coeffs - dep_mat[j])
-        if fit_residual > _RANK_TOL * (1.0 + np.linalg.norm(dep_mat[j])):
-            raise NumericalFailure(
-                f"dependent element sits {fit_residual:.3e} away from the span of the others"
-            )
-        other_red = other_mat[rest] + np.conj(coeffs)[:, None] * other_mat[j]
-        note = f"eliminated {role} head element {j} (fit residual {fit_residual:.3e})"
-        logger.info("reduction: %s", note)
-        return (other_red, dep_mat[rest], note) if role == "psi" else (dep_mat[rest], other_red, note)
-    return None
+    if (j := _first_dependent_row(psi_mat)) is None:
+        return None
+    rest = [i for i in range(psi_mat.shape[0]) if i != j]
+    coeffs, *_ = np.linalg.lstsq(psi_mat[rest].T, psi_mat[j], rcond=None)
+    fit_residual = np.linalg.norm(psi_mat[rest].T @ coeffs - psi_mat[j])
+    if fit_residual > _RANK_TOL * (1.0 + np.linalg.norm(psi_mat[j])):
+        raise NumericalFailure(
+            f"dependent element sits {fit_residual:.3e} away from the span of the others"
+        )
+    note = f"eliminated psi head element {j} (fit residual {fit_residual:.3e})"
+    logger.info("reduction: %s", note)
+    return phi_mat[rest] + np.conj(coeffs)[:, None] * phi_mat[j], psi_mat[rest], note
 
 
 def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0) -> ExcessReport:
@@ -253,13 +253,15 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
     preconditions hold.  The identities are tested on _EXCESS_PROBES = 20
     seeded probe pairs, and the pair identity's own deviation on the same
     probes is reported as the margin ``pair_identity_deviation``.
-    Dependent heads are reduced away one element at a time, each step
-    preserving the pair's bilinear form; the report notes record the
-    reduction chain.  The head is reduced alone, so the tail's length,
-    which must be the ambient dimension, is checked before any
-    reduction; the tail must also span, which canonical_dual_frame's
-    routine checks on the tail Gram matrix, ignoring scale.  Either
-    failure raises NumericalFailure.
+    A dependent head is reduced away one psi element at a time, each
+    step preserving the pair's bilinear form; the report notes record
+    the chain.  That presumes psi is an invertible image of phi, as the
+    canonical dual is (see _reduce_once); otherwise the phi head can
+    stay dependent and the reported n overcounts.  The head is reduced
+    alone, so the tail's length, which must be the ambient dimension, is
+    checked before any reduction; the tail must also span, which
+    canonical_dual_frame's routine checks on the tail Gram matrix,
+    ignoring scale.  Either failure raises NumericalFailure.
 
     Each family is held once: the tail is read in place from the
     caller's arrays and only the head is copied.  After the tail solve,
@@ -279,9 +281,7 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
         )
     notes: list[str] = []
 
-    # Normalise away dependent heads first; each pass drops one element.
-    # A length-one head never reduces: a zero vector there contributes
-    # nothing and the identities hold as written (the trivial branch).
+    # Normalise away a dependent head first; each pass drops one element.
     phi_head, psi_head = phi[:n], psi[:n]
     while n > 1 and (reduced := _reduce_once(phi_head, psi_head)) is not None:
         phi_head, psi_head, note = reduced
@@ -298,9 +298,6 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
     pair_dev = _coefficient_deviation(cf, cg, fs, gs)
     # Final chain <f, g> = sum_j <f, tilde_j> <phi_j, g> on the same probes.
     chain_worst = _identity_deviation(tilde, tail_phi, fs, gs)
-
-    if n > 0 and np.max(np.abs(psi_head)) == 0.0:
-        notes.append("trivial branch: psi head is zero, the tail duals equal the psi tail")
 
     def worst_row(rows: np.ndarray) -> float:  # 0.0 when there are no rows
         return float(max(np.linalg.norm(rows, axis=1), default=0.0))

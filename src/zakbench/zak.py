@@ -388,10 +388,10 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
     Checks ``gaussian_norm`` and ``translated_norm``, |norm - 1| of Z phi
     and of its translate by 1; ``covariance`` for |n|, |k| <= 2;
     ``theta_vs_series``, the theta form at K = 8 against the direct
-    series over |j| <= 6; ``center_zero``; ``theta_prime`` and
-    ``theta_prime_floor``, theta1'(0) against its closed form; and
-    ``theta_file``, a ``stored`` grid, if given.  The CSV rows are the
-    checks.  Returns the verdict and the theta grid.
+    series over |j| <= 6; ``center_zero``; ``theta_prime``, theta1'(0)
+    against its closed form; and ``theta_file``, a ``stored`` grid, if
+    given.  The CSV rows are the checks.  Returns the verdict and the
+    theta grid.
     """
     _check_grid_size("M", M)
     J, shift, cov_range = 6, 1, 2  # every translate m keeps J - |m| >= 4: phi(4) < 1e-21 is left unsummed
@@ -433,7 +433,6 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
         "theta_vs_series": _check(theta_dev, series_limit),
         "center_zero": _check(center_abs, zero_limit),
         "theta_prime": _check(prime_rel, 1e-13),
-        "theta_prime_floor": _check(prime, 0.9, "lower"),
     }
     if stored is not None:
         reference = theta if stored.N == M else theta_grid(stored.N)

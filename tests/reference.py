@@ -64,8 +64,8 @@ def span_vectors(psi_head, phi_tail):
 
 
 def reduce_dependent_pair(phi_head, psi_head):
-    """The one-element head reduction that excess-n runs; raises when neither head is dependent."""
+    """The one-element head reduction that excess-n runs; raises when the psi head is independent."""
     reduced = _reduce_once(phi_head, psi_head)
     if reduced is None:
-        raise NumericalFailure("both heads are linearly independent at the working tolerance")
+        raise NumericalFailure("the psi head is linearly independent at the working tolerance")
     return reduced

@@ -411,9 +411,9 @@ def test_version_flag(capsys):
 
 def test_svd_counts(tmp_path, monkeypatch):
     # One SVD per random basis and per raw mixed operator in rp-check; the
-    # excess path takes one rank per head per reduction step and log2(n)
-    # prefix ranks to find the dependent element by bisection, and its dual
-    # frame's invertibility test takes eigenvalues instead.
+    # excess path takes one rank of the psi head per reduction pass and
+    # log2(n) prefix ranks to find the dependent element by bisection, and
+    # its dual frame's invertibility test takes eigenvalues instead.
     calls = []
     svd = np.linalg.svd
 
@@ -426,7 +426,7 @@ def test_svd_counts(tmp_path, monkeypatch):
     assert len(calls) == 60
     calls.clear()
     assert cli.main(["excess-n", "--n", "4", "--dependent-head", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_report_metadata_records_the_run(tmp_path):

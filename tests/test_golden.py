@@ -7,15 +7,19 @@ absolute floor of 1e-13, so that rounding-level differences between
 BLAS builds pass and a change of an estimate does not.  A change that
 alters a payload on purpose rewrites the files with
 ``python tests/golden/regenerate.py`` and records the diff in CHANGES.md.
+
+The same ops yield every check row a command can write, and FAILING
+gives each row an input under which it reads ok false.
 """
 
 import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from zakbench import cli
+from zakbench import cli, expsys, reproducing, zak
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -121,3 +125,70 @@ def test_tolerance_separates_rounding_from_changes():
                       ({"x": [1.0, 2.0]}, {"x": [1.0]}), ({"y": 1.0}, {"x": 1.0})):
         with pytest.raises(AssertionError):
             assert_matches(got, want)
+
+
+def scaled(factor, first=False):
+    """A seam: the wrapped function's value, or the first item of its tuple value, times factor."""
+    def wrap(fn):
+        def seam(*args):
+            out = fn(*args)
+            return (out[0] * factor, *out[1:]) if first else out * factor
+        return seam
+    return wrap
+
+
+SWEEP = ["expsys-sweep", "--g", "linear", "--k", "0", "--W", "16", "--N", "128"]
+VALIDATE = ["zak-validate", "--M", "8"]
+RP_CHECK = ["rp-check", "--dim", "8", "--pairs", "20"]
+EXCESS = ["excess-n", "--dim", "8", "--n", "2", "--dependent-head"]
+TAIL_DUALS = (reproducing, "_spanning_solve", scaled(1 + 1e-6, first=True))  # every excess residual
+
+# One input per check row that makes the row read ok false and the command
+# exit 2: an argv, or a passing argv with one module attribute replaced by a
+# seam that wraps the original.  A row that holds by construction needs a seam.
+FAILING = {
+    "no_norm_convergence": (SWEEP, (expsys, "dual_coefficient", scaled(0.5))),
+    "term_norm_spread": (SWEEP, (expsys, "dual_coefficient", scaled(1 + 1e-6))),
+    "gaussian_norm": (["zak-validate", "--M", "2"], None),
+    "translated_norm": (["zak-validate", "--M", "2"], None),
+    "covariance": (VALIDATE, (zak, "modulated_translate",
+                              lambda fn: lambda f, n, k: (lambda t: fn(f, n, k)(t) * (1 + 1e-7)))),
+    "theta_vs_series": (VALIDATE, (zak, "theta_grid",
+                                   lambda fn: lambda M: expsys.PeriodicSignal(fn(M).samples * (1 + 1e-6)))),
+    "center_zero": (VALIDATE, (zak, "gaussian_zak_theta", lambda fn: lambda x, xi: fn(x, xi) + 1e-9)),
+    "theta_prime": (VALIDATE, (zak, "theta1_prime_zero", scaled(1 + 1e-9))),
+    "theta_file": ([*VALIDATE, "--theta-file", "{files}/zero_theta.json"], None),
+    "last_step_growth": (["quotient-ladder", "--numerator", "cone", "--ladder", "2,4"], None),
+    "min_step_growth": (["quotient-ladder", "--numerator", "one", "--ladder", "256,512,1024,2048"], None),
+    "max_identity_deviation": (RP_CHECK, (reproducing, "normalize_pair", scaled(1 + 1e-6, first=True))),
+    "max_adjoint_asymmetry": (RP_CHECK, (reproducing, "s_operator", scaled(1 + 1e-9j))),
+    "partner_correction": (EXCESS, TAIL_DUALS),
+    "head_reconstruction": (EXCESS, TAIL_DUALS),
+    "final_chain": (EXCESS, TAIL_DUALS),
+    "pair_identity_deviation": (EXCESS, (reproducing, "canonical_dual_frame", scaled(1 + 1e-6))),
+}
+
+
+def test_every_check_row_has_a_failing_input(golden_run):
+    # The README ops, --theta-file included, produce every row that a command
+    # can check; each row must have an entry in FAILING, and no entry may
+    # outlive its row.
+    root = golden_run[0]
+    rows = {name for path in root.glob("*/*.json")
+            for name in json.loads(path.read_text())["metadata"]["checks"]}
+    assert sorted(rows) == sorted(FAILING)
+
+
+@pytest.mark.parametrize("row", FAILING)
+def test_check_row_can_fail(tmp_path, monkeypatch, row):
+    argv, seam = FAILING[row]
+    zak.save_grid_function(expsys.PeriodicSignal(np.zeros((8, 8))), tmp_path / "zero_theta.json")
+    argv = [arg.format(files=tmp_path) for arg in argv]
+    if seam is not None:
+        # The argv passes as it is, so the seam is what fails the row.
+        assert cli.main([*argv, "--out", str(tmp_path / "unpatched")]) == 0
+        module, name, wrap = seam
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.ASSERTION_FAILURE
+    (path,) = (tmp_path / "out").glob("*.json")
+    assert json.loads(path.read_text())["metadata"]["checks"][row]["ok"] is False
