@@ -34,8 +34,8 @@ it starts a pool.
 
 Importing the package first sets ``OPENBLAS_NUM_THREADS=1`` in
 ``os.environ`` unless it is set.  When numpy is not loaded yet, OpenBLAS
-then starts without the worker pool that no command uses: every BLAS
-call on a command's path runs inside ``linalg.single_threaded_blas()``.
+then starts without the worker pool that no command uses: ``cli.main``
+runs each command inside ``linalg.single_threaded_blas()``.
 Child processes inherit the variable.
 """
 

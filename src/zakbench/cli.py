@@ -25,10 +25,12 @@ LAPACK); 1 on bad input (ValueError, OSError for a file that cannot be
 read or written, MemoryError for sizes too large for the host) and on
 unknown or malformed arguments.  Each error prints one line on stderr:
 its class name and message, or argparse's message without the usage
-text.  Reports are deterministic for a fixed seed at any BLAS thread
-count; only the "metadata" field varies between runs, with the argv,
-the time, the Python, numpy and zakbench versions and the OpenBLAS
-thread count.  That count is 1 unless OPENBLAS_NUM_THREADS is set:
+text.  main runs the whole command with OpenBLAS held at one thread
+(linalg.single_threaded_blas), so reports are deterministic for a fixed
+seed at any BLAS thread count; only the "metadata" field varies between
+runs, with the argv, the time, the Python, numpy and zakbench versions
+and the OpenBLAS thread count the run was configured with, read before
+the hold.  That count is 1 unless OPENBLAS_NUM_THREADS is set:
 importing the zakbench package, which runs before this module imports
 numpy, sets the variable to 1 when it is unset.  Called as the process
 entry (argv None), main first freezes the start-up heap with gc.freeze(),
@@ -57,7 +59,7 @@ def _finish(args: argparse.Namespace, stem: str, verdict: reports.Verdict) -> in
     """Write the report (and CSV rows) under --out and print the verdict line."""
     metadata = {
         "argv": args.argv,
-        "blas_threads": linalg.blas_threads(),
+        "blas_threads": args.blas_threads,
         "checks": verdict.checks,
         "command": args.command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -210,8 +212,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else USAGE_ERROR
     args.argv = argv
+    args.blas_threads = linalg.blas_threads()  # the configured count, before the hold
     try:
-        return args.run(args)
+        with linalg.single_threaded_blas():
+            return args.run(args)
     except (linalg.NumericalFailure, ValueError, OSError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; print the public name.
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__

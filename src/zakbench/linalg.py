@@ -12,11 +12,13 @@ tolerance raises NumericalFailure, whose message names the check that
 failed; cli.py documents how each error maps to an exit code.
 
 The thread count of the loaded OpenBLAS can be read and held at one
-thread, so that callers running BLAS work on their own threads get the
-results of serial, single-threaded BLAS.  Importing zakbench before
-numpy already starts OpenBLAS at one thread unless OPENBLAS_NUM_THREADS
-is set; the hold still matters when numpy came first or the variable
-asks for more threads, and it keeps results independent of the count.
+thread, so that results do not depend on the count.  Two callers hold
+it: cli.main, around each whole command, and
+reproducing.random_pair_check, whose pool needs one BLAS thread per
+worker for any caller.  Importing zakbench before numpy already starts
+OpenBLAS at one thread unless OPENBLAS_NUM_THREADS is set; the hold
+still matters when numpy came first or the variable asks for more
+threads.
 """
 
 from __future__ import annotations

@@ -81,10 +81,13 @@ def _read_samples(path: str | Path, size_key: str, header: dict, ndim: int) -> n
     """Samples of a file from _write_samples, shaped (size,) * ndim.
 
     ``size`` is the positive integer under ``size_key``.  Any other
-    header, payload shape, boolean or non-finite sample raises a
-    one-line ValueError.
+    header, payload shape, boolean or non-finite sample, or nesting too
+    deep to decode, raises a one-line ValueError.
     """
-    payload = json.loads(Path(path).read_text())
+    try:
+        payload = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError("sample file nests deeper than the JSON decoder can read") from None
     if not isinstance(payload, dict):
         raise ValueError(f"sample file must hold a JSON object, got {type(payload).__name__}")
     for key, value in header.items():

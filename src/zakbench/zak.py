@@ -65,7 +65,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expsys import PeriodicSignal, _check_grid_size, exponential, shifted_nodes
-from .linalg import NumericalFailure, single_threaded_blas
+from .linalg import NumericalFailure
 from .reports import Verdict, _check, _read_samples, _write_samples
 
 __all__ = [
@@ -274,10 +274,7 @@ def _theta_products(x, columns: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarr
     sin_col, cos_col = columns
     u = x - 0.5
     row = np.multiply.outer(np.pi * u, _theta_series()[0])  # (2k+1) pi u, minus Im of the argument
-    # The products have inner dimension K + 1, too small to gain from BLAS
-    # threads, and one thread keeps the grid independent of the thread count.
-    with single_threaded_blas():
-        return u, np.cosh(row) @ sin_col.T, np.sinh(row) @ cos_col.T
+    return u, np.cosh(row) @ sin_col.T, np.sinh(row) @ cos_col.T
 
 
 def theta_grid(M: int) -> PeriodicSignal:

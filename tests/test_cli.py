@@ -205,10 +205,13 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         "no_m.json": ("--theta-file", {k: v for k, v in grid_ok.items() if k != "M"}),
         "list.json": ("--g-file", [weight_ok]),
         "string_sample.json": ("--g-file", {**weight_ok, "samples": [[1, "a"], [1, 0]]}),
+        # Raw text: nested past the decoder's recursion limit, which json.dumps cannot encode.
+        "deep.json": ("--g-file", '{"N": 2, "grid": "shifted_midpoint", "samples": '
+                      + "[" * 100_000 + "]" * 100_000 + "}"),
     }
     for name, (flag, payload) in malformed.items():
         path = tmp_path / name
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         command = ["expsys-sweep", "--W", "4"] if flag == "--g-file" else ["zak-validate", "--M", "32"]
         assert cli.main(command + [flag, str(path), "--out", str(tmp_path)]) == 1, name
         err = capsys.readouterr().err
@@ -626,44 +629,64 @@ def test_import_starts_openblas_on_one_thread():
     assert counts == ["1", "2"]
 
 
-def test_rp_check_payload_independent_of_blas_threads(tmp_path):
-    # Two OpenBLAS threads round 96 x 96 products differently from one; the
-    # pairs run on one BLAS thread each, so the payload must not change.
+@pytest.mark.parametrize("command, stem", [
+    (["rp-check", "--dim", "96", "--pairs", "2"], "rp_check"),
+    (["excess-n", "--dim", "96", "--n", "8", "--dependent-head", "--seed", "1"], "excess_n"),
+    (["expsys-sweep", "--N", "32768", "--W", "6000"], "expsys_sweep"),
+], ids=["rp-check", "excess-n", "expsys-sweep"])
+def test_payload_independent_of_blas_threads(tmp_path, command, stem):
+    # Two OpenBLAS threads round 96 x 96 products and the sweep's long Toeplitz
+    # cross terms differently from one; main runs each command on one BLAS
+    # thread, so the payload must not change.
     payloads = []
     for threads in ("1", "2"):
         out = tmp_path / threads
         env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-m", "zakbench.cli", "rp-check", "--dim", "96", "--pairs", "2",
-             "--out", str(out)],
+            [sys.executable, "-m", "zakbench.cli", *command, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        report = json.loads((out / "rp_check.json").read_text())
+        report = json.loads((out / f"{stem}.json").read_text())
         expected = None if blas_threads() is None else int(threads)
         assert report.pop("metadata")["blas_threads"] == expected
         payloads.append(json.dumps(report, sort_keys=True))
     assert payloads[0] == payloads[1]
 
 
-def test_excess_n_payload_independent_of_blas_threads(tmp_path):
-    # The pair draw and the identities run on one BLAS thread, so two
-    # OpenBLAS threads, which round 96 x 96 products differently, change nothing.
-    payloads = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run(
-            [sys.executable, "-m", "zakbench.cli", "excess-n", "--dim", "96", "--n", "8",
-             "--dependent-head", "--seed", "1", "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads((out / "excess_n.json").read_text())
-        expected = None if blas_threads() is None else int(threads)
-        assert report.pop("metadata")["blas_threads"] == expected
-        payloads.append(json.dumps(report, sort_keys=True))
-    assert payloads[0] == payloads[1]
+@pytest.mark.parametrize("command, layer, verdict", [
+    (["expsys-sweep", "--N", "64", "--W", "4"], expsys, "schauder_failure_sweep"),
+    (["zak-validate", "--M", "16"], zak, "validate_verdict"),
+    (["quotient-ladder", "--numerator", "cone", "--ladder", "32,64,128"], zak, "quotient_integral"),
+    (["rp-check", "--dim", "4", "--pairs", "2"], reproducing, "random_pair_check"),
+    (["excess-n", "--dim", "4", "--n", "2"], reproducing, "excess_n_verdict"),
+], ids=["expsys-sweep", "zak-validate", "quotient-ladder", "rp-check", "excess-n"])
+def test_main_runs_each_verdict_on_one_blas_thread(tmp_path, monkeypatch, command, layer, verdict):
+    # No layer but rp-check's pool holds the BLAS count: main holds OpenBLAS
+    # at one thread around the whole command and records the count set before.
+    openblas = linalg._openblas_threading()
+    if openblas is None:
+        pytest.skip("the loaded BLAS is not OpenBLAS")
+    get, put = openblas
+    run, seen = getattr(layer, verdict), []
+
+    def recorded(*args, **kwargs):
+        seen.append(blas_threads())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(layer, verdict, recorded)
+    before = get()
+    put(2)
+    try:
+        if get() == 1:
+            pytest.skip("OpenBLAS does not start a second thread")
+        assert cli.main([*command, "--out", str(tmp_path)]) == 0
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1]
+    (report,) = tmp_path.glob("*.json")
+    assert json.loads(report.read_text())["metadata"]["blas_threads"] == 2
 
 
 def test_traced_benchmark_layers(tmp_path):
