@@ -81,13 +81,18 @@ def _read_samples(path: str | Path, size_key: str, header: dict, ndim: int) -> n
     """Samples of a file from _write_samples, shaped (size,) * ndim.
 
     ``size`` is the positive integer under ``size_key``.  Any other
-    header, payload shape, boolean or non-finite sample, or nesting too
-    deep to decode, raises a one-line ValueError.
+    header, payload shape, boolean or non-finite sample, file that is
+    not UTF-8 JSON, or nesting too deep to decode, raises a one-line
+    ValueError.
     """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise ValueError("sample file nests deeper than the JSON decoder can read") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"sample file is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"sample file is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"sample file must hold a JSON object, got {type(payload).__name__}")
     for key, value in header.items():

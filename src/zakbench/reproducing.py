@@ -55,6 +55,11 @@ __all__ = [
 _PAIR_PROBES = 8     # probe pairs of the identity check, per random pair of rp-check
 _EXCESS_PROBES = 20  # probe pairs of the excess identities
 _POOL_MIN_DIM = 32   # smallest rp-check dim whose pairs run on a thread pool, the crossover on 2 cores
+# float64 normals per block of _complex_gaussian_vectors: 512 KiB, above glibc's initial
+# 128 KiB mmap threshold, so freeing the first block raises that threshold in the calling
+# thread.  With a 64 KiB block rp-check's workers make the first raise, and their arenas
+# grow by 0-7 MB from run to run at --dim 256.
+_DRAW_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,19 @@ def s_operator(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 
 def _complex_gaussian_vectors(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Rows a + ib with a drawn before b, filled in place with no complex temporaries."""
+    """Rows a + ib with a drawn before b, filled in place with no draw-sized temporary.
+
+    Both halves pass through one reused block of at most _DRAW_BLOCK
+    normals in stream order, all of a and then all of b, so the draw and
+    the generator state after it are those of two whole-size draws.
+    """
     out = np.empty((count, dim), dtype=complex)
-    out.real = rng.standard_normal((count, dim))
-    out.imag = rng.standard_normal((count, dim))
+    flat = out.reshape(-1)
+    block = np.empty(min(_DRAW_BLOCK, flat.size))
+    for half in (flat.real, flat.imag):
+        for start in range(0, flat.size, _DRAW_BLOCK):
+            drawn = rng.standard_normal(out=block[: flat.size - start])
+            half[start : start + drawn.size] = drawn
     return out
 
 
@@ -267,8 +281,9 @@ def excess_n_identities(phi: np.ndarray, psi: np.ndarray, n: int, seed: int = 0)
     caller's arrays and only the head is copied.  After the tail solve,
     each family is stacked in turn for its one product with the probes.
     At excess-n's ``--dim 512 --n 64`` the command's peak RSS, about
-    74 MB, is then the LAPACK workspace of random_excess_pair's 512 x 512
-    tail SVD; the identities stay about 4 MB below it.
+    72.7 MB, is then random_excess_pair's 512 x 512 tail SVD: numpy's
+    svd workspace and outputs, with no draw temporary resident (see
+    _complex_gaussian_vectors).  The identities stay below it.
     """
     psi, phi = _aligned(psi, phi)
     count, dim = phi.shape

@@ -208,10 +208,17 @@ def test_usage_error_exit_codes(tmp_path, capsys):
         # Raw text: nested past the decoder's recursion limit, which json.dumps cannot encode.
         "deep.json": ("--g-file", '{"N": 2, "grid": "shifted_midpoint", "samples": '
                       + "[" * 100_000 + "]" * 100_000 + "}"),
+        # Raw text and bytes that are not JSON, or not UTF-8.
+        "empty.json": ("--g-file", ""),
+        "truncated.json": ("--theta-file", '{"N": 2, "grid": "shifted_midpoint", "samples": [[1, 0'),
+        "latin1.json": ("--g-file", b'{"N": 2, "grid": "shifted_midpoint\xff"}'),
     }
     for name, (flag, payload) in malformed.items():
         path = tmp_path / name
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         command = ["expsys-sweep", "--W", "4"] if flag == "--g-file" else ["zak-validate", "--M", "32"]
         assert cli.main(command + [flag, str(path), "--out", str(tmp_path)]) == 1, name
         err = capsys.readouterr().err

@@ -15,9 +15,11 @@ from zakbench import reproducing
 from zakbench.expsys import ExpSystem, PeriodicSignal, weighted_exp
 from zakbench.linalg import NumericalFailure, blas_threads, rank_and_span, single_threaded_blas
 from zakbench.reproducing import (
+    _DRAW_BLOCK,
     _EXCESS_PROBES,
     _PAIR_PROBES,
     _POOL_MIN_DIM,
+    _complex_gaussian_vectors,
     _identity_deviation,
     _probes,
     canonical_dual_frame,
@@ -700,6 +702,38 @@ def test_excess_identities_draw_excess_probes(monkeypatch):
     phi, psi = random_excess_pair(4, 2, np.random.default_rng(29))
     excess_n_identities(phi, psi, 2, seed=3)
     assert counts == [_EXCESS_PROBES] == [20]
+
+
+@pytest.mark.parametrize("count, dim", [(0, 5), (1, 1), (37, 300), (512, 512), (3, 9000), (3, 70000)])
+def test_complex_gaussian_vectors_keep_the_whole_size_stream(count, dim):
+    # The blocked fill draws what two whole-size draws give, byte for byte,
+    # and leaves the generator where they leave it: several whole blocks,
+    # rows wider than one block with a partial last block, and the empty
+    # head of random_excess_pair(dim, 0, ...) included.
+    assert 512 * 512 % _DRAW_BLOCK == 0 and 70000 > _DRAW_BLOCK and 3 * 70000 % _DRAW_BLOCK
+    blocked, whole = np.random.default_rng(11), np.random.default_rng(11)
+    got = _complex_gaussian_vectors(blocked, count, dim)
+    a = whole.standard_normal((count, dim))
+    b = whole.standard_normal((count, dim))
+    want = a + 1j * b
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert blocked.standard_normal(3).tobytes() == whole.standard_normal(3).tobytes()
+
+
+def test_complex_gaussian_vectors_hold_no_draw_sized_temporary():
+    # Both halves pass through one reused block, so the traced peak is the
+    # output and the block, 1.125 times the output at 512 x 512; two
+    # whole-size float draws would make it 1.5 times.
+    rng = np.random.default_rng(0)
+    _complex_gaussian_vectors(rng, 512, 512)  # one-time allocations stay out of the trace
+    tracemalloc.start()
+    try:
+        out = _complex_gaussian_vectors(rng, 512, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * (out.nbytes + _DRAW_BLOCK * 8)
 
 
 def test_excess_n_holds_each_family_once():
