@@ -182,29 +182,17 @@ def zak_transform(f: Callable, M: int, J: int) -> PeriodicSignal:
     """Truncated Zak transform of the line sampler f on the M x M midpoint grid, M even.
 
     f evaluates the line function on float arrays; the j-sum runs over |j| <= J.
-    Each term is formed in one M x M buffer, not in a fresh array, for the
-    reason _zak_sum gives.
+    Each term is formed in one reused M x M buffer and added to the sum in
+    np.outer's order, so the result matches a sum of fresh np.outer terms
+    bit for bit.
     """
     if J < 1:
         raise ValueError("J must be at least 1")
-    return PeriodicSignal(_zak_sum(f, J, np.empty((M, M), dtype=complex), np.empty((M, M), dtype=complex)))
-
-
-def _zak_sum(f: Callable, J: int, out: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """zak_transform's j-sum of f written into out, each term formed in term; both M x M complex.
-
-    The terms are the products np.outer would give, added in the same
-    order.  A fresh M x M temporary per term, 256 KiB at M = 128, sits at
-    glibc's mmap and trim thresholds, so it can be mapped, or trimmed and
-    faulted in again, on every term; buffers the caller holds are faulted
-    in once.
-    """
-    M = out.shape[0]
     x = shifted_nodes(M)
-    out.fill(0)
+    out, term = np.zeros((M, M), dtype=complex), np.empty((M, M), dtype=complex)
     for j in range(-J, J + 1):
         out += np.multiply.outer(np.asarray(f(x - j), dtype=complex), exponential(M, j), out=term)
-    return out
+    return PeriodicSignal(out)
 
 
 def theta1(z, params: ThetaParams = ThetaParams()):
@@ -398,22 +386,19 @@ def validate_verdict(M: int, stored: PeriodicSignal | None = None) -> tuple[Verd
     # Covariance: modulation by n and translation by k multiply the
     # transform by the plane wave E_nk, read on the grid from the root table.
     # The (0, 0) term is direct itself and the (0, shift) term is the translate.
-    # |lhs - E_nk direct| takes the floating-point steps of the plain expression,
-    # in four M x M buffers held across the loop (see _zak_sum).
+    # Each translate is its own zak_transform; |lhs - E_nk direct| takes the
+    # floating-point steps of the plain expression in two M x M buffers held
+    # across the loop.
     cov_dev = 0.0
-    buffer, term, rhs = (np.empty((M, M), dtype=complex) for _ in range(3))
-    dev = np.empty((M, M))
+    rhs, dev = np.empty((M, M), dtype=complex), np.empty((M, M))
     for n in range(-cov_range, cov_range + 1):
         for k in range(-cov_range, cov_range + 1):
-            if n == k == 0:
-                lhs = direct.samples
-            else:
-                lhs = _zak_sum(modulated_translate(gaussian_atom, n, k), J, buffer, term)
+            lhs = direct if n == k == 0 else zak_transform(modulated_translate(gaussian_atom, n, k), M, J)
             if (n, k) == (0, shift):
-                translated_norm = PeriodicSignal(lhs).norm()
+                translated_norm = lhs.norm()
             np.multiply.outer(exponential(M, n), exponential(M, -k), out=rhs)
             rhs *= direct.samples
-            np.subtract(lhs, rhs, out=rhs)
+            np.subtract(lhs.samples, rhs, out=rhs)
             cov_dev = max(cov_dev, float(np.max(np.abs(rhs, out=dev))))
 
     theta_dev = float(np.max(np.abs(theta.samples - direct.samples)))

@@ -127,8 +127,8 @@ def test_zak_transform_matches_outer_accumulation_bitwise(M):
             assert zak_transform(f, M, 6).samples.tobytes() == outer_zak_transform(f, M, 6).tobytes()
 
 
-def test_covariance_dev_matches_outer_loop_exactly():
-    M, J = 128, 6
+def outer_covariance_dev(M, J=6):
+    """Largest |Z(M_n T_k phi) - E_nk Z phi| over |n|, |k| <= 2, every transform a fresh np.outer sum."""
     direct = outer_zak_transform(gaussian_atom, M, J)
     dev = 0.0
     for n in range(-2, 3):
@@ -136,7 +136,25 @@ def test_covariance_dev_matches_outer_loop_exactly():
             lhs = outer_zak_transform(modulated_translate(gaussian_atom, n, k), M, J)
             rhs = np.outer(exponential(M, n), exponential(M, -k)) * direct
             dev = max(dev, float(np.max(np.abs(lhs - rhs))))
-    assert validate_verdict(M)[0].report.covariance_max_dev == dev
+    return dev
+
+
+def test_covariance_dev_matches_outer_loop_exactly():
+    assert validate_verdict(128)[0].report.covariance_max_dev == outer_covariance_dev(128)
+
+
+def test_validate_sums_every_translate_through_zak_transform(monkeypatch):
+    # Z phi once, then each of the 24 covariance translates.
+    calls = []
+
+    def counted(f, M, J):
+        calls.append(J)
+        return zak_transform(f, M, J)
+
+    monkeypatch.setattr(zak, "zak_transform", counted)
+    report = validate_verdict(16)[0].report
+    assert calls == [6] * 25
+    assert report.covariance_max_dev == outer_covariance_dev(16)
 
 
 def test_theta1_oddness_and_zero():
